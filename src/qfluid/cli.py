@@ -58,9 +58,7 @@ def _params_from(args) -> PlasmaParams:
 def _cmd_dispersion(args, command: str) -> None:
     params = _params_from(args)
     if args.relation == "all":
-        ks = (np.geomspace if args.log else np.linspace)(args.kmin, args.kmax, args.n)
-        if args.log and args.kmin <= 0:
-            raise ConfigError("log spacing requires --kmin > 0")
+        ks = dispersion.k_grid(args.kmin, args.kmax, args.n, log_spacing=args.log)
         cols = [("k", ks)]
         for tag in ("general", "quantum-langmuir", "bohm-gross", "adiabatic",
                     "temperature-closure"):
@@ -148,8 +146,16 @@ def _cmd_tw_run(args, command: str) -> None:
               command=command, extra_comments=comments)
 
 
+def _float_list(text: str, option: str) -> list[float]:
+    """Parse a comma list of numbers given to ``option``."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} expects a comma list of numbers, got {text!r}") from None
+
+
 def _cmd_tw_stability(args, command: str) -> None:
-    hs = np.array([float(h) for h in args.H.split(",")])
+    hs = np.array(_float_list(args.H, "--H"))
     cols = {name: [] for name in ["H", "max_real", "classification"]
             + [f"eig{i}_{part}" for i in range(5) for part in ("re", "im")]}
     for H in hs:
@@ -174,7 +180,7 @@ def _cmd_tw_threshold(args, command: str) -> None:
 
 
 def _cmd_wigner(args, command: str) -> None:
-    times = [float(t) for t in args.times.split(",")]
+    times = _float_list(args.times, "--times")
     x_bar = np.linspace(-args.x_max, args.x_max, args.nx)
     v_bar = np.linspace(-args.v_max, args.v_max, args.nv)
     for t_bar in times:

@@ -42,6 +42,7 @@ __all__ = [
     "temperature_closure_omega_sq",
     "companion_growth_rate",
     "RELATIONS",
+    "k_grid",
     "sweep",
 ]
 
@@ -133,12 +134,13 @@ class DispersionPoint:
         return float(np.sqrt(self.omega_sq))
 
 
-def sweep(relation_tag: str, k_min: float, k_max: float, n_points: int,
-          params: PlasmaParams, log_spacing: bool = False,
-          gamma: float | None = None) -> list[DispersionPoint]:
-    """Evaluate one tagged relation on a uniform or log-uniform k grid."""
-    if relation_tag not in RELATIONS:
-        raise ConfigError(f"unknown relation {relation_tag!r} (choices: {sorted(RELATIONS)})")
+def k_grid(k_min: float, k_max: float, n_points: int,
+           log_spacing: bool = False) -> np.ndarray:
+    """Uniform or log-uniform wavenumber grid on [k_min, k_max].
+
+    Raises ``ConfigError`` unless 0 <= k_min < k_max (k_min > 0 for log
+    spacing) and n_points >= 2.
+    """
     if not (0.0 <= k_min < k_max):
         raise ConfigError(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
     if n_points < 2:
@@ -146,9 +148,17 @@ def sweep(relation_tag: str, k_min: float, k_max: float, n_points: int,
     if log_spacing:
         if k_min <= 0.0:
             raise ConfigError("log spacing requires k_min > 0")
-        ks = np.geomspace(k_min, k_max, n_points)
-    else:
-        ks = np.linspace(k_min, k_max, n_points)
+        return np.geomspace(k_min, k_max, n_points)
+    return np.linspace(k_min, k_max, n_points)
+
+
+def sweep(relation_tag: str, k_min: float, k_max: float, n_points: int,
+          params: PlasmaParams, log_spacing: bool = False,
+          gamma: float | None = None) -> list[DispersionPoint]:
+    """Evaluate one tagged relation on a uniform or log-uniform k grid."""
+    if relation_tag not in RELATIONS:
+        raise ConfigError(f"unknown relation {relation_tag!r} (choices: {sorted(RELATIONS)})")
+    ks = k_grid(k_min, k_max, n_points, log_spacing)
     fn = RELATIONS[relation_tag]
     if relation_tag == "adiabatic":
         if gamma is None:

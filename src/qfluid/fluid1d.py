@@ -18,6 +18,18 @@ Spatial derivatives are Fourier (spectral); quadratic products are
 dealiased by the 2/3 rule.  Time stepping is classical RK4 with the
 potential re-solved at every stage.
 
+State layout: the four fields are the rows (n, u, p, Q) of one ``(4, N)``
+array, ``FluidState1D.fields``, and ``rhs`` returns its derivative in the
+same layout.  Every FFT is batched along the last axis, so one spectral
+``rhs`` makes four transforms (the fields forward, the five derivatives
+dn, du, dp, dQ, dphi back, and a forward/back pair for the 2/3 rule) and
+one filtered RK4 step makes 18, where one transform per field and per
+derivative would take 76.  ``Grid1D.k`` and ``Grid1D.dealias_mask`` are
+computed once per grid.
+
+``evolve`` rejects a run length, time step, sample interval or probe mode
+outside its domain with ``ConfigError`` (CLI exit 2) before it steps.
+
 Stability note: the closure supports a non-oscillatory growing branch at
 every wavenumber with rate increasing with k (see
 ``dispersion.companion_growth_rate``), which makes long runs on fine
@@ -32,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +55,7 @@ from .params import PlasmaParams
 
 __all__ = [
     "Grid1D",
+    "FIELDS",
     "FluidState1D",
     "SpectralDamping",
     "solve_poisson",
@@ -88,24 +102,39 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return np.arange(self.n_points) * self.dx
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        """rfft wavenumbers, 0 .. pi/dx."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.dx)
+        """rfft wavenumbers, 0 .. pi/dx (read-only, computed once)."""
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.dx)
+        k.flags.writeable = False
+        return k
 
     @property
     def k_fundamental(self) -> float:
         return 2.0 * np.pi / self.length
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask over ``k`` (read-only, computed once)."""
         k = self.k
-        return k <= (2.0 / 3.0) * k[-1]
+        mask = k <= (2.0 / 3.0) * k[-1]
+        mask.flags.writeable = False
+        return mask
+
+
+# row order of FluidState1D.fields and of the array rhs returns
+FIELDS = ("n", "u", "p", "Q")
 
 
 @dataclass(frozen=True)
 class FluidState1D:
-    """Periodic field snapshot (n, u, p, Q) at time t."""
+    """Periodic field snapshot (n, u, p, Q) at time t.
+
+    The fields are the rows of one ``(4, N)`` array, ``fields``, and
+    ``n``, ``u``, ``p``, ``Q`` are views of its rows.  The constructor
+    copies the four arrays into a new one; ``from_fields`` wraps an
+    existing array without a copy.
+    """
 
     grid: Grid1D
     n: np.ndarray
@@ -113,37 +142,52 @@ class FluidState1D:
     p: np.ndarray
     Q: np.ndarray
     t: float = 0.0
+    fields: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n", "u", "p", "Q"):
+        for name in FIELDS:
             arr = getattr(self, name)
             if arr.shape != (self.grid.n_points,):
                 raise ConfigError(f"field {name!r} has shape {arr.shape}, "
                                   f"expected ({self.grid.n_points},)")
+        self._bind(np.array([self.n, self.u, self.p, self.Q], dtype=float))
+
+    @classmethod
+    def from_fields(cls, grid: Grid1D, fields: np.ndarray, t: float = 0.0) -> "FluidState1D":
+        """State whose rows n, u, p, Q are those of ``fields`` (not copied)."""
+        if fields.shape != (len(FIELDS), grid.n_points):
+            raise ConfigError(f"fields have shape {fields.shape}, "
+                              f"expected ({len(FIELDS)}, {grid.n_points})")
+        state = object.__new__(cls)
+        object.__setattr__(state, "grid", grid)
+        object.__setattr__(state, "t", t)
+        state._bind(fields)
+        return state
+
+    def _bind(self, fields: np.ndarray) -> None:
+        object.__setattr__(self, "fields", fields)
+        for name, row in zip(FIELDS, fields):
+            object.__setattr__(self, name, row)
 
     def check(self) -> None:
         """Raise on vacuum (n <= 0) or non-finite fields."""
-        if not all(np.isfinite(getattr(self, f)).all() for f in ("n", "u", "p", "Q")):
+        if not np.isfinite(self.fields).all():
             raise NumericalError(f"non-finite field values at t = {self.t:.6g}")
         if np.any(self.n <= 0.0):
             raise VacuumError(f"density reached n <= 0 at t = {self.t:.6g}")
 
 
-def _ddx(spec: np.ndarray, k: np.ndarray, n_points: int) -> np.ndarray:
-    return np.fft.irfft(1j * k * spec, n=n_points)
-
-
 def _fd6(f: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic 6th-order central first derivative."""
+    """Periodic 6th-order central first derivative along the last axis."""
     def s(m):
-        return np.roll(f, -m)
+        return np.roll(f, -m, axis=-1)
     return (45.0 * (s(1) - s(-1)) - 9.0 * (s(2) - s(-2)) + (s(3) - s(-3))) / (60.0 * dx)
 
 
 def first_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
     """d/dx on the grid, using the grid's configured scheme."""
     if grid.derivative_scheme == "spectral":
-        return _ddx(np.fft.rfft(f), grid.k, grid.n_points)
+        return np.fft.irfft(1j * grid.k * np.fft.rfft(f), n=grid.n_points)
     return _fd6(f, grid.dx)
 
 
@@ -166,8 +210,8 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams,
     return np.fft.irfft(phi_spec, n=grid.n_points)
 
 
-def rhs(state: FluidState1D, params: PlasmaParams) -> tuple[np.ndarray, ...]:
-    """Eulerian time derivatives (dn/dt, du/dt, dp/dt, dQ/dt).
+def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
+    """Eulerian time derivatives as a (4, N) array, rows (dn/dt, du/dt, dp/dt, dQ/dt).
 
     The potential is re-solved from the current density.  Output arrays
     are dealiased by the 2/3 rule so band-limited states stay band-limited.
@@ -175,39 +219,37 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> tuple[np.ndarray, ...]:
     state.check()
     g = state.grid
     k, N = g.k, g.n_points
-    n, u, p, Q = state.n, state.u, state.p, state.Q
+    n, u, p, Q = state.fields
 
     spectral = g.derivative_scheme == "spectral"
     if spectral:
-        n_spec = np.fft.rfft(n)
-        dn = _ddx(n_spec, k, N)
-        du = _ddx(np.fft.rfft(u), k, N)
-        dp = _ddx(np.fft.rfft(p), k, N)
-        dQ = _ddx(np.fft.rfft(Q), k, N)
+        spec = np.fft.rfft(state.fields)
+        deriv_spec = np.empty((5, len(k)), dtype=complex)
+        deriv_spec[:4] = 1j * k * spec
         # dphi/dx from the potential solve in one shot
         with np.errstate(divide="ignore", invalid="ignore"):
-            dphi_spec = -1j * (params.e / params.eps0) * n_spec / k
-        dphi_spec[0] = 0.0
-        dphi = np.fft.irfft(dphi_spec, n=N)
+            deriv_spec[4] = -1j * (params.e / params.eps0) * spec[0] / k
+        deriv_spec[4, 0] = 0.0
+        dn, du, dp, dQ, dphi = np.fft.irfft(deriv_spec, n=N)
     else:
-        dn, du, dp, dQ = (_fd6(f, g.dx) for f in (n, u, p, Q))
+        dn, du, dp, dQ = _fd6(state.fields, g.dx)
         dphi = _fd6(solve_poisson(n, g, params), g.dx)
     # d3phi/dx3 = (e/eps0) dn/dx exactly, given the potential equation
     d3phi = (params.e / params.eps0) * dn
 
     e_m = params.e / params.m
-    dt_n = -(u * dn + n * du)
-    dt_u = -u * du - dp / (params.m * n) + e_m * dphi
-    dt_p = -u * dp - 3.0 * p * du - dQ
-    dt_Q = (-u * dQ + 3.0 * p * dp / (params.m * n)
-            - e_m * params.hbar**2 * n * d3phi / (4.0 * params.m)
-            - 4.0 * Q * du)
+    dt_fields = np.array([
+        -(u * dn + n * du),
+        -u * du - dp / (params.m * n) + e_m * dphi,
+        -u * dp - 3.0 * p * du - dQ,
+        (-u * dQ + 3.0 * p * dp / (params.m * n)
+         - e_m * params.hbar**2 * n * d3phi / (4.0 * params.m)
+         - 4.0 * Q * du),
+    ])
 
     if not spectral:
-        return (dt_n, dt_u, dt_p, dt_Q)
-    mask = g.dealias_mask
-    return tuple(np.fft.irfft(mask * np.fft.rfft(f), n=N)
-                 for f in (dt_n, dt_u, dt_p, dt_Q))
+        return dt_fields
+    return np.fft.irfft(g.dealias_mask * np.fft.rfft(dt_fields), n=N)
 
 
 @dataclass(frozen=True)
@@ -270,25 +312,20 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
             f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
             f"suggested dt = {limit:.6g}", suggested_dt=limit)
 
+    y = state.fields
+
     def shifted(coeff, deriv):
-        return replace(
-            state,
-            n=state.n + coeff * deriv[0], u=state.u + coeff * deriv[1],
-            p=state.p + coeff * deriv[2], Q=state.Q + coeff * deriv[3],
-            t=state.t + coeff)
+        return FluidState1D.from_fields(state.grid, y + coeff * deriv, t=state.t + coeff)
 
     k1 = rhs(state, params)
     k2 = rhs(shifted(0.5 * dt, k1), params)
     k3 = rhs(shifted(0.5 * dt, k2), params)
     k4 = rhs(shifted(dt, k3), params)
 
-    fields = []
-    for f, a, b, c, d in zip((state.n, state.u, state.p, state.Q), k1, k2, k3, k4):
-        fields.append(f + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d))
+    fields = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if damping is not None:
-        fac = damping.factors(dt)
-        fields = [np.fft.irfft(fac * np.fft.rfft(f), n=state.grid.n_points) for f in fields]
-    new = FluidState1D(state.grid, *fields, t=state.t + dt)
+        fields = np.fft.irfft(damping.factors(dt) * np.fft.rfft(fields), n=state.grid.n_points)
+    new = FluidState1D.from_fields(state.grid, fields, t=state.t + dt)
     new.check()
     return new
 
@@ -316,7 +353,20 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     gives coefficient A).  ``steepening_limit`` (units of omega_p) halts
     with a diagnostic when max |du/dx| exceeds it; the solver targets
     smooth regimes only.
+
+    Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
+    sample_every >= 1 and 0 <= probe_mode <= N/2.
     """
+    g = state.grid
+    if not 0.0 < t_end < math.inf:
+        raise ConfigError(f"run length must be positive and finite, got {t_end!r}")
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ConfigError(f"time step must be positive and finite, got {dt!r}")
+    if sample_every < 1:
+        raise ConfigError(f"sample interval must be >= 1 step, got {sample_every!r}")
+    if not 0 <= probe_mode <= g.n_points // 2:
+        raise ConfigError(f"probe mode must lie in [0, {g.n_points // 2}] "
+                          f"on a {g.n_points}-point grid, got {probe_mode!r}")
     if dt is None:
         # margin below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
@@ -324,16 +374,15 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     dt = t_end / n_steps
 
-    g = state.grid
     norm = 2.0 / g.n_points
     times, mass = [], []
-    coeffs: dict[str, list[complex]] = {f: [] for f in ("n", "u", "p", "Q")}
+    coeffs: dict[str, list[complex]] = {f: [] for f in FIELDS}
 
     def record(s: FluidState1D):
         times.append(s.t)
         mass.append(float(np.mean(s.n)))
-        for name in coeffs:
-            coeffs[name].append(complex(np.fft.rfft(getattr(s, name))[probe_mode]) * norm)
+        for name, c in zip(FIELDS, np.fft.rfft(s.fields)[:, probe_mode]):
+            coeffs[name].append(complex(c) * norm)
 
     record(state)
     for i in range(n_steps):
@@ -375,7 +424,7 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
     profile = np.cos(mode * grid.k_fundamental * grid.x)
     updates = {}
     for name in fields:
-        if name not in ("n", "u", "p", "Q"):
+        if name not in FIELDS:
             raise ConfigError(f"unknown field {name!r} in perturbation spec")
         scale = params.n0 if name in ("n", "p") else 1.0
         updates[name] = getattr(base, name) + amplitude * scale * profile

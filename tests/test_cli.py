@@ -178,6 +178,26 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(tmp_path, ["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fluid", "--tmax", "-1"],
+    ["fluid", "--tmax", "0"],
+    ["fluid", "--dt", "0"],
+    ["fluid", "--dt", "-0.01"],
+    ["fluid", "--sample-every", "0"],
+    ["fluid", "--mode", "200"],
+    ["dispersion", "--relation", "all", "--log", "--kmin", "0"],
+    ["dispersion", "--relation", "all", "--kmin", "2", "--kmax", "1"],
+    ["tw", "stability", "--H", "1,x"],
+    ["wigner", "--times", "0,x"],
+], ids=" ".join)
+def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_si_preset_requires_density(tmp_path, capsys):
     code = run(tmp_path, ["dispersion", "--preset", "si-electron", "-o", "x.csv"])
     assert code == 2

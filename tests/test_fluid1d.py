@@ -7,7 +7,7 @@ import pytest
 from qfluid import dispersion
 from qfluid.errors import (CFLViolationError, ConfigError, NoOscillationError,
                            NumericalError, SteepeningError, VacuumError)
-from qfluid.fluid1d import (FluidState1D, Grid1D, SpectralDamping, auto_dt,
+from qfluid.fluid1d import (FIELDS, FluidState1D, Grid1D, SpectralDamping, auto_dt,
                             eigenmode_state, evolve, measure_frequency,
                             perturbed_state, rhs, solve_poisson, step,
                             uniform_state)
@@ -252,6 +252,50 @@ def test_momentum_balance_identity():
     assert abs(lhs - rhs_int) < 1e-10 * scale
 
 
+# (hbar, T0_par): quantum-warm, classical-warm and quantum-cold
+INVARIANT_REGIMES = [(0.3, 0.05), (0.0, 0.02), (0.2, 0.0)]
+
+
+def unfiltered_invariants(hbar, T0_par, n_steps=200):
+    """Momentum and energy integrals, and their scales, along an unfiltered run.
+
+    With the filter off the periodic system conserves momentum
+    int m n u dx (the force integral int e n dphi/dx dx vanishes under
+    Poisson's equation) and energy int (m n u^2/2 + p/2 + eps0 E^2/2) dx
+    (the Q equation only moves energy around through its flux).  Rows:
+    momentum, int m n |u| dx, energy, its kinetic-plus-field part.
+    """
+    g = grid(64)
+    p = nondimensional(hbar=hbar, T0_par=T0_par)
+    state = perturbed_state(g, p, mode=1, amplitude=1e-2, fields=("n", "u"))
+    dt = 0.5 * auto_dt(state, p)
+
+    def integrals(s):
+        phi = solve_poisson(s.n, g, p)
+        E = -np.fft.irfft(1j * g.k * np.fft.rfft(phi), n=g.n_points)
+        kinetic_field = np.sum(0.5 * p.m * s.n * s.u**2 + 0.5 * p.eps0 * E**2) * g.dx
+        return (p.m * np.sum(s.n * s.u) * g.dx, p.m * np.sum(s.n * np.abs(s.u)) * g.dx,
+                kinetic_field + 0.5 * np.sum(s.p) * g.dx, kinetic_field)
+
+    rows = [integrals(state)]
+    for _ in range(n_steps):
+        state = step(state, dt, p)
+        rows.append(integrals(state))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("hbar,T0_par", INVARIANT_REGIMES)
+def test_momentum_conserved_without_filter(hbar, T0_par):
+    momentum, scale, _, _ = unfiltered_invariants(hbar, T0_par)
+    assert np.max(np.abs(momentum - momentum[0])) < 1e-8 * scale[0]
+
+
+@pytest.mark.parametrize("hbar,T0_par", INVARIANT_REGIMES)
+def test_energy_conserved_without_filter(hbar, T0_par):
+    _, _, energy, kinetic_field = unfiltered_invariants(hbar, T0_par)
+    assert np.max(np.abs(energy - energy[0])) < 1e-6 * kinetic_field[0]
+
+
 def test_steepening_halt():
     g = grid(128)
     p = nondimensional(hbar=0.0, T0_par=0.1)
@@ -325,6 +369,20 @@ def test_grid_and_state_validation():
         FluidState1D(g, np.ones(8), np.zeros(16), np.ones(16), np.zeros(16))
     with pytest.raises(ConfigError):
         perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("psi",))
+    with pytest.raises(ConfigError):
+        FluidState1D.from_fields(g, np.ones((4, 8)))
+
+
+def test_state_fields_are_rows_of_one_array():
+    g = grid(16)
+    state = perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("n", "u"))
+    assert state.fields.shape == (4, 16)
+    for name, row in zip(FIELDS, state.fields):
+        assert np.shares_memory(getattr(state, name), row)
+        assert np.array_equal(getattr(state, name), row)
+    assert rhs(state, WARM).shape == (4, 16)
+    wrapped = FluidState1D.from_fields(g, state.fields, t=1.0)
+    assert wrapped.fields is state.fields and wrapped.t == 1.0
 
 
 def test_fd6_derivative_is_sixth_order():
