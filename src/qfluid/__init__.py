@@ -10,14 +10,12 @@ stability boundary, and the closed-form free-particle Wigner evolution.
 
 from . import (csvio, dispersion, fluid1d, linear_response, moments, ode,
                params, traveling, wigner)
-from .params import (NondimScheme, PlasmaParams, derived_omega_p, make_nondim,
-                     nondimensional, si_electron)
+from .params import PlasmaParams, nondimensional, si_electron
 
 __version__ = "0.1.0"
 
 __all__ = [
     "params", "moments", "dispersion", "linear_response", "fluid1d",
     "traveling", "wigner", "ode", "csvio",
-    "PlasmaParams", "NondimScheme", "nondimensional", "si_electron",
-    "derived_omega_p", "make_nondim", "__version__",
+    "PlasmaParams", "nondimensional", "si_electron", "__version__",
 ]

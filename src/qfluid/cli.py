@@ -79,7 +79,7 @@ def _cmd_dispersion(args, command: str) -> None:
 
 def _cmd_response(args, command: str) -> None:
     params = _params_from(args)
-    ks = np.linspace(args.kmin, args.kmax, args.n)
+    ks = dispersion.k_grid(args.kmin, args.kmax, args.n)
     if ks[0] <= 0.0:
         raise ConfigError("response sweep requires --kmin > 0 (k = 0 carries no wave)")
     P0 = linear_response.anisotropic_dyad(params.n0, params.T0_perp, params.T0_par, params)

@@ -93,10 +93,9 @@ def rotation_to_z(khat: np.ndarray) -> np.ndarray:
     a = khat / norm
     z = np.array([0.0, 0.0, 1.0])
     c = float(a @ z)
-    if np.isclose(c, 1.0):
-        return np.eye(3)
-    if np.isclose(c, -1.0):
-        return np.diag([1.0, -1.0, -1.0])
+    if c < 0.0:   # turn by pi about x first, so that 1 + c below stays >= 1
+        flip = np.diag([1.0, -1.0, -1.0])
+        return rotation_to_z(flip @ a) @ flip
     v = np.cross(a, z)
     vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     return np.eye(3) + vx + vx @ vx / (1.0 + c)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError, MomentError
 
 __all__ = [
@@ -257,14 +258,9 @@ def maxwellian(grid: VelocityGrid, density: float, temperature,
 
 def save_distribution_csv(path, f: np.ndarray, grid: VelocityGrid) -> None:
     """Write a tabulated distribution as CSV (axis columns + value column)."""
-    d = grid.d
-    cols = np.meshgrid(*grid.axes, indexing="ij")
-    header = ",".join(f"v{i+1}" for i in range(d)) + ",f" if d == 3 else "v,f"
-    rows = np.column_stack([c.ravel() for c in cols] + [np.asarray(f).ravel()])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+    names = (["v1", "v2", "v3"] if grid.d == 3 else ["v"]) + ["f"]
+    cols = [*np.meshgrid(*grid.axes, indexing="ij"), f]
+    write_csv(path, [(name, np.ravel(c).astype(float)) for name, c in zip(names, cols)])
 
 
 def load_distribution_csv(path) -> tuple[np.ndarray, VelocityGrid]:

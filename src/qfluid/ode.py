@@ -5,6 +5,10 @@ clamped so every requested sample point is hit exactly (no dense-output
 interpolation), and a caller-supplied exception class can mark points
 where the right-hand side ceases to exist, in which case the driver backs
 off and finally returns the partial trajectory with a halt reason.
+
+The pair is FSAL (first same as last): the seventh stage is f at the
+accepted point and becomes the first stage of the next step, so every
+step attempt costs six evaluations of f.
 """
 
 from __future__ import annotations
@@ -19,16 +23,15 @@ from .errors import ConfigError, StepUnderflowError
 __all__ = ["OdeResult", "integrate_adaptive"]
 
 _C = np.array([0.0, 1/5, 3/10, 4/5, 8/9, 1.0, 1.0])
-_A = [
-    (),
-    (1/5,),
-    (3/40, 9/40),
-    (44/45, -56/15, 32/9),
-    (19372/6561, -25360/2187, 64448/6561, -212/729),
-    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
-    (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84),
-]
-_B5 = np.array([35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1/5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3/40, 9/40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44/45, -56/15, 32/9, 0.0, 0.0, 0.0, 0.0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0.0, 0.0, 0.0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656, 0.0, 0.0],
+    [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84, 0.0],
+])
 _B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40])
 _ORDER = 5.0
 
@@ -94,6 +97,7 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     h = min(max(h, 1e-8 * span, 64.0 * min_step(x0)), max_step, span)
 
     K = np.empty((7, dim))
+    K[0] = k0
     end_tol = 1e-14 * max(abs(x_end), 1.0)
     blocked_by = None   # message of the halt exception we are backing off from
     while x < x_end - end_tol:
@@ -106,9 +110,8 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
                 break
             raise StepUnderflowError(f"step size underflow at x = {x:.9g}")
         try:
-            K[0] = f(x, y)
             for i in range(1, 7):
-                yi = y + h_try * (np.asarray(_A[i]) @ K[:i])
+                yi = y + h_try * (_A[i, :i] @ K[:i])
                 K[i] = f(x + _C[i] * h_try, yi)
         except halt_on as exc:
             blocked_by = str(exc)
@@ -117,13 +120,14 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
                 halt = blocked_by
                 break
             continue
-        y5 = y + h_try * (_B5 @ K)
+        y5 = yi       # the last row of _A holds the 5th-order weights
         y4 = y + h_try * (_B4 @ K)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             n_steps += 1
             y = y5
+            K[0] = K[6]   # FSAL: the last stage is f at the new point
             blocked_by = None
             if hit:
                 x = target

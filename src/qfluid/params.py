@@ -21,11 +21,8 @@ from .errors import ConfigError
 
 __all__ = [
     "PlasmaParams",
-    "NondimScheme",
     "nondimensional",
     "si_electron",
-    "derived_omega_p",
-    "make_nondim",
     "parse_params_config",
     "load_params_config",
 ]
@@ -91,27 +88,6 @@ class PlasmaParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class NondimScheme:
-    """Derived scales for casting the equations in dimensionless form.
-
-    ``H`` is the quantum coupling hbar * omega_p / (m u0^2) that controls
-    the wave-frame dynamics.
-    """
-
-    length_scale: float
-    time_scale: float
-    velocity_scale: float
-    H: float
-
-    def __post_init__(self):
-        if not math.isclose(self.velocity_scale, self.length_scale / self.time_scale,
-                            rel_tol=1e-12):
-            raise ConfigError("inconsistent scheme: velocity_scale != length_scale / time_scale")
-        if self.H < 0.0:
-            raise ConfigError("quantum parameter H must be non-negative")
-
-
 def nondimensional(hbar: float = 1.0, T0_par: float = 0.0, T0_perp: float = 0.0,
                    n0: float = 1.0) -> PlasmaParams:
     """Nondimensional preset: e = m = eps0 = kB = 1; hbar and temperatures free.
@@ -126,29 +102,6 @@ def si_electron(n0: float, T0_par: float = 0.0, T0_perp: float = 0.0) -> PlasmaP
     """SI electron preset with CODATA 2018 constants."""
     return PlasmaParams(n0=n0, m=_ME_SI, e=_E_SI, eps0=_EPS0_SI, hbar=_HBAR_SI,
                         T0_par=T0_par, T0_perp=T0_perp, kB=_KB_SI)
-
-
-def derived_omega_p(params: PlasmaParams) -> float:
-    """Plasma frequency sqrt(e^2 n0 / (m eps0)) [rad/s]."""
-    return params.omega_p
-
-
-def make_nondim(params: PlasmaParams, u0: float) -> NondimScheme:
-    """Build the wave-frame nondimensionalization for reference velocity u0.
-
-    time_scale = 1/omega_p, velocity_scale = |u0|, and
-    H = hbar omega_p / (m u0^2).  u0 = 0 is excluded (the wave-frame
-    reduction degenerates there).
-    """
-    if u0 == 0.0:
-        raise ConfigError("reference velocity u0 must be nonzero")
-    wp = params.omega_p
-    return NondimScheme(
-        length_scale=abs(u0) / wp,
-        time_scale=1.0 / wp,
-        velocity_scale=abs(u0),
-        H=params.hbar * wp / (params.m * u0**2),
-    )
 
 
 _PRESETS = {"nondim": nondimensional, "si-electron": si_electron}

@@ -18,11 +18,22 @@ u = u0 + v, p = p0, Q = 0 the determinant is u0^3 (1 - H^2/4) with
 H = hbar wp / (m u0^2): the system is singular exactly at H = 2, the
 equilibrium is a center (bounded oscillations) for H < 2 and a saddle
 for H > 2.
+
+The module solves the system and the equilibrium spectrum in closed form.
+With w = u - v, A = 1/(m n), c = 4Q - Hq/w and d = -3p A, Cramer's rule
+gives
+
+    (u', p', Q') = ((e/m) psi / det) (w^2 - d, c - 3p w, 3p d - w c),
+    det = w^3 + c A.
+
+At the fixed point psi = 0, so the 5x5 Jacobian is nonzero only in its
+psi column and at J[psi', u] = -(e/eps0) n0/u0; its characteristic
+polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]).
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,21 +120,24 @@ def density(u: float, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> float:
     return n
 
 
-def _derivative_system(y: np.ndarray, cfg: WaveFrameConfig,
-                       eps_sonic: float) -> tuple[np.ndarray, np.ndarray, float]:
-    u, p, Q, phi, psi = y
+def _field_response(u: float, p: float, Q: float, n: float,
+                    cfg: WaveFrameConfig) -> tuple[float, float, float]:
+    """(u', p', Q') per unit (e/m) psi, by Cramer's rule (module docstring).
+
+    Raises ``SonicSingularityError`` when |det| <= _DET_RTOL ||M||_inf^3.
+    """
     par = cfg.params
     w = u - cfg.v
-    n = density(u, cfg, eps_sonic)
+    A = 1.0 / (par.m * n)
     hq = (par.e * par.hbar) ** 2 * n**2 / (4.0 * par.m**2 * par.eps0)
-    M = np.array([
-        [w, 1.0 / (par.m * n), 0.0],
-        [3.0 * p, w, 1.0],
-        [4.0 * Q - hq / w, -3.0 * p / (par.m * n), w],
-    ])
-    b = np.array([(par.e / par.m) * psi, 0.0, 0.0])
-    det = w**3 + (4.0 * Q - hq / w) / (par.m * n)
-    return M, b, det
+    c = 4.0 * Q - hq / w
+    d = -3.0 * p * A
+    det = w**3 + c * A
+    norm = max(abs(w) + A, 3.0 * abs(p) + abs(w) + 1.0, abs(c) + abs(d) + abs(w))
+    if abs(det) <= _DET_RTOL * norm**3:
+        raise SonicSingularityError(
+            f"derivative system singular at u = {u:.9g} (det = {det:.3e})")
+    return (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
 
 
 def traveling_rhs(y, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> np.ndarray:
@@ -132,16 +146,12 @@ def traveling_rhs(y, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> np.ndarra
     Raises ``SonicSingularityError`` when |u - v| collapses or the 3x3
     derivative matrix is singular to within tolerance.
     """
-    y = np.asarray(y, dtype=float)
-    M, b, det = _derivative_system(y, cfg, eps_sonic)
-    norm = float(np.linalg.norm(M, np.inf))
-    if abs(det) <= _DET_RTOL * norm**3:
-        raise SonicSingularityError(
-            f"derivative system singular at u = {y[0]:.9g} (det = {det:.3e})")
-    dupQ = np.linalg.solve(M, b)
-    n = density(y[0], cfg, eps_sonic)
+    u, p, Q, phi, psi = np.asarray(y, dtype=float).tolist()
     par = cfg.params
-    return np.array([dupQ[0], dupQ[1], dupQ[2], y[4],
+    n = density(u, cfg, eps_sonic)
+    du, dp, dQ = _field_response(u, p, Q, n, cfg)
+    b0 = (par.e / par.m) * psi
+    return np.array([b0 * du, b0 * dp, b0 * dQ, psi,
                      (par.e / par.eps0) * (n - par.n0)])
 
 
@@ -170,7 +180,8 @@ def reference_oscillation_state(cfg: WaveFrameConfig,
 
 @dataclass
 class Trajectory:
-    """Sampled wave-frame trajectory with derived density and field."""
+    """Sampled wave-frame trajectory with derived density and field, and
+    the integrator's accepted (``n_steps``) and rejected step counts."""
 
     xi: np.ndarray
     u: np.ndarray
@@ -181,6 +192,8 @@ class Trajectory:
     n: np.ndarray
     halt_reason: str | None
     cfg: WaveFrameConfig
+    n_steps: int
+    n_rejected: int
 
     @property
     def completed(self) -> bool:
@@ -211,35 +224,25 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     n = cfg.params.n0 * cfg.u0 / (u - cfg.v)
     return Trajectory(xi=res.x, u=u, p=res.y[:, 1], Q=res.y[:, 2],
                       phi=res.y[:, 3], psi=res.y[:, 4], n=n,
-                      halt_reason=res.halt_reason, cfg=cfg)
+                      halt_reason=res.halt_reason, cfg=cfg,
+                      n_steps=res.n_steps, n_rejected=res.n_rejected)
 
 
-def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None,
-                            fd_step: float = 1e-7) -> np.ndarray:
+def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None) -> np.ndarray:
     """Eigenvalues of the 5x5 Jacobian at the equilibrium point.
 
-    Central finite differences with steps scaled to natural state
-    magnitudes.  For H < 2 the spectrum is a purely imaginary pair plus
-    three zero modes; for H > 2 the pair moves onto the real axis.
+    Closed form (module docstring): three zeros and
+    +-sqrt(J[u', psi] J[psi', u]), a purely imaginary pair for H < 2 and a
+    real pair for H > 2.
     """
     par = cfg.params
     if p0 is None:
         p0 = par.m * par.n0 * cfg.u0**2
-    y0 = equilibrium_state(cfg, p0).vector()
-    u0a, wp = abs(cfg.u0), par.omega_p
-    scales = np.array([
-        u0a,
-        max(p0, par.m * par.n0 * u0a**2),
-        par.m * par.n0 * u0a**3,                 # heat-flux scale
-        par.m * u0a**2 / par.e,                  # potential scale
-        par.m * u0a * wp / par.e,                # field (phi') scale
-    ])
-    J = np.empty((5, 5))
-    for j in range(5):
-        dy = np.zeros(5)
-        dy[j] = fd_step * scales[j]
-        J[:, j] = (traveling_rhs(y0 + dy, cfg) - traveling_rhs(y0 - dy, cfg)) / (2.0 * dy[j])
-    return np.linalg.eigvals(J)
+    eq = equilibrium_state(cfg, p0)
+    j_u_psi = (par.e / par.m) * _field_response(eq.u, eq.p, eq.Q, density(eq.u, cfg), cfg)[0]
+    j_psi_u = -(par.e / par.eps0) * par.n0 / cfg.u0
+    rate = cmath.sqrt(j_u_psi * j_psi_u)
+    return np.array([0.0, 0.0, 0.0, rate, -rate])
 
 
 def classify_equilibrium(cfg: WaveFrameConfig, p0: float | None = None) -> str:

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import AliasingError, ConfigError
 
 __all__ = [
-    "RescaledPhasePoint",
     "WavefunctionGrid",
     "WignerTable",
     "analytic_wigner",
@@ -50,18 +49,6 @@ __all__ = [
 
 _NORM_TOL = 1e-8
 _BOUNDARY_DECAY = 1e-10
-
-
-@dataclass(frozen=True)
-class RescaledPhasePoint:
-    """Dimensionless phase-space point (x/sigma, m v sigma/hbar, hbar t/(m sigma^2))."""
-
-    x_bar: float
-    v_bar: float
-    t_bar: float
-
-    def value(self) -> float:
-        return float(analytic_wigner(self.x_bar, self.v_bar, self.t_bar))
 
 
 def analytic_wigner(x_bar, v_bar, t_bar):

@@ -187,6 +187,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["fluid", "--mode", "200"],
     ["dispersion", "--relation", "all", "--log", "--kmin", "0"],
     ["dispersion", "--relation", "all", "--kmin", "2", "--kmax", "1"],
+    ["response", "--n", "0"],
+    ["response", "--kmin", "2", "--kmax", "1", "--n", "4"],
     ["tw", "stability", "--H", "1,x"],
     ["wigner", "--times", "0,x"],
 ], ids=" ".join)

@@ -175,7 +175,8 @@ def test_off_branch_omega_leaves_nonzero_residual():
 
 
 def test_rotation_to_z_properties():
-    for khat in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, -1], [0.3, -0.4, 0.8]):
+    for khat in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, -1], [0.3, -0.4, 0.8],
+                 [0, 2**-8, 1], [0, 2**-8, -1], [1e-9, 0, -1]):
         khat = np.asarray(khat, dtype=float)
         R = rotation_to_z(khat)
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)

@@ -35,6 +35,21 @@ def test_tolerance_controls_error():
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_fsal_costs_six_calls_per_step_attempt():
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        return np.array([y[1], -y[0]])
+
+    res = integrate_adaptive(f, np.array([1.0, 0.0]), 20.0, rtol=1e-9, atol=1e-12,
+                             sample_points=np.array([0.0, 20.0]))
+    assert res.completed and res.n_steps > 0 and res.n_rejected > 0
+    # one call for the initial step guess, six per accepted or rejected attempt
+    assert calls == 1 + 6 * (res.n_steps + res.n_rejected)
+
+
 class Boom(RuntimeError):
     pass
 

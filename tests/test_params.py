@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfluid.errors import ConfigError
-from qfluid.params import (PlasmaParams, derived_omega_p, load_params_config,
-                           make_nondim, nondimensional, parse_params_config,
-                           si_electron)
+from qfluid.params import (PlasmaParams, load_params_config, nondimensional,
+                           parse_params_config, si_electron)
+from qfluid.traveling import WaveFrameConfig
 
 # frozen from a 50-digit evaluation of sqrt(e^2 n0 / (m eps0)) with CODATA values
 OMEGA_P_N0_1E28 = 5.641460231180627578e15
@@ -18,62 +18,33 @@ H_SI_U0_1E6 = 0.6530985148369309
 
 def test_unit_parameters_give_unit_plasma_frequency():
     p = nondimensional()
-    assert derived_omega_p(p) == 1.0
+    assert p.omega_p == 1.0
 
 
 def test_omega_p_square_root_scaling():
     p = nondimensional()
     p4 = p.with_(n0=4.0 * p.n0)
-    assert derived_omega_p(p4) == pytest.approx(2.0 * derived_omega_p(p), rel=1e-15)
+    assert p4.omega_p == pytest.approx(2.0 * p.omega_p, rel=1e-15)
 
 
 def test_omega_p_si_electron_against_frozen_oracle():
     p = si_electron(n0=1e28)
-    assert derived_omega_p(p) == pytest.approx(OMEGA_P_N0_1E28, rel=1e-15)
+    assert p.omega_p == pytest.approx(OMEGA_P_N0_1E28, rel=1e-15)
 
 
-def test_make_nondim_unit_case():
-    p = nondimensional(hbar=1.0)
-    scheme = make_nondim(p, u0=1.0)
-    assert scheme.H == 1.0
-    assert scheme.time_scale == 1.0
-    assert scheme.velocity_scale == 1.0
-
-
-def test_make_nondim_inverse_square_scaling():
-    p = nondimensional(hbar=0.7)
-    h_full = make_nondim(p, u0=1.0).H
-    h_half = make_nondim(p, u0=0.5).H
-    assert h_half == pytest.approx(4.0 * h_full, rel=1e-15)
-
-
-def test_make_nondim_si_against_frozen_oracle():
-    p = si_electron(n0=1e28)
-    assert make_nondim(p, u0=1e6).H == pytest.approx(H_SI_U0_1E6, rel=1e-15)
-
-
-def test_make_nondim_rejects_zero_velocity():
-    with pytest.raises(ConfigError):
-        make_nondim(nondimensional(), u0=0.0)
-
-
-@given(n0=st.floats(1e-3, 1e30), u0=st.floats(1e-8, 1e8))
-def test_scheme_dimensional_consistency(n0, u0):
-    p = nondimensional(n0=n0)
-    scheme = make_nondim(p, u0)
-    assert p.omega_p * scheme.time_scale == pytest.approx(1.0, rel=1e-14)
-    assert scheme.velocity_scale == pytest.approx(scheme.length_scale / scheme.time_scale,
-                                                  rel=1e-14)
+def test_wave_frame_H_si_against_frozen_oracle():
+    cfg = WaveFrameConfig(v=0.0, u0=1e6, params=si_electron(n0=1e28))
+    assert cfg.H == pytest.approx(H_SI_U0_1E6, rel=1e-15)
 
 
 @given(n0=st.floats(1e-3, 1e9), hbar=st.floats(1e-6, 1e3), u0=st.floats(1e-4, 1e4))
 def test_h_two_evaluation_routes_agree(n0, hbar, u0):
     p = nondimensional(hbar=hbar, n0=n0)
     direct = hbar * math.sqrt(p.e**2 * n0 / (p.m * p.eps0)) / (p.m * u0**2)
-    via_derived = hbar * derived_omega_p(p) / (p.m * u0**2)
-    scheme = make_nondim(p, u0)
-    assert scheme.H == pytest.approx(direct, rel=1e-14)
-    assert scheme.H == pytest.approx(via_derived, rel=1e-14)
+    via_omega_p = hbar * p.omega_p / (p.m * u0**2)
+    H = WaveFrameConfig(v=0.0, u0=u0, params=p).H
+    assert H == pytest.approx(direct, rel=1e-14)
+    assert H == pytest.approx(via_omega_p, rel=1e-14)
 
 
 def test_params_are_immutable():

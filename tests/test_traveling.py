@@ -58,6 +58,29 @@ def test_derivative_matrix_determinant_tracks_quantum_parameter():
         traveling_rhs(equilibrium_state(cfg2, p0=1.0).vector(), cfg2)
 
 
+def test_rhs_matches_generic_solve_of_docstring_matrix():
+    # reference: np.linalg.solve of the 3x3 system written in the module
+    # docstring, at seeded random states on both sides of H = 2
+    rng = np.random.default_rng(7)
+    for H, v in ((0.0, 0.0), (1.0, 0.3), (3.0, -0.5)):
+        cfg = wave_frame_config(H=H, v=v)
+        par = cfg.params
+        for _ in range(50):
+            u = cfg.v + rng.uniform(0.5, 2.0)
+            p, Q, phi, psi = rng.uniform(-1.0, 1.0, 4)
+            w = u - cfg.v
+            n = par.n0 * cfg.u0 / w
+            hq = (par.e * par.hbar) ** 2 * n**2 / (4.0 * par.m**2 * par.eps0)
+            M = np.array([[w, 1.0 / (par.m * n), 0.0],
+                          [3.0 * p, w, 1.0],
+                          [4.0 * Q - hq / w, -3.0 * p / (par.m * n), w]])
+            ref = np.linalg.solve(M, [(par.e / par.m) * psi, 0.0, 0.0])
+            d = traveling_rhs([u, p, Q, phi, psi], cfg)
+            assert np.max(np.abs(d[:3] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert d[3] == psi
+            assert d[4] == (par.e / par.eps0) * (n - par.n0)
+
+
 def test_rhs_against_finite_difference_of_trajectory():
     cfg = wave_frame_config(H=1.0)
     start = reference_oscillation_state(cfg)
@@ -158,27 +181,31 @@ def test_eigenvalues_center_at_h1_unstable_at_h3():
 
 
 def test_classical_spectrum_matches_symbolic_oracle():
-    # symbolic characteristic polynomial of the analytic Jacobian at H = 0
+    # symbolic characteristic polynomial of the analytic Jacobian, at the
+    # classical H = 0 and on both sides of H = 2; at u0 = 1 the quantum
+    # term puts -Hq/u0 = -H^2/4 into M0[2, 0]
     sympy = pytest.importorskip("sympy")
     u0, p0, n0, m, e, eps0 = 1, 1, 1, 1, 1, 1
-    M0 = sympy.Matrix([[u0, sympy.Rational(1, m * n0), 0],
-                       [3 * p0, u0, 1],
-                       [0, sympy.Rational(-3 * p0, m * n0), u0]])
-    a = M0.inv() * sympy.Matrix([sympy.Rational(e, m), 0, 0])
     lam = sympy.symbols("lam")
-    J = sympy.zeros(5, 5)
-    J[0, 4], J[1, 4], J[2, 4] = a[0], a[1], a[2]
-    J[3, 4] = 1
-    J[4, 0] = sympy.Rational(-e * n0, eps0 * u0)
-    roots = sympy.roots(J.charpoly(lam), lam)
-    expected = sorted((complex(r) for r, mult in roots.items() for _ in range(mult)),
-                      key=lambda z: (z.real, z.imag))
-    eig = np.sort_complex(equilibrium_eigenvalues(wave_frame_config(H=0.0), p0=1.0))
-    for z_sym, z_num in zip(expected, eig):
-        assert z_num.real == pytest.approx(z_sym.real, abs=1e-8)
-        assert z_num.imag == pytest.approx(z_sym.imag, abs=1e-7)
-    # classical pair is purely imaginary at +- 2 i for these scales
-    assert sorted(abs(z.imag) for z in expected)[-1] == pytest.approx(2.0)
+    for H in (0, 1, 3):
+        M0 = sympy.Matrix([[u0, sympy.Rational(1, m * n0), 0],
+                           [3 * p0, u0, 1],
+                           [-sympy.Rational(H**2, 4), sympy.Rational(-3 * p0, m * n0), u0]])
+        a = M0.inv() * sympy.Matrix([sympy.Rational(e, m), 0, 0])
+        J = sympy.zeros(5, 5)
+        J[0, 4], J[1, 4], J[2, 4] = a[0], a[1], a[2]
+        J[3, 4] = 1
+        J[4, 0] = sympy.Rational(-e * n0, eps0 * u0)
+        roots = sympy.roots(J.charpoly(lam), lam)
+        expected = sorted((complex(r) for r, mult in roots.items() for _ in range(mult)),
+                          key=lambda z: (z.real, z.imag))
+        eig = np.sort_complex(equilibrium_eigenvalues(wave_frame_config(H=float(H)), p0=1.0))
+        for z_sym, z_num in zip(expected, eig):
+            assert z_num.real == pytest.approx(z_sym.real, abs=1e-8)
+            assert z_num.imag == pytest.approx(z_sym.imag, abs=1e-7)
+        if H == 0:
+            # classical pair is purely imaginary at +- 2 i for these scales
+            assert sorted(abs(z.imag) for z in expected)[-1] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("v,H", [(0.0, 1.0), (0.7, 0.5)])
@@ -203,7 +230,7 @@ def test_oscillation_wavenumber_independent_of_frame_speed():
     for v in (0.0, 1.3):
         eigs = equilibrium_eigenvalues(wave_frame_config(H=1.0, v=v), p0=1.0)
         kappas.append(float(np.max(np.abs(eigs.imag))))
-    # agreement limited by finite-difference Jacobian accuracy
+    # agreement limited by rounding of u - v at the fixed point
     assert kappas[0] == pytest.approx(kappas[1], rel=1e-7)
 
 
@@ -228,5 +255,11 @@ def test_trajectory_field_accessor():
     cfg = wave_frame_config(H=1.0)
     traj = integrate(reference_oscillation_state(cfg), cfg, xi_max=5.0, tol=1e-8)
     assert np.array_equal(traj.E, -traj.psi)
+    assert traj.n_steps >= 2048   # at least one accepted step per sample interval
+    # with few samples the controller overshoots at least once
+    coarse = integrate(reference_oscillation_state(cfg), cfg, xi_max=5.0, tol=1e-8,
+                       n_samples=4)
+    for count in (coarse.n_steps, coarse.n_rejected):
+        assert isinstance(count, int) and count > 0
     assert traj.xi[0] == 0.0
     assert np.all(np.diff(traj.xi) > 0)

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from qfluid import moments
 from qfluid.errors import AliasingError, ConfigError
-from qfluid.wigner import (RescaledPhasePoint, WavefunctionGrid,
-                           analytic_wigner, evolve_free_gaussian,
-                           gaussian_packet, position_variance,
-                           wigner_transform)
+from qfluid.wigner import (WavefunctionGrid, analytic_wigner,
+                           evolve_free_gaussian, gaussian_packet,
+                           position_variance, wigner_transform)
 
 finite = st.floats(-20.0, 20.0)
 
@@ -33,11 +32,6 @@ def test_phase_space_normalization():
         f = analytic_wigner(x[None, :], v[:, None], t)
         integral = np.trapezoid(np.trapezoid(f, x, axis=1), v)
         assert integral == pytest.approx(np.pi, rel=1e-10)
-
-
-def test_rescaled_point_record():
-    pt = RescaledPhasePoint(x_bar=1.0, v_bar=0.5, t_bar=2.0)
-    assert pt.value() == pytest.approx(float(analytic_wigner(1.0, 0.5, 2.0)))
 
 
 def test_packet_initial_shape_and_norm():
