@@ -181,6 +181,10 @@ def _cmd_tw_threshold(args, command: str) -> None:
 
 def _cmd_wigner(args, command: str) -> None:
     times = _float_list(args.times, "--times")
+    if not (0.0 < args.x_max < np.inf and 0.0 < args.v_max < np.inf):
+        raise ConfigError("--x-max and --v-max must be finite and positive")
+    if args.nx < 1 or args.nv < 1:
+        raise ConfigError("--nx and --nv must be at least 1")
     x_bar = np.linspace(-args.x_max, args.x_max, args.nx)
     v_bar = np.linspace(-args.v_max, args.v_max, args.nv)
     for t_bar in times:

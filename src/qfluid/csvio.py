@@ -1,9 +1,12 @@
 """Deterministic CSV output with a re-run header.
 
 Every file starts with a comment line holding the exact command that
-produced it, so outputs are reproducible from their own header.  Values
-are written in scientific notation with 17 significant digits and files
-are replaced atomically (write to a temporary name, then rename).
+produced it, so outputs are reproducible from their own header.  Each
+file's rows come from one printf-style template built from the column
+dtypes: floats in scientific notation with 17 significant digits
+(``%.16e``), integers as ``%d`` and strings as ``%s``; any other dtype
+(bool, complex, object, ...) is rejected.  Files are replaced atomically
+(write to a temporary name, then rename).
 """
 
 from __future__ import annotations
@@ -13,17 +16,21 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["write_csv", "read_csv", "format_value"]
+__all__ = ["write_csv", "read_csv"]
 
 COMMAND_PREFIX = "# command: "
 
+_FORMATS = {"f": "%.16e", "i": "%d", "u": "%d", "U": "%s"}
 
-def format_value(x) -> str:
-    if isinstance(x, (str, bool)):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.16e}"
+
+def _row_template(names: list[str], arrays: list[np.ndarray]) -> str:
+    fields = []
+    for name, a in zip(names, arrays):
+        if a.dtype.kind not in _FORMATS:
+            raise TypeError(f"column {name!r} has unsupported dtype {a.dtype} "
+                            "(float, integer or str only)")
+        fields.append(_FORMATS[a.dtype.kind])
+    return ",".join(fields)
 
 
 def write_csv(path, columns: list[tuple[str, np.ndarray]],
@@ -34,14 +41,14 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("columns must have equal length")
+    template = _row_template(names, arrays)
 
     lines = []
     if command is not None:
         lines.append(COMMAND_PREFIX + command)
     lines.extend(f"# {c}" for c in extra_comments)
     lines.append(",".join(names))
-    for i in range(n_rows):
-        lines.append(",".join(format_value(a[i]) for a in arrays))
+    lines.extend(map(template.__mod__, zip(*[a.tolist() for a in arrays])))
     text = "\n".join(lines) + "\n"
 
     directory = os.path.dirname(os.path.abspath(path)) or "."

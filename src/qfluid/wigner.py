@@ -21,8 +21,16 @@ and a numerical transform
     f(x, v) = (m / 2 pi hbar) int ds exp(i m v s / hbar)
               psi*(x + s/2) psi(x - s/2)
 
-evaluated by direct quadrature (a plain discrete Fourier sum over s with
-arbitrary output velocities).  When the wavefunction carries its analytic
+evaluated by direct quadrature on a symmetric s grid with arbitrary output
+velocities.  The integrand G(x, s) = psi*(x + s/2) psi(x - s/2) is
+Hermitian, G(x, -s) = conj G(x, s), which is why f is real; the sum is
+therefore folded onto s >= 0,
+
+    f = (m / 2 pi hbar) ds [G(x, 0) + 2 sum_{s > 0} (cos(m v s / hbar) Re G
+                                                    - sin(m v s / hbar) Im G)],
+
+which evaluates G on half the nodes and replaces one complex matrix
+product by two real ones.  When the wavefunction carries its analytic
 amplitude the half-shifted samples are evaluated exactly; for tabulated
 data the products are formed on the grid itself with s restricted to even
 lattice shifts, which needs no interpolation.
@@ -110,8 +118,10 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float, n_points: int = 2
     1e-10 of the peak at the requested time; the packet standard
     deviation grows like sigma sqrt(1 + t_bar^2) / sqrt(2).
     """
-    if t < 0.0:
-        raise ConfigError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"time must be finite and non-negative, got {t!r}")
+    if n_points < 2:
+        raise ConfigError(f"wavefunction grid needs at least 2 points, got {n_points}")
     if not (sigma > 0.0 and x_max > 0.0):
         raise ConfigError("sigma and x_max must be positive")
     x = np.linspace(-x_max, x_max, n_points)
@@ -164,19 +174,24 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
     below the lattice Nyquist limit pi hbar / (2 m dx).
     """
     v = np.asarray(v, dtype=float)
+    if v.size == 0:
+        raise ConfigError("transform needs at least one velocity")
     if wfg.amplitude_fn is not None:
         if x is None:
             x = wfg.x
         x = np.asarray(x, dtype=float)
+        if x.size == 0:
+            raise ConfigError("transform needs at least one position")
         s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
         # resolve the fastest kernel oscillation with ~8 points per cycle
         kappa = float(np.max(np.abs(v))) * m / hbar
         ds = min(wfg.dx, 0.8 / max(kappa, 1.0 / s_half))
         n_s = int(2.0 * s_half / ds) | 1  # odd: symmetric grid including s = 0
         s = np.linspace(-s_half, s_half, n_s)
+        ds = s[1] - s[0]
+        s = s[n_s // 2:]  # the centre node (s = 0 up to rounding) and the nodes above it
         amp = wfg.amplitude_fn
         G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
-        ds = s[1] - s[0]
     else:
         if x is not None:
             raise ConfigError("tabulated-data transform evaluates on the wavefunction grid only")
@@ -187,17 +202,18 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
                 f"requested |v| up to {np.max(np.abs(v)):.4g} exceeds the lattice "
                 f"limit {v_nyq:.4g}; refine the position grid")
         N = len(x)
-        j_max = (N - 1) // 2
-        shifts = np.arange(-j_max, j_max + 1)
+        shifts = np.arange((N - 1) // 2 + 1)
         G = np.zeros((len(shifts), N), dtype=complex)
         psi = wfg.psi
-        for row, j in enumerate(shifts):
-            lo, hi = max(0, j, -j), min(N, N + j, N - j)
-            idx = np.arange(lo, hi)
-            G[row, idx] = np.conj(psi[idx + j]) * psi[idx - j]  # s = 2 j dx
+        for j in shifts:
+            G[j, j:N - j] = np.conj(psi[2 * j:]) * psi[:N - 2 * j]  # s = 2 j dx
         s = 2.0 * shifts * wfg.dx
         ds = 2.0 * wfg.dx
 
-    kernel = np.exp(1j * np.outer(v, s) * (m / hbar))
-    f = (kernel @ G).real * (m / (2.0 * math.pi * hbar)) * ds
+    # G(x, -s) = conj G(x, s): the s = 0 row counts once and each s > 0 row
+    # twice, as 2 Re(e^{i phase} G)
+    phase = np.outer(v, s[1:]) * (m / hbar)
+    Gp = G[1:]
+    f = G[0].real + 2.0 * (np.cos(phase) @ Gp.real - np.sin(phase) @ Gp.imag)
+    f *= (m / (2.0 * math.pi * hbar)) * ds
     return WignerTable(x=x, v=v, f=f, m=m, hbar=hbar)

@@ -191,6 +191,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["response", "--kmin", "2", "--kmax", "1", "--n", "4"],
     ["tw", "stability", "--H", "1,x"],
     ["wigner", "--times", "0,x"],
+    ["wigner", "--times", "nan"],
+    ["wigner", "--nv", "0"],
+    ["wigner", "--npsi", "0"],
+    ["wigner", "--nx", "0"],
+    ["wigner", "--x-max", "-1"],
+    ["wigner", "--v-max", "0"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2

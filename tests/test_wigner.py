@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfluid import moments
+from qfluid import moments, wigner
 from qfluid.errors import AliasingError, ConfigError
 from qfluid.wigner import (WavefunctionGrid, analytic_wigner,
                            evolve_free_gaussian, gaussian_packet,
@@ -101,6 +103,63 @@ def test_tabulated_path_matches_closed_form_at_t0():
     table = wigner_transform(wfg, v=v)
     expected = analytic_wigner(x[None, :], v[:, None], 0.0) / np.pi
     assert np.max(np.abs(table.f - expected)) < 1e-7
+
+
+def _unfolded_reference(wfg, v, x=None):
+    """The transform as one complex sum over the full symmetric s grid."""
+    if wfg.amplitude_fn is not None:
+        s_half = max(wigner._coherence_width(wfg), 8.0 * wfg.dx)
+        ds = min(wfg.dx, 0.8 / max(float(np.max(np.abs(v))), 1.0 / s_half))
+        s = np.linspace(-s_half, s_half, int(2.0 * s_half / ds) | 1)
+        amp = wfg.amplitude_fn
+        G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
+    else:
+        N = len(wfg.x)
+        j_max = (N - 1) // 2
+        shifts = np.arange(-j_max, j_max + 1)
+        G = np.zeros((len(shifts), N), dtype=complex)
+        for row, j in enumerate(shifts):
+            idx = np.arange(abs(j), N - abs(j))
+            G[row, idx] = np.conj(wfg.psi[idx + j]) * wfg.psi[idx - j]
+        s = 2.0 * shifts * wfg.dx
+    return (np.exp(1j * np.outer(v, s)) @ G).real * (s[1] - s[0]) / (2.0 * math.pi)
+
+
+def test_hermitian_fold_on_boosted_packet():
+    # psi e^{i k0 x} has a complex integrand G(x, s); its Wigner function is
+    # the packet's shifted to v = k0, so the sin(phase) Im G part of the fold
+    # carries the whole shift
+    k0 = 1.5
+
+    def boosted(xx):
+        return gaussian_packet(xx, 0.0) * np.exp(1j * k0 * xx)
+
+    v = np.linspace(k0 - 4.0, k0 + 4.0, 64)
+    x_grid = np.linspace(-14.0, 14.0, 512)
+    x_out = np.linspace(-4.0, 4.0, 41)
+    analytic = WavefunctionGrid(x=x_grid, psi=boosted(x_grid), amplitude_fn=boosted)
+    x_tab = np.linspace(-12.0, 12.0, 512)
+    tabulated = WavefunctionGrid(x=x_tab, psi=boosted(x_tab))
+    for wfg, x in ((analytic, x_out), (tabulated, None)):
+        table = wigner_transform(wfg, v=v, x=x)
+        expected = np.exp(-table.x[None, :] ** 2 - (v[:, None] - k0) ** 2)
+        assert np.max(np.abs(np.pi * table.f - expected)) < 1e-6
+        reference = _unfolded_reference(wfg, v, x)
+        assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+
+
+def test_degenerate_transform_input_rejected():
+    wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=256)
+    with pytest.raises(ConfigError, match="velocity"):
+        wigner_transform(wfg, v=np.array([]))
+    with pytest.raises(ConfigError, match="position"):
+        wigner_transform(wfg, v=np.zeros(1), x=np.array([]))
+    for t in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            evolve_free_gaussian(1.0, t, x_max=14.0)
+    for n in (0, 1):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=n)
 
 
 def test_tabulated_path_rejects_fast_velocities():
