@@ -57,24 +57,16 @@ def _params_from(args) -> PlasmaParams:
 
 def _cmd_dispersion(args, command: str) -> None:
     params = _params_from(args)
+    ks = dispersion.k_grid(args.kmin, args.kmax, args.n, log_spacing=args.log)
     if args.relation == "all":
-        ks = dispersion.k_grid(args.kmin, args.kmax, args.n, log_spacing=args.log)
-        cols = [("k", ks)]
-        for tag in ("general", "quantum-langmuir", "bohm-gross", "adiabatic",
-                    "temperature-closure"):
-            fn = dispersion.RELATIONS[tag]
-            om2 = fn(ks, params, args.gamma) if tag == "adiabatic" else fn(ks, params)
-            cols.append((f"omega_sq_{tag.replace('-', '_')}", om2))
-        write_csv(args.output, cols, command=command)
+        cols = [("k", ks)] + [
+            (f"omega_sq_{tag.replace('-', '_')}", dispersion.evaluate(tag, ks, params, args.gamma))
+            for tag in dispersion.RELATIONS]
     else:
-        pts = dispersion.sweep(args.relation, args.kmin, args.kmax, args.n, params,
-                               log_spacing=args.log, gamma=args.gamma)
-        write_csv(args.output, [
-            ("k", np.array([p.k for p in pts])),
-            ("omega_sq", np.array([p.omega_sq for p in pts])),
-            ("omega", np.array([p.omega for p in pts])),
-            ("relation_tag", np.array([p.relation_tag for p in pts])),
-        ], command=command)
+        om2 = dispersion.evaluate(args.relation, ks, params, args.gamma)
+        cols = [("k", ks), ("omega_sq", om2), ("omega", np.sqrt(om2)),
+                ("relation_tag", np.full(len(ks), args.relation))]
+    write_csv(args.output, cols, command=command)
 
 
 def _cmd_response(args, command: str) -> None:
@@ -101,8 +93,7 @@ def _cmd_response(args, command: str) -> None:
 
 def _cmd_fluid(args, command: str) -> None:
     params = _params_from(args)
-    grid = fluid1d.Grid1D(n_points=args.grid, length=args.length,
-                          derivative_scheme=args.scheme)
+    grid = fluid1d.Grid1D(n_points=args.grid, length=args.length)
     if args.ic == "eigenmode":
         state = fluid1d.eigenmode_state(grid, params, args.mode, args.amplitude)
     else:
@@ -250,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fluid", help="1D fluid-Poisson time-domain run")
     p.add_argument("--length", type=float, default=2.0 * np.pi)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--scheme", choices=["spectral", "fd6"], default="spectral",
-                   help="derivative scheme for the fluxes")
     p.add_argument("--mode", type=int, default=1, help="perturbed Fourier mode")
     p.add_argument("--amplitude", type=float, default=1e-6,
                    help="relative perturbation amplitude")

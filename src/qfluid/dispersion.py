@@ -26,15 +26,12 @@ filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .params import PlasmaParams
 
 __all__ = [
-    "DispersionPoint",
     "general_omega_sq",
     "quantum_langmuir_omega_sq",
     "bohm_gross_omega_sq",
@@ -43,7 +40,7 @@ __all__ = [
     "companion_growth_rate",
     "RELATIONS",
     "k_grid",
-    "sweep",
+    "evaluate",
 ]
 
 
@@ -120,20 +117,6 @@ RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    """One (k, omega^2) sample of a tagged dispersion relation."""
-
-    k: float
-    omega_sq: float
-    relation_tag: str
-    params: PlasmaParams
-
-    @property
-    def omega(self) -> float:
-        return float(np.sqrt(self.omega_sq))
-
-
 def k_grid(k_min: float, k_max: float, n_points: int,
            log_spacing: bool = False) -> np.ndarray:
     """Uniform or log-uniform wavenumber grid on [k_min, k_max].
@@ -152,19 +135,18 @@ def k_grid(k_min: float, k_max: float, n_points: int,
     return np.linspace(k_min, k_max, n_points)
 
 
-def sweep(relation_tag: str, k_min: float, k_max: float, n_points: int,
-          params: PlasmaParams, log_spacing: bool = False,
-          gamma: float | None = None) -> list[DispersionPoint]:
-    """Evaluate one tagged relation on a uniform or log-uniform k grid."""
+def evaluate(relation_tag: str, k, params: PlasmaParams,
+             gamma: float | None = None) -> np.ndarray:
+    """omega^2 of the relation named ``relation_tag`` (a key of ``RELATIONS``) at k.
+
+    ``gamma`` is the adiabatic exponent; it is required by "adiabatic"
+    and ignored by every other relation.
+    """
     if relation_tag not in RELATIONS:
         raise ConfigError(f"unknown relation {relation_tag!r} (choices: {sorted(RELATIONS)})")
-    ks = k_grid(k_min, k_max, n_points, log_spacing)
     fn = RELATIONS[relation_tag]
     if relation_tag == "adiabatic":
         if gamma is None:
             raise ConfigError("relation 'adiabatic' requires gamma")
-        om2 = fn(ks, params, gamma)
-    else:
-        om2 = fn(ks, params)
-    return [DispersionPoint(float(k), float(w2), relation_tag, params)
-            for k, w2 in zip(ks, om2)]
+        return fn(k, params, gamma)
+    return fn(k, params)

@@ -14,21 +14,23 @@ in the zero-mean gauge.  The third potential derivative is evaluated as
 (e/eps0) dn/dx, which is exact given Poisson's equation and avoids
 triple differentiation.
 
-Spatial derivatives are Fourier (spectral); quadratic products are
-dealiased by the 2/3 rule.  Time stepping is classical RK4 with the
-potential re-solved at every stage.
+Every spatial derivative is Fourier pseudo-spectral, irfft(i k rfft(f)),
+and quadratic products are dealiased by the 2/3 rule.  Time stepping is
+classical RK4 with the potential re-solved at every stage.
 
 State layout: the four fields are the rows (n, u, p, Q) of one ``(4, N)``
 array, ``FluidState1D.fields``, and ``rhs`` returns its derivative in the
-same layout.  Every FFT is batched along the last axis, so one spectral
-``rhs`` makes four transforms (the fields forward, the five derivatives
+same layout.  Every FFT is batched along the last axis, so one ``rhs``
+makes four transforms (the fields forward, the five derivatives
 dn, du, dp, dQ, dphi back, and a forward/back pair for the 2/3 rule) and
 one filtered RK4 step makes 18, where one transform per field and per
 derivative would take 76.  ``Grid1D.k`` and ``Grid1D.dealias_mask`` are
 computed once per grid.
 
-``evolve`` rejects a run length, time step, sample interval or probe mode
-outside its domain with ``ConfigError`` (CLI exit 2) before it steps.
+``evolve`` rejects a run length, time step, sample interval, probe mode
+or steepening limit outside its domain, and ``SpectralDamping.tailored``
+a negative protected band, with ``ConfigError`` (CLI exit 2) before any
+step.
 
 Stability note: the closure supports a non-oscillatory growing branch at
 every wavenumber with rate increasing with k (see
@@ -59,7 +61,6 @@ __all__ = [
     "FluidState1D",
     "SpectralDamping",
     "solve_poisson",
-    "first_derivative",
     "rhs",
     "auto_dt",
     "step",
@@ -74,25 +75,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [0, L).
-
-    ``derivative_scheme`` selects how field derivatives in the fluxes are
-    formed: "spectral" (default) or "fd6", a 6th-order central stencil
-    kept for robustness experiments.  The potential solve is spectral in
-    both schemes.
-    """
+    """Uniform periodic grid on [0, L)."""
 
     n_points: int
     length: float
-    derivative_scheme: str = "spectral"
 
     def __post_init__(self):
         if self.n_points < 8 or self.n_points % 2:
             raise ConfigError(f"grid size must be even and >= 8, got {self.n_points}")
         if not self.length > 0:
             raise ConfigError(f"domain length must be positive, got {self.length}")
-        if self.derivative_scheme not in ("spectral", "fd6"):
-            raise ConfigError(f"unknown derivative scheme {self.derivative_scheme!r}")
 
     @property
     def dx(self) -> float:
@@ -177,20 +169,6 @@ class FluidState1D:
             raise VacuumError(f"density reached n <= 0 at t = {self.t:.6g}")
 
 
-def _fd6(f: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic 6th-order central first derivative along the last axis."""
-    def s(m):
-        return np.roll(f, -m, axis=-1)
-    return (45.0 * (s(1) - s(-1)) - 9.0 * (s(2) - s(-2)) + (s(3) - s(-3))) / (60.0 * dx)
-
-
-def first_derivative(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """d/dx on the grid, using the grid's configured scheme."""
-    if grid.derivative_scheme == "spectral":
-        return np.fft.irfft(1j * grid.k * np.fft.rfft(f), n=grid.n_points)
-    return _fd6(f, grid.dx)
-
-
 def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams,
                   mean_tol: float = 1e-8) -> np.ndarray:
     """Solve d2phi/dx2 = (e/eps0)(n - n0) spectrally, zero-mean gauge.
@@ -221,19 +199,14 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     k, N = g.k, g.n_points
     n, u, p, Q = state.fields
 
-    spectral = g.derivative_scheme == "spectral"
-    if spectral:
-        spec = np.fft.rfft(state.fields)
-        deriv_spec = np.empty((5, len(k)), dtype=complex)
-        deriv_spec[:4] = 1j * k * spec
-        # dphi/dx from the potential solve in one shot
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deriv_spec[4] = -1j * (params.e / params.eps0) * spec[0] / k
-        deriv_spec[4, 0] = 0.0
-        dn, du, dp, dQ, dphi = np.fft.irfft(deriv_spec, n=N)
-    else:
-        dn, du, dp, dQ = _fd6(state.fields, g.dx)
-        dphi = _fd6(solve_poisson(n, g, params), g.dx)
+    spec = np.fft.rfft(state.fields)
+    deriv_spec = np.empty((5, len(k)), dtype=complex)
+    deriv_spec[:4] = 1j * k * spec
+    # dphi/dx from the potential solve in one shot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deriv_spec[4] = -1j * (params.e / params.eps0) * spec[0] / k
+    deriv_spec[4, 0] = 0.0
+    dn, du, dp, dQ, dphi = np.fft.irfft(deriv_spec, n=N)
     # d3phi/dx3 = (e/eps0) dn/dx exactly, given the potential equation
     d3phi = (params.e / params.eps0) * dn
 
@@ -246,9 +219,6 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
          - e_m * params.hbar**2 * n * d3phi / (4.0 * params.m)
          - 4.0 * Q * du),
     ])
-
-    if not spectral:
-        return dt_fields
     return np.fft.irfft(g.dealias_mask * np.fft.rfft(dt_fields), n=N)
 
 
@@ -271,8 +241,12 @@ class SpectralDamping:
         Modes 0..protect_modes are untouched; every higher mode is damped
         at its own growth rate plus ``margin`` (default 2 omega_p), which
         pins rounding-noise amplification at a bounded factor for runs of
-        tens of plasma periods.
+        tens of plasma periods.  Raises ``ConfigError`` when
+        ``protect_modes`` is negative: mode 0 (the mean density) must not
+        be damped.
         """
+        if protect_modes < 0:
+            raise ConfigError(f"protected band must be >= 0 modes, got {protect_modes!r}")
         if margin is None:
             margin = 2.0 * params.omega_p
         k = grid.k
@@ -355,7 +329,8 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     smooth regimes only.
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
-    sample_every >= 1 and 0 <= probe_mode <= N/2.
+    sample_every >= 1, 0 <= probe_mode <= N/2 and steepening_limit is
+    None or finite and > 0.
     """
     g = state.grid
     if not 0.0 < t_end < math.inf:
@@ -367,6 +342,9 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if not 0 <= probe_mode <= g.n_points // 2:
         raise ConfigError(f"probe mode must lie in [0, {g.n_points // 2}] "
                           f"on a {g.n_points}-point grid, got {probe_mode!r}")
+    if steepening_limit is not None and not 0.0 < steepening_limit < math.inf:
+        raise ConfigError(
+            f"steepening limit must be positive and finite, got {steepening_limit!r}")
     if dt is None:
         # margin below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
@@ -388,7 +366,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     for i in range(n_steps):
         state = step(state, dt, params, damping=damping)
         if steepening_limit is not None:
-            du = first_derivative(state.u, g)
+            du = np.fft.irfft(1j * g.k * np.fft.rfft(state.u), n=g.n_points)
             if float(np.max(np.abs(du))) > steepening_limit * params.omega_p:
                 raise SteepeningError(
                     f"velocity gradient exceeded {steepening_limit} omega_p "

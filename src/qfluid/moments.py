@@ -32,7 +32,6 @@ __all__ = [
     "VelocityGrid",
     "MomentSet",
     "compute_moments",
-    "scalar_reductions",
     "maxwellian",
     "load_distribution_csv",
     "save_distribution_csv",
@@ -220,19 +219,9 @@ def compute_moments(f: np.ndarray, grid: VelocityGrid, mass: float = 1.0,
     P = _symmetric_tensor(2, d, central)
     Q = _symmetric_tensor(3, d, central)
     R = _symmetric_tensor(4, d, central)
-    p, q = _reduce(P, Q, d)
-    return MomentSet(n=n, u=u, P=P, Q=Q, R=R, p=p, q=q, boundary_ok=boundary_ok)
-
-
-def _reduce(P: np.ndarray, Q: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     p = float(np.trace(P)) / 3.0 if d == 3 else float(P[0, 0])
     q = 0.5 * np.einsum("jji->i", Q)
-    return p, q
-
-
-def scalar_reductions(mset: MomentSet) -> tuple[float, np.ndarray]:
-    """Scalar pressure and heat-flux vector: p = trace(P)/3 (P_xx in 1D), q_i = Q_jji/2."""
-    return _reduce(mset.P, mset.Q, mset.d)
+    return MomentSet(n=n, u=u, P=P, Q=Q, R=R, p=p, q=q, boundary_ok=boundary_ok)
 
 
 def maxwellian(grid: VelocityGrid, density: float, temperature,

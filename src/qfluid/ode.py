@@ -59,10 +59,14 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     exactly.  Exceptions listed in ``halt_on`` raised by ``f`` trigger
     step halving; if the step cannot be reduced further the partial
     trajectory is returned with a halt reason.  Step underflow from pure
-    error control raises ``StepUnderflowError``.
+    error control raises ``StepUnderflowError``.  Raises ``ConfigError``
+    unless 0 < rtol < inf and 0 <= atol < inf.
     """
     if not x_end > x0:
         raise ConfigError(f"need x_end > x0, got [{x0}, {x_end}]")
+    if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
+        raise ConfigError(f"need 0 < rtol < inf and 0 <= atol < inf, "
+                          f"got rtol = {rtol!r}, atol = {atol!r}")
     y = np.asarray(y0, dtype=float).copy()
     if sample_points is None:
         sample_points = np.linspace(x0, x_end, 513)

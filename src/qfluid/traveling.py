@@ -34,6 +34,7 @@ polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +213,11 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
 
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
     singularity the partial trajectory is returned with the halt reason.
+    Raises ``ConfigError`` unless n_samples >= 1 (and, from the
+    integrator, 0 < tol < inf).
     """
+    if n_samples < 1:
+        raise ConfigError(f"need at least one sample interval, got {n_samples!r}")
     y0 = initial.vector()
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
@@ -259,8 +264,13 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
     ``config_for(H)`` must build a WaveFrameConfig for a given H; the
     bracket must classify differently at its ends.  A singular Jacobian
     evaluation (the sonic point reaches the equilibrium at marginality)
-    counts as the unstable side.
+    counts as the unstable side.  Raises ``ConfigError`` unless
+    0 < tol < inf; the bisection also ends when the bracket cannot be
+    halved any further in floating point.
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
+
     def is_unstable(H: float) -> bool:
         try:
             return classify_equilibrium(config_for(H), p0) == "unstable"
@@ -275,6 +285,8 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
     lo, hi = float(h_lo), float(h_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # adjacent floats: the bracket is as tight as it gets
+            break
         if is_unstable(mid) == hi_unstable:
             hi = mid
         else:

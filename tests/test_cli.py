@@ -197,6 +197,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["wigner", "--nx", "0"],
     ["wigner", "--x-max", "-1"],
     ["wigner", "--v-max", "0"],
+    ["tw", "threshold", "--tol", "0"],
+    ["tw", "threshold", "--tol", "-1"],
+    ["tw", "threshold", "--tol", "nan"],
+    ["tw", "run", "--tol", "0"],
+    ["tw", "run", "--tol", "-1"],
+    ["tw", "run", "--samples", "0"],
+    ["tw", "run", "--samples", "-3"],
+    ["fluid", "--periods", "0.1", "--protect-modes", "-5"],
+    ["fluid", "--periods", "0.1", "--steepening-limit", "nan"],
+    ["fluid", "--periods", "0.1", "--steepening-limit", "-1"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfluid.dispersion import (DispersionPoint, RELATIONS, adiabatic_omega_sq,
-                               bohm_gross_omega_sq, companion_growth_rate,
-                               general_omega_sq, quantum_langmuir_omega_sq,
-                               sweep, temperature_closure_omega_sq)
+from qfluid.dispersion import (RELATIONS, adiabatic_omega_sq, bohm_gross_omega_sq,
+                               companion_growth_rate, evaluate, general_omega_sq,
+                               k_grid, quantum_langmuir_omega_sq,
+                               temperature_closure_omega_sq)
 from qfluid.errors import ConfigError
 from qfluid.params import nondimensional
 
@@ -161,44 +161,40 @@ def test_companion_rate_zero_at_k_zero_and_growing():
 
 def test_sweep_basics():
     p = nondimensional(hbar=1.0)
-    pts = sweep("general", 0.0, 2.0, 2, p)
-    assert len(pts) == 2
-    assert pts[0].k == 0.0 and pts[0].omega_sq == p.omega_p**2
-    assert isinstance(pts[0], DispersionPoint)
-    assert pts[0].omega == pytest.approx(p.omega_p)
+    ks = k_grid(0.0, 2.0, 2)
+    om2 = evaluate("general", ks, p)
+    assert om2.shape == (2,)
+    assert ks[0] == 0.0 and om2[0] == p.omega_p**2
+    assert np.sqrt(om2[0]) == pytest.approx(p.omega_p)
 
 
 def test_sweep_monotone_in_omega_sq():
     p = nondimensional(hbar=0.7, T0_par=0.4)
-    pts = sweep("general", 0.0, 5.0, 200, p)
-    om2 = np.array([q.omega_sq for q in pts])
+    om2 = evaluate("general", k_grid(0.0, 5.0, 200), p)
     assert np.all(np.diff(om2) >= 0.0)
 
 
 def test_sweep_general_never_exceeds_quantum_langmuir():
     # recorded numerically over the swept range (sqrt(1+s) <= 1 + s/2)
     p = nondimensional(hbar=0.9, T0_par=0.0)
-    pts_g = sweep("general", 0.0, 4.0, 120, p)
-    pts_q = sweep("quantum-langmuir", 0.0, 4.0, 120, p)
-    gap = np.array([a.omega_sq - b.omega_sq for a, b in zip(pts_g, pts_q)])
+    ks = k_grid(0.0, 4.0, 120)
+    gap = evaluate("general", ks, p) - evaluate("quantum-langmuir", ks, p)
     assert np.all(gap <= 0.0)
 
 
 def test_sweep_log_spacing():
-    p = nondimensional()
-    pts = sweep("general", 1e-3, 1.0, 31, p, log_spacing=True)
-    ks = np.array([q.k for q in pts])
+    ks = k_grid(1e-3, 1.0, 31, log_spacing=True)
     ratios = ks[1:] / ks[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: sweep("general", -1.0, 2.0, 10, p),
-    lambda p: sweep("general", 2.0, 1.0, 10, p),
-    lambda p: sweep("general", 0.0, 1.0, 1, p),
-    lambda p: sweep("nope", 0.0, 1.0, 10, p),
-    lambda p: sweep("adiabatic", 0.0, 1.0, 10, p),          # missing gamma
-    lambda p: sweep("general", 0.0, 1.0, 10, p, log_spacing=True),
+    lambda p: k_grid(-1.0, 2.0, 10),
+    lambda p: k_grid(2.0, 1.0, 10),
+    lambda p: k_grid(0.0, 1.0, 1),
+    lambda p: evaluate("nope", k_grid(0.0, 1.0, 10), p),
+    lambda p: evaluate("adiabatic", k_grid(0.0, 1.0, 10), p),  # missing gamma
+    lambda p: k_grid(0.0, 1.0, 10, log_spacing=True),
 ])
 def test_sweep_validation(call):
     with pytest.raises(ConfigError):

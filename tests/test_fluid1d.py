@@ -385,33 +385,6 @@ def test_state_fields_are_rows_of_one_array():
     assert wrapped.fields is state.fields and wrapped.t == 1.0
 
 
-def test_fd6_derivative_is_sixth_order():
-    from qfluid.fluid1d import first_derivative
-    errs = []
-    for n in (32, 64):
-        g = Grid1D(n, 2.0 * np.pi, derivative_scheme="fd6")
-        f = np.sin(3.0 * g.x)
-        err = np.max(np.abs(first_derivative(f, g) - 3.0 * np.cos(3.0 * g.x)))
-        errs.append(err)
-    assert errs[1] < errs[0] / 50.0  # expect ~2^6 = 64
-
-
-def test_fd6_run_reproduces_dispersion_at_low_k():
-    g = Grid1D(128, 2.0 * np.pi, derivative_scheme="fd6")
-    p = nondimensional(hbar=0.0, T0_par=0.2 / 12.0)
-    state = eigenmode_state(g, p, mode=1, amplitude=1e-6)
-    om_pred = math.sqrt(float(dispersion.general_omega_sq(g.k_fundamental, p)))
-    run = evolve(state, p, t_end=5 * 2 * np.pi / om_pred,
-                 damping=SpectralDamping.tailored(g, p))
-    om = measure_frequency(run.t, run.mode["u"].real)
-    assert om == pytest.approx(om_pred, rel=1e-2)
-
-
-def test_unknown_derivative_scheme_rejected():
-    with pytest.raises(ConfigError):
-        Grid1D(64, 1.0, derivative_scheme="fd2")
-
-
 def test_auto_dt_respects_both_limits():
     g = grid(64)
     p = nondimensional(hbar=0.0, T0_par=0.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qfluid.errors import ConfigError, MomentError
 from qfluid.moments import (MomentSet, VelocityGrid, compute_moments,
                             load_distribution_csv, maxwellian,
-                            save_distribution_csv, scalar_reductions)
+                            save_distribution_csv)
 
 KB = 1.0
 MASS = 1.0
@@ -104,18 +104,16 @@ def test_quadrature_convergence_on_doubling():
     assert errors[2] < errors[1] / 4.0
 
 
-def test_scalar_reductions_isotropic_and_anisotropic():
+def test_scalar_pressure_isotropic_and_anisotropic():
     g = grid3()
     f = maxwellian(g, density=1.0, temperature=1.0)
     ms = compute_moments(f, g)
-    p, q = scalar_reductions(ms)
-    assert p == pytest.approx(1.0, rel=1e-9)
+    assert ms.p == pytest.approx(1.0, rel=1e-9)
 
     t_perp, t_par = 0.5, 2.0
     fb = maxwellian(g, density=1.0, temperature=(t_perp, t_perp, t_par))
     msb = compute_moments(fb, g)
-    pb, _ = scalar_reductions(msb)
-    assert pb == pytest.approx(KB * (2 * t_perp + t_par) / 3.0, rel=1e-8)
+    assert msb.p == pytest.approx(KB * (2 * t_perp + t_par) / 3.0, rel=1e-8)
 
 
 def test_heat_flux_vector_against_direct_quadrature():
@@ -124,7 +122,6 @@ def test_heat_flux_vector_against_direct_quadrature():
     vx = g.axes[0].reshape(-1, 1, 1)
     f = f * (1.0 + 0.3 * vx * np.exp(-0.2 * vx**2))  # skew along x
     ms = compute_moments(f, g)
-    _, q = scalar_reductions(ms)
     # independent route: q_i = (m/2) int |v-u|^2 (v_i - u_i) f dv by direct sums
     W = np.multiply.outer(np.multiply.outer(g.weights[0], g.weights[1]), g.weights[2])
     vs = [g.axes[i].reshape([-1 if j == i else 1 for j in range(3)]) for i in range(3)]
@@ -132,7 +129,7 @@ def test_heat_flux_vector_against_direct_quadrature():
     sq = sum(d**2 for d in dv)
     for i in range(3):
         direct = 0.5 * MASS * float(np.sum(W * f * sq * dv[i]))
-        assert q[i] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        assert ms.q[i] == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 
 def test_nonpositive_density_raises():

@@ -239,6 +239,12 @@ def test_threshold_bisection_finds_two():
     assert h == pytest.approx(2.0, abs=1e-6)
 
 
+def test_threshold_ends_when_bracket_reaches_adjacent_floats():
+    # a tolerance below one ulp of H ~ 2 cannot be met; the bisection must still end
+    h = stability_threshold(1.0, 3.0, tol=1e-17)
+    assert h == pytest.approx(stability_threshold(1.0, 3.0, tol=1e-6), abs=1e-6)
+
+
 def test_threshold_requires_classification_change():
     with pytest.raises(ConfigError, match="no stability change"):
         stability_threshold(0.1, 1.9)
