@@ -9,6 +9,7 @@ configuration, 3 numerical failure (singularity, CFL, vacuum), 4 I/O.
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 
@@ -71,6 +72,8 @@ def _cmd_dispersion(args, command: str) -> None:
 
 def _cmd_response(args, command: str) -> None:
     params = _params_from(args)
+    if not math.isfinite(args.dphi):
+        raise ConfigError(f"--dphi must be finite, got {args.dphi!r}")
     ks = dispersion.k_grid(args.kmin, args.kmax, args.n)
     if ks[0] <= 0.0:
         raise ConfigError("response sweep requires --kmin > 0 (k = 0 carries no wave)")
@@ -94,13 +97,17 @@ def _cmd_response(args, command: str) -> None:
 def _cmd_fluid(args, command: str) -> None:
     params = _params_from(args)
     grid = fluid1d.Grid1D(n_points=args.grid, length=args.length)
+    k = args.mode * grid.k_fundamental
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = float(np.sqrt(dispersion.general_omega_sq(k, params)))
+    if not math.isfinite(omega):
+        raise ConfigError(f"predicted omega at mode {args.mode} is not finite ({omega!r}) "
+                          f"on a domain of length {args.length!r}")
     if args.ic == "eigenmode":
         state = fluid1d.eigenmode_state(grid, params, args.mode, args.amplitude)
     else:
         state = fluid1d.perturbed_state(grid, params, args.mode, args.amplitude,
                                         fields=tuple(args.ic_fields.split(",")))
-    k = args.mode * grid.k_fundamental
-    omega = float(np.sqrt(dispersion.general_omega_sq(k, params)))
     t_end = args.tmax if args.tmax is not None else args.periods * 2.0 * np.pi / omega
     damping = None if args.no_stabilize else fluid1d.SpectralDamping.tailored(
         grid, params, protect_modes=args.protect_modes)

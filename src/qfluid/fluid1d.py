@@ -15,22 +15,35 @@ in the zero-mean gauge.  The third potential derivative is evaluated as
 triple differentiation.
 
 Every spatial derivative is Fourier pseudo-spectral, irfft(i k rfft(f)),
-and quadratic products are dealiased by the 2/3 rule.  Time stepping is
-classical RK4 with the potential re-solved at every stage.
+and quadratic products are dealiased by the 2/3 rule.
+
+Time stepping is Lawson's integrating-factor RK4 (Lawson, SIAM J. Numer.
+Anal. 4:372, 1967).  The right-hand side splits into L(k) y, the system
+linearised about (n0, u = 0, p0 = n0 kB T0_par, Q = 0) mode by mode
+(``_linear_operator``; eigenvalues +-i omega(k) and +-gamma(k)), and a
+remainder N(y) of the terms at least quadratic in the departure from that
+state (``_nonlinear``); ``rhs`` returns their sum.  ``step`` integrates
+L y and the filter exactly through exp((L - rate) dt/2), computed in
+closed form once per run (``_half_step_exponential``), and samples only
+N at its four stages, with the potential re-solved at each.  The linear
+oscillations therefore set no time-step bound: ``auto_dt`` is the
+smaller of the advective bound safety dx / max(|u| + sqrt(3 p/(m n)))
+and the plasma-period bound safety / omega_p, and ``step`` raises
+``CFLViolationError`` (CLI exit 3) for a dt above it.
 
 State layout: the four fields are the rows (n, u, p, Q) of one ``(4, N)``
 array, ``FluidState1D.fields``, and ``rhs`` returns its derivative in the
-same layout.  Every FFT is batched along the last axis, so one ``rhs``
-makes four transforms (the fields forward, the five derivatives
-dn, du, dp, dQ, dphi back, and a forward/back pair for the 2/3 rule) and
-one filtered RK4 step makes 18, where one transform per field and per
-derivative would take 76.  ``Grid1D.k`` and ``Grid1D.dealias_mask`` are
-computed once per grid.
+same layout.  Every FFT is batched along the last axis: a step makes 12
+transforms (per stage an irfft of the four derivatives and an rfft of the
+products, per later stage an irfft of its fields, and an irfft of the new
+state).  A state keeps its spectrum (``FluidState1D.spectrum``), which the
+next step, the probe record and the steepening check reuse.
+``Grid1D.k`` and ``Grid1D.dealias_mask`` are computed once per grid.
 
 ``evolve`` rejects a run length, time step, sample interval, probe mode
-or steepening limit outside its domain, and ``SpectralDamping.tailored``
-a negative protected band, with ``ConfigError`` (CLI exit 2) before any
-step.
+or steepening limit outside its domain, ``SpectralDamping.tailored`` a
+negative protected band and ``Grid1D`` a length outside (0, inf), with
+``ConfigError`` (CLI exit 2) before any step.
 
 Stability note: the closure supports a non-oscillatory growing branch at
 every wavenumber with rate increasing with k (see
@@ -46,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,8 +96,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_points < 8 or self.n_points % 2:
             raise ConfigError(f"grid size must be even and >= 8, got {self.n_points}")
-        if not self.length > 0:
-            raise ConfigError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise ConfigError(f"domain length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -117,6 +130,9 @@ class Grid1D:
 # row order of FluidState1D.fields and of the array rhs returns
 FIELDS = ("n", "u", "p", "Q")
 
+# default safety factor of the time-step bounds in auto_dt
+_SAFETY = 0.4
+
 
 @dataclass(frozen=True)
 class FluidState1D:
@@ -125,7 +141,8 @@ class FluidState1D:
     The fields are the rows of one ``(4, N)`` array, ``fields``, and
     ``n``, ``u``, ``p``, ``Q`` are views of its rows.  The constructor
     copies the four arrays into a new one; ``from_fields`` wraps an
-    existing array without a copy.
+    existing array without a copy.  ``spectrum`` is their rfft, computed
+    once per state (``step`` hands it over with the new state).
     """
 
     grid: Grid1D
@@ -145,8 +162,13 @@ class FluidState1D:
         self._bind(np.array([self.n, self.u, self.p, self.Q], dtype=float))
 
     @classmethod
-    def from_fields(cls, grid: Grid1D, fields: np.ndarray, t: float = 0.0) -> "FluidState1D":
-        """State whose rows n, u, p, Q are those of ``fields`` (not copied)."""
+    def from_fields(cls, grid: Grid1D, fields: np.ndarray, t: float = 0.0,
+                    spectrum: np.ndarray | None = None) -> "FluidState1D":
+        """State whose rows n, u, p, Q are those of ``fields`` (not copied).
+
+        ``spectrum``, when given, must be the rfft of ``fields``; it is
+        kept as ``FluidState1D.spectrum`` instead of being recomputed.
+        """
         if fields.shape != (len(FIELDS), grid.n_points):
             raise ConfigError(f"fields have shape {fields.shape}, "
                               f"expected ({len(FIELDS)}, {grid.n_points})")
@@ -154,7 +176,14 @@ class FluidState1D:
         object.__setattr__(state, "grid", grid)
         object.__setattr__(state, "t", t)
         state._bind(fields)
+        if spectrum is not None:
+            state.__dict__["spectrum"] = spectrum
         return state
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft of ``fields`` along x, shape (4, N/2 + 1) (computed once)."""
+        return np.fft.rfft(self.fields)
 
     def _bind(self, fields: np.ndarray) -> None:
         object.__setattr__(self, "fields", fields)
@@ -188,50 +217,97 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams,
     return np.fft.irfft(phi_spec, n=grid.n_points)
 
 
-def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
-    """Eulerian time derivatives as a (4, N) array, rows (dn/dt, du/dt, dp/dt, dQ/dt).
+def _linear_operator(grid: Grid1D, params: PlasmaParams) -> np.ndarray:
+    """Per-mode matrix L(k) of the hierarchy linearised about the uniform state.
 
-    The potential is re-solved from the current density.  Output arrays
-    are dealiased by the 2/3 rule so band-limited states stay band-limited.
+    The state is (n0, u = 0, p0 = n0 kB T0_par, Q = 0); rows and columns
+    follow ``FIELDS`` and the last axis runs over ``grid.k``, so the shape
+    is (4, 4, N/2 + 1).  L is zero at k = 0 and above the 2/3 cut, where
+    ``rhs`` keeps no linear term either.  Its eigenvalues are +-i omega(k)
+    (``dispersion.general_omega_sq``) and +-gamma(k)
+    (``dispersion.companion_growth_rate``).
+    """
+    k = np.where(grid.dealias_mask, grid.k, 0.0)
+    ik = 1j * k
+    n0, m = params.n0, params.m
+    p0 = n0 * params.kB * params.T0_par
+    e_m, e_eps = params.e / m, params.e / params.eps0
+    L = np.zeros((len(FIELDS), len(FIELDS), len(k)), dtype=complex)
+    L[0, 1] = -n0 * ik
+    # (e/m) dphi/dx with dphi/dx = -i (e/eps0) n / k from the potential solve
+    L[1, 0] = -1j * e_m * e_eps * np.divide(1.0, k, out=np.zeros_like(k), where=k > 0.0)
+    L[1, 2] = -ik / (m * n0)
+    L[2, 1] = -3.0 * p0 * ik
+    L[2, 3] = -ik
+    L[3, 0] = -e_m * params.hbar**2 * n0 * e_eps * ik / (4.0 * m)
+    L[3, 2] = 3.0 * p0 * ik / (m * n0)
+    return L
+
+
+def _apply(op: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Per-mode product op(k) @ spec(k) of a (4, 4, K) operator and a (4, K) spectrum."""
+    return (op * spec).sum(axis=1)
+
+
+def _nonlinear(state: FluidState1D, spec: np.ndarray, params: PlasmaParams) -> np.ndarray:
+    """Spectrum of the nonlinear remainder, rhs - L y, dealiased by the 2/3 rule.
+
+    ``spec`` is the spectrum of ``state.fields``.  With dn = n - n0 and
+    dp = p - p0 every term below is at least quadratic in the departure
+    from the uniform state.  One irfft of the four derivatives and one
+    rfft of the four products; ``state.check()`` runs first.
     """
     state.check()
     g = state.grid
-    k, N = g.k, g.n_points
     n, u, p, Q = state.fields
-
-    spec = np.fft.rfft(state.fields)
-    deriv_spec = np.empty((5, len(k)), dtype=complex)
-    deriv_spec[:4] = 1j * k * spec
-    # dphi/dx from the potential solve in one shot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deriv_spec[4] = -1j * (params.e / params.eps0) * spec[0] / k
-    deriv_spec[4, 0] = 0.0
-    dn, du, dp, dQ, dphi = np.fft.irfft(deriv_spec, n=N)
+    dn_dx, du_dx, dp_dx, dQ_dx = np.fft.irfft(1j * g.k * spec, n=g.n_points)
+    n0, m = params.n0, params.m
+    p0 = n0 * params.kB * params.T0_par
+    dn, dp = n - n0, p - p0
     # d3phi/dx3 = (e/eps0) dn/dx exactly, given the potential equation
-    d3phi = (params.e / params.eps0) * dn
-
-    e_m = params.e / params.m
-    dt_fields = np.array([
-        -(u * dn + n * du),
-        -u * du - dp / (params.m * n) + e_m * dphi,
-        -u * dp - 3.0 * p * du - dQ,
-        (-u * dQ + 3.0 * p * dp / (params.m * n)
-         - e_m * params.hbar**2 * n * d3phi / (4.0 * params.m)
-         - 4.0 * Q * du),
+    quantum = params.e**2 * params.hbar**2 / (4.0 * m**2 * params.eps0)
+    terms = np.array([
+        -(u * dn_dx + dn * du_dx),
+        -u * du_dx + dp_dx * dn / (m * n * n0),              # -dp/dx (1/(m n) - 1/(m n0))
+        -u * dp_dx - 3.0 * dp * du_dx,
+        (-u * dQ_dx + 3.0 * dp_dx * (dp * n0 - p0 * dn) / (m * n * n0)   # p/(m n) - p0/(m n0)
+         - quantum * dn * dn_dx - 4.0 * Q * du_dx),
     ])
-    return np.fft.irfft(g.dealias_mask * np.fft.rfft(dt_fields), n=N)
+    return g.dealias_mask * np.fft.rfft(terms)
 
 
-@dataclass(frozen=True)
+def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
+    """Eulerian time derivatives as a (4, N) array, rows (dn/dt, du/dt, dp/dt, dQ/dt).
+
+    The sum L y + N(y) of the linear part about the uniform state
+    (``_linear_operator``) and the nonlinear remainder (``_nonlinear``),
+    the same split that ``step`` integrates.  The potential is re-solved
+    from the current density.  The result is dealiased by the 2/3 rule so
+    band-limited states stay band-limited.
+    """
+    spec = state.spectrum
+    remainder = _nonlinear(state, spec, params)
+    linear = _apply(_linear_operator(state.grid, params), spec)
+    return np.fft.irfft(linear + remainder, n=state.grid.n_points)
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralDamping:
-    """Per-mode damping rates applied after each step as exp(-rate * dt).
+    """Per-mode damping rates, applied over a step of length dt as exp(-rate * dt).
 
     The same factor multiplies all four fields at a given mode, so the
     filter commutes with the linear dynamics up to a real eigenvalue
-    shift: oscillation frequencies are untouched.
+    shift: oscillation frequencies are untouched.  ``step`` folds it into
+    the exponential of the linear part.  Instances compare and hash by
+    identity, and hold a read-only copy of ``rates``.
     """
 
     rates: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rates = np.array(self.rates, dtype=float)
+        rates.flags.writeable = False
+        object.__setattr__(self, "rates", rates)
 
     @classmethod
     def tailored(cls, grid: Grid1D, params: PlasmaParams,
@@ -254,31 +330,80 @@ class SpectralDamping:
         rates[k <= protect_modes * grid.k_fundamental + 1e-12 * grid.k_fundamental] = 0.0
         return cls(rates=rates)
 
-    def factors(self, dt: float) -> np.ndarray:
-        return np.exp(-self.rates * dt)
+
+@lru_cache(maxsize=1)
+def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
+                           damping: SpectralDamping | None, dt: float) -> np.ndarray:
+    """exp((L - rate) dt/2) per mode, shape (4, 4, N/2 + 1), by Sylvester's formula.
+
+    L^2 has the eigenvalues -omega^2 and gamma^2, so
+    exp(L h) = C(L^2) + L S(L^2) with C and S the linear interpolants of
+    cos(omega h), cosh(gamma h) and sin(omega h)/omega, sinh(gamma h)/gamma
+    at those two points (sinh(gamma h)/gamma -> h as gamma -> 0).  The
+    damping factor exp(-rate h) commutes with L and is folded into each
+    coefficient; the growing exponential is formed as exp((gamma - rate) h)
+    so a filtered mode never overflows.  The last result is cached, keyed
+    on (grid, params, damping, dt), so ``evolve`` computes it once per run
+    and keeps at most one (4, 4, N/2 + 1) array alive afterwards.
+    """
+    h = 0.5 * dt
+    L = _linear_operator(grid, params)
+    k = np.where(grid.dealias_mask, grid.k, 0.0)
+    om2 = dispersion.general_omega_sq(k, params)
+    om = np.sqrt(om2)
+    ga = dispersion.companion_growth_rate(k, params)
+    rates = damping.rates if damping is not None else 0.0
+    decay = np.exp(-rates * h)
+    c_osc, s_osc = np.cos(om * h) * decay, np.sin(om * h) / om * decay
+    grow = np.exp((ga - rates) * h)
+    x = 2.0 * ga * h
+    c_hyp = 0.5 * grow * (1.0 + np.exp(-x))
+    s_hyp = grow * h * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+    span = om2 + ga**2
+    a0, a1 = (c_hyp * om2 + c_osc * ga**2) / span, (c_hyp - c_osc) / span
+    b0, b1 = (s_hyp * om2 + s_osc * ga**2) / span, (s_hyp - s_osc) / span
+    eye = np.eye(len(FIELDS))[:, :, None]
+    # a0 + b0 L + a1 L^2 + b1 L^3 in Horner form
+    out = b1 * L + a1 * eye
+    out = np.einsum("ijk,jlk->ilk", L, out) + b0 * eye
+    return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
-def auto_dt(state: FluidState1D, params: PlasmaParams, safety: float = 0.4) -> float:
-    """Largest stable dt: advective bound and the stiff oscillation bound.
+def auto_dt(state: FluidState1D, params: PlasmaParams, safety: float = _SAFETY) -> float:
+    """Largest step ``step`` accepts: the advective and plasma-period bounds.
 
     dt <= safety * dx / max(|u| + sqrt(3 p / (m n))) and
-    dt <= safety / omega(k_nyquist) with omega from the general relation
-    (the quantum term makes the highest modes the fastest).
+    dt <= safety / omega_p.  The linear oscillations, however fast at
+    high k, are integrated exactly and set no bound.
     """
     g = state.grid
     speed = float(np.max(np.abs(state.u) + np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))))
     dt_adv = safety * g.dx / speed if speed > 0 else math.inf
-    k_nyq = math.pi / g.dx
-    om_max = math.sqrt(float(dispersion.general_omega_sq(k_nyq, params)))
-    return min(dt_adv, safety / om_max)
+    return min(dt_adv, safety / params.omega_p)
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
-         damping: SpectralDamping | None = None, safety: float = 0.4) -> FluidState1D:
-    """Advance one classical RK4 step (Poisson re-solved per stage).
+         damping: SpectralDamping | None = None, safety: float = _SAFETY) -> FluidState1D:
+    """Advance one Lawson (integrating-factor) RK4 step on the spectrum.
+
+    With E = exp((L - rate) dt/2) from ``_half_step_exponential`` and the
+    nonlinear remainder N (``_nonlinear``, Poisson re-solved per stage):
+
+        k1 = N(y)
+        k2 = N(E (y + dt/2 k1))
+        k3 = N(E y + dt/2 k2)
+        k4 = N(E (E y + dt k3))
+        y' = E (E y + dt/6 (E k1 + 2 k2 + 2 k3)) + dt/6 k4,
+
+    so the linear part, filter included, is integrated exactly.  Twelve
+    FFT calls, each batched over the four rows: per stage one irfft of
+    the derivatives and one rfft of the products, per later stage one
+    irfft of its fields, and one irfft of the new state, which keeps its
+    spectrum (``FluidState1D.spectrum``) for the next step.  Each stage state
+    and the new state run ``FluidState1D.check``.
 
     Raises ``CFLViolationError`` (with a suggested dt) when the requested
-    step exceeds the stability bound for the current state.
+    step exceeds ``auto_dt`` for the current state.
     """
     limit = auto_dt(state, params, safety)
     if dt > limit * (1.0 + 1e-12):
@@ -286,20 +411,23 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
             f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
             f"suggested dt = {limit:.6g}", suggested_dt=limit)
 
-    y = state.fields
+    g = state.grid
+    E = _half_step_exponential(g, params, damping, dt)
 
-    def shifted(coeff, deriv):
-        return FluidState1D.from_fields(state.grid, y + coeff * deriv, t=state.t + coeff)
+    def remainder(spec, t):
+        stage = FluidState1D.from_fields(g, np.fft.irfft(spec, n=g.n_points), t=t)
+        return _nonlinear(stage, spec, params)
 
-    k1 = rhs(state, params)
-    k2 = rhs(shifted(0.5 * dt, k1), params)
-    k3 = rhs(shifted(0.5 * dt, k2), params)
-    k4 = rhs(shifted(dt, k3), params)
+    y = state.spectrum
+    k1 = _nonlinear(state, y, params)
+    Ey, Ek1 = _apply(E, y), _apply(E, k1)
+    k2 = remainder(Ey + (0.5 * dt) * Ek1, state.t + 0.5 * dt)
+    k3 = remainder(Ey + (0.5 * dt) * k2, state.t + 0.5 * dt)
+    k4 = remainder(_apply(E, Ey + dt * k3), state.t + dt)
+    spec = _apply(E, Ey + (dt / 6.0) * (Ek1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
 
-    fields = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if damping is not None:
-        fields = np.fft.irfft(damping.factors(dt) * np.fft.rfft(fields), n=state.grid.n_points)
-    new = FluidState1D.from_fields(state.grid, fields, t=state.t + dt)
+    new = FluidState1D.from_fields(g, np.fft.irfft(spec, n=g.n_points),
+                                   t=state.t + dt, spectrum=spec)
     new.check()
     return new
 
@@ -307,13 +435,20 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
 @dataclass
 class FluidRun:
     """Probe time series from ``evolve``: complex fundamental-mode
-    coefficients per field plus bulk diagnostics."""
+    coefficients per field plus bulk diagnostics, and the step taken.
+
+    ``dt_bound`` names what set ``dt``: ``"advective"`` or ``"plasma"``
+    (the smaller bound of ``auto_dt`` at the initial state) or ``"user"``
+    (``dt`` was given).
+    """
 
     t: np.ndarray
     mode: dict[str, np.ndarray]       # field -> complex coefficient of probe mode
     mass: np.ndarray                  # mean(n) over the domain
     final: FluidState1D
     n_steps: int
+    dt: float
+    dt_bound: str
 
 
 def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
@@ -346,9 +481,13 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
         raise ConfigError(
             f"steepening limit must be positive and finite, got {steepening_limit!r}")
     if dt is None:
+        limit = auto_dt(state, params)
+        dt_bound = "plasma" if limit == _SAFETY / params.omega_p else "advective"
         # margin below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
-        dt = 0.75 * auto_dt(state, params)
+        dt = 0.75 * limit
+    else:
+        dt_bound = "user"
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     dt = t_end / n_steps
 
@@ -359,14 +498,14 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     def record(s: FluidState1D):
         times.append(s.t)
         mass.append(float(np.mean(s.n)))
-        for name, c in zip(FIELDS, np.fft.rfft(s.fields)[:, probe_mode]):
+        for name, c in zip(FIELDS, s.spectrum[:, probe_mode]):
             coeffs[name].append(complex(c) * norm)
 
     record(state)
     for i in range(n_steps):
         state = step(state, dt, params, damping=damping)
         if steepening_limit is not None:
-            du = np.fft.irfft(1j * g.k * np.fft.rfft(state.u), n=g.n_points)
+            du = np.fft.irfft(1j * g.k * state.spectrum[1], n=g.n_points)
             if float(np.max(np.abs(du))) > steepening_limit * params.omega_p:
                 raise SteepeningError(
                     f"velocity gradient exceeded {steepening_limit} omega_p "
@@ -377,7 +516,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     return FluidRun(
         t=np.asarray(times),
         mode={k: np.asarray(v) for k, v in coeffs.items()},
-        mass=np.asarray(mass), final=state, n_steps=n_steps)
+        mass=np.asarray(mass), final=state, n_steps=n_steps, dt=dt, dt_bound=dt_bound)
 
 
 def uniform_state(grid: Grid1D, params: PlasmaParams,

@@ -207,6 +207,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["fluid", "--periods", "0.1", "--protect-modes", "-5"],
     ["fluid", "--periods", "0.1", "--steepening-limit", "nan"],
     ["fluid", "--periods", "0.1", "--steepening-limit", "-1"],
+    ["fluid", "--length", "inf", "--periods", "0.1"],
+    ["fluid", "--length", "1e-300"],
+    ["response", "--dphi", "nan"],
+    ["response", "--dphi", "inf"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
@@ -214,6 +218,11 @@ def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert "configuration error" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_tiny_fluid_domain_is_named_in_the_error(tmp_path, capsys):
+    assert run(tmp_path, ["fluid", "--length", "1e-300", "-o", "out.csv"]) == 2
+    assert "domain of length 1e-300" in capsys.readouterr().err
 
 
 def test_si_preset_requires_density(tmp_path, capsys):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qfluid import dispersion
+from qfluid import dispersion, traveling
 from qfluid.errors import (CFLViolationError, ConfigError, NoOscillationError,
                            NumericalError, SteepeningError, VacuumError)
 from qfluid.fluid1d import (FIELDS, FluidState1D, Grid1D, SpectralDamping, auto_dt,
                             eigenmode_state, evolve, measure_frequency,
                             perturbed_state, rhs, solve_poisson, step,
                             uniform_state)
+from qfluid.fluid1d import _half_step_exponential, _linear_operator
 from qfluid.params import nondimensional
 
 WARM = nondimensional(hbar=0.5, T0_par=0.1)
@@ -138,7 +139,113 @@ def test_linearized_rhs_matches_eigenmode_rates():
         assert dot[name] == pytest.approx(expected, rel=2e-4, abs=1e-16 * abs(base["p"]) if name == "Q" else 1e-12)
 
 
+def wave_frame_orbit(H, v, n_points, tol=1e-12):
+    """One period of the wave-frame orbit, sampled onto Grid1D(n_points, period).
+
+    The period is the second zero of psi = phi', located from the sampled
+    crossing and refined by Newton steps with psi' = (e/eps0)(n - n0).
+    """
+    cfg = traveling.wave_frame_config(H, v=v)
+    start = traveling.reference_oscillation_state(cfg)
+    par = cfg.params
+    coarse = traveling.integrate(start, cfg, 12.0, tol=tol, n_samples=600)
+    i = np.nonzero(np.sign(coarse.psi[1:]) * np.sign(coarse.psi[:-1]) < 0)[0][1]
+    xi, psi = coarse.xi, coarse.psi
+    period = xi[i] - psi[i] * (xi[i + 1] - xi[i]) / (psi[i + 1] - psi[i])
+    for _ in range(3):
+        end = traveling.integrate(start, cfg, period, tol=tol, n_samples=1)
+        period -= end.psi[-1] / ((par.e / par.eps0) * (end.n[-1] - par.n0))
+    orbit = traveling.integrate(start, cfg, period, tol=tol, n_samples=n_points)
+    g = Grid1D(n_points, period)
+    return FluidState1D(g, orbit.n[:-1], orbit.u[:-1], orbit.p[:-1], orbit.Q[:-1]), par
+
+
+@pytest.mark.parametrize("H,v", [(0.3, -0.7), (1.0, 0.0), (1.0, 0.5), (1.8, 0.2)])
+def test_wave_frame_orbit_is_a_steady_state_of_rhs(H, v):
+    # a traveling wave f(x - v t) solves df/dt = -v df/dx, so on a periodic
+    # orbit of the wave-frame system rhs + v d/dx(fields) vanishes; this is
+    # the one check of the nonlinear terms at large amplitude, the Q row's
+    # included.  Measured: at most 1.1e-11 of max|d/dx field| per row at
+    # N = 128 over H in {0.3, 1, 1.8} and v in {-0.7, 0, 0.2, 0.5}; the bound
+    # leaves a factor ~100.  (At N = 64 the undealiased v d/dx term leaves
+    # ~1e-7 above the 2/3 cut.)
+    state, par = wave_frame_orbit(H, v, 128)
+    g = state.grid
+    assert abs(np.mean(state.n) - par.n0) < 1e-10
+    d_dx = np.fft.irfft(1j * g.k * np.fft.rfft(state.fields), n=g.n_points)
+    residual = rhs(state, par) + v * d_dx
+    scale = np.max(np.abs(d_dx), axis=1)
+    assert np.all(scale > 1e-3)
+    assert np.all(np.max(np.abs(residual), axis=1) < 1e-9 * scale)
+
+
 # ---------------------------------------------------------------- stepping
+
+def taylor_exponential(M, terms=80):
+    """exp(M) per mode of a (4, 4, K) array by its Taylor series."""
+    out = np.zeros_like(M)
+    term = np.broadcast_to(np.eye(4)[:, :, None], M.shape).astype(complex)
+    for j in range(terms):
+        out = out + term
+        term = np.einsum("ijk,jlk->ilk", M, term) / (j + 1)
+    return out
+
+
+@pytest.mark.parametrize("hbar,T0_par", [(0.5, 0.1), (0.0, 0.1), (1.0, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("filtered", [False, True])
+def test_half_step_exponential_matches_taylor_series(hbar, T0_par, filtered):
+    # Sylvester's closed form against an 80-term series at every mode,
+    # k = 0 and the modes above the 2/3 cut included (L = 0 there); the
+    # cold classical case has gamma = 0.  The filter factor multiplies the
+    # series separately, so the comparison does not suffer the series'
+    # cancellation at large rate * h.  Measured worst: 1.1e-14.
+    g = grid(64)
+    p = nondimensional(hbar=hbar, T0_par=T0_par)
+    damping = SpectralDamping.tailored(g, p) if filtered else None
+    dt = 0.3
+    E = _half_step_exponential(g, p, damping, dt)
+    reference = taylor_exponential(_linear_operator(g, p) * (0.5 * dt))
+    if filtered:
+        reference = reference * np.exp(-0.5 * dt * damping.rates)
+    err = np.max(np.abs(E - reference), axis=(0, 1)) / np.max(np.abs(reference), axis=(0, 1))
+    assert np.max(err) < 1e-13
+
+
+def classical_rk4_step(state, dt, params, damping):
+    """Reference: classical RK4 over rhs minus the filter's rates, same ODE as step."""
+    g = state.grid
+
+    def f(s):
+        return rhs(s, params) - np.fft.irfft(damping.rates * np.fft.rfft(s.fields), n=g.n_points)
+
+    y = state.fields
+
+    def shifted(coeff, deriv):
+        return FluidState1D.from_fields(g, y + coeff * deriv, t=state.t + coeff)
+
+    k1 = f(state)
+    k2 = f(shifted(0.5 * dt, k1))
+    k3 = f(shifted(0.5 * dt, k2))
+    k4 = f(shifted(dt, k3))
+    return FluidState1D.from_fields(g, y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                                    t=state.t + dt)
+
+
+@pytest.mark.parametrize("n_points", [256, 4096])
+def test_step_matches_classical_rk4_reference(n_points):
+    # at 0.75 of RK4's stiff bound 0.4/omega(k_nyquist) both schemes are
+    # accurate, so 50 filtered steps must agree.  Measured: 5.7e-12 (N = 256)
+    # and 6.7e-14 (N = 4096) of the perturbation; the bound leaves ~20x.
+    g = grid(n_points)
+    p = nondimensional(hbar=0.3, T0_par=0.05)
+    damping = SpectralDamping.tailored(g, p)
+    dt = 0.3 / math.sqrt(float(dispersion.general_omega_sq(math.pi / g.dx, p)))
+    lawson = reference = perturbed_state(g, p, mode=1, amplitude=1e-2, fields=("n", "u"))
+    for _ in range(50):
+        lawson = step(lawson, dt, p, damping=damping)
+        reference = classical_rk4_step(reference, dt, p, damping)
+    perturbation = np.max(np.abs(reference.fields - uniform_state(g, p).fields))
+    assert np.max(np.abs(lawson.fields - reference.fields)) < 1e-10 * perturbation
 
 def test_equilibrium_preserved_by_step():
     g = grid()
@@ -254,6 +361,14 @@ def test_momentum_balance_identity():
 
 # (hbar, T0_par): quantum-warm, classical-warm and quantum-cold
 INVARIANT_REGIMES = [(0.3, 0.05), (0.0, 0.02), (0.2, 0.0)]
+# The step of each regime: half the initial step bound of the classical-RK4
+# stepper (stiff bound 0.4/omega(k_nyquist)), kept as a literal so the 200
+# steps cover the same physical time as when the gates were set.  At the
+# larger steps auto_dt now allows, the unfiltered companion branch
+# amplifies rounding noise past the gates over the longer horizon.
+INVARIANT_DT = {(0.3, 0.05): 0.016085155024444558,
+                (0.0, 0.02): 0.06919504713778846,
+                (0.2, 0.0): 0.019716041893653637}
 
 
 def unfiltered_invariants(hbar, T0_par, n_steps=200):
@@ -268,7 +383,7 @@ def unfiltered_invariants(hbar, T0_par, n_steps=200):
     g = grid(64)
     p = nondimensional(hbar=hbar, T0_par=T0_par)
     state = perturbed_state(g, p, mode=1, amplitude=1e-2, fields=("n", "u"))
-    dt = 0.5 * auto_dt(state, p)
+    dt = INVARIANT_DT[(hbar, T0_par)]
 
     def integrals(s):
         phi = solve_poisson(s.n, g, p)
@@ -303,6 +418,28 @@ def test_steepening_halt():
     with pytest.raises(SteepeningError):
         evolve(state, p, t_end=50.0, damping=SpectralDamping.tailored(g, p),
                steepening_limit=0.3)
+
+
+def test_evolve_records_which_bound_set_dt():
+    g = grid(64)
+    warm = nondimensional(hbar=0.0, T0_par=0.1)
+    state = perturbed_state(g, warm, mode=1, amplitude=1e-3)
+    run = evolve(state, warm, t_end=1.0)
+    assert run.dt_bound == "advective"
+    assert auto_dt(state, warm) < 0.4 / warm.omega_p
+    assert run.dt == pytest.approx(1.0 / run.n_steps)
+    assert run.dt <= 0.75 * auto_dt(state, warm)
+
+    cold = nondimensional(hbar=0.5, T0_par=0.0)
+    state = eigenmode_state(g, cold, mode=1, amplitude=1e-6)
+    run = evolve(state, cold, t_end=3.0)
+    assert run.dt_bound == "plasma"
+    assert run.n_steps == math.ceil(3.0 / (0.75 * 0.4 / cold.omega_p))
+    assert run.dt == pytest.approx(3.0 / run.n_steps)
+
+    run = evolve(state, cold, t_end=0.1, dt=0.01)
+    assert (run.dt_bound, run.n_steps) == ("user", 10)
+    assert run.dt == pytest.approx(0.01)
 
 
 def test_evolve_is_deterministic():
@@ -371,6 +508,12 @@ def test_grid_and_state_validation():
         perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("psi",))
     with pytest.raises(ConfigError):
         FluidState1D.from_fields(g, np.ones((4, 8)))
+
+
+def test_grid_rejects_non_finite_length():
+    for length in (math.inf, math.nan, 0.0):
+        with pytest.raises(ConfigError, match="domain length"):
+            Grid1D(64, length)
 
 
 def test_state_fields_are_rows_of_one_array():
