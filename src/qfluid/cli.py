@@ -111,9 +111,15 @@ def _cmd_fluid(args, command: str) -> None:
     t_end = args.tmax if args.tmax is not None else args.periods * 2.0 * np.pi / omega
     damping = None if args.no_stabilize else fluid1d.SpectralDamping.tailored(
         grid, params, protect_modes=args.protect_modes)
-    run = fluid1d.evolve(state, params, t_end, dt=args.dt, damping=damping,
-                         probe_mode=args.mode, sample_every=args.sample_every,
-                         steepening_limit=args.steepening_limit)
+    try:
+        run = fluid1d.evolve(state, params, t_end, dt=args.dt, damping=damping,
+                             probe_mode=args.mode, sample_every=args.sample_every,
+                             steepening_limit=args.steepening_limit)
+    except NumericalError as exc:
+        if args.no_stabilize:
+            exc.args = (f"{exc}; the stabilising filter is off (--no-stabilize), and without "
+                        f"it the closure's companion branch grows from rounding noise at any dt",)
+        raise
     cols = [("t", run.t)]
     for name in ("n", "u", "p", "Q"):
         cols.append((f"{name}_mode_re", run.mode[name].real))

@@ -27,22 +27,25 @@ L y and the filter exactly through exp((L - rate) dt/2), computed in
 closed form once per run (``_half_step_exponential``), and samples only
 N at its four stages, with the potential re-solved at each.  The linear
 oscillations therefore set no time-step bound: ``auto_dt`` is the
-smaller of the advective bound safety dx / max(|u| + sqrt(3 p/(m n)))
-and the plasma-period bound safety / omega_p, and ``step`` raises
+smaller of the advective bound 0.4 dx / max(|u| + sqrt(3 p/(m n))) and
+the plasma-period bound 0.4 / omega_p, and ``step`` raises
 ``CFLViolationError`` (CLI exit 3) for a dt above it.
 
-State layout: the four fields are the rows (n, u, p, Q) of one ``(4, N)``
-array, ``FluidState1D.fields``, and ``rhs`` returns its derivative in the
-same layout.  Every FFT is batched along the last axis: a step makes 12
+State layout: a state is one ``(4, N)`` array, ``FluidState1D.fields``,
+whose rows are (n, u, p, Q); ``rhs`` returns its derivative in the same
+layout.  Every FFT is batched along the last axis: a step makes 12
 transforms (per stage an irfft of the four derivatives and an rfft of the
 products, per later stage an irfft of its fields, and an irfft of the new
-state).  A state keeps its spectrum (``FluidState1D.spectrum``), which the
-next step, the probe record and the steepening check reuse.
-``Grid1D.k`` and ``Grid1D.dealias_mask`` are computed once per grid.
+state).  A state carries its spectrum (``FluidState1D.spectrum``): the
+constructor computes it, except that ``step`` passes the one it already
+has for each stage state and the new state.  The next step, the probe
+record and the steepening check reuse it.  ``Grid1D.k`` and
+``Grid1D.dealias_mask`` are computed once per grid.
 
 ``evolve`` rejects a run length, time step, sample interval, probe mode
 or steepening limit outside its domain, ``SpectralDamping.tailored`` a
-negative protected band and ``Grid1D`` a length outside (0, inf), with
+negative protected band, ``eigenmode_state`` a mode whose predicted
+frequency is not finite and ``Grid1D`` a length outside (0, inf), with
 ``ConfigError`` (CLI exit 2) before any step.
 
 Stability note: the closure supports a non-oscillatory growing branch at
@@ -50,7 +53,7 @@ every wavenumber with rate increasing with k (see
 ``dispersion.companion_growth_rate``), which makes long runs on fine
 grids blow up from rounding noise alone.  ``SpectralDamping.tailored``
 builds a per-mode filter that damps modes above a protected band at that
-growth rate plus a margin.  The filter multiplies each field's spectrum
+growth rate plus 2 omega_p.  The filter multiplies each field's spectrum
 by the same real factor, which shifts every linear eigenvalue by a real
 constant and therefore leaves oscillation frequencies exactly unchanged.
 """
@@ -58,7 +61,7 @@ constant and therefore leaves oscillation frequencies exactly unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -130,65 +133,42 @@ class Grid1D:
 # row order of FluidState1D.fields and of the array rhs returns
 FIELDS = ("n", "u", "p", "Q")
 
-# default safety factor of the time-step bounds in auto_dt
+# factor on the advective and plasma-period time-step bounds in auto_dt
 _SAFETY = 0.4
+# damping above the companion growth rate in SpectralDamping.tailored, in omega_p
+_MARGIN = 2.0
+# relative tolerance on mean(n) = n0 in solve_poisson
+_MEAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluidState1D:
     """Periodic field snapshot (n, u, p, Q) at time t.
 
-    The fields are the rows of one ``(4, N)`` array, ``fields``, and
-    ``n``, ``u``, ``p``, ``Q`` are views of its rows.  The constructor
-    copies the four arrays into a new one; ``from_fields`` wraps an
-    existing array without a copy.  ``spectrum`` is their rfft, computed
-    once per state (``step`` hands it over with the new state).
+    ``fields`` is one ``(4, N)`` array with rows in ``FIELDS`` order, kept
+    as given (not copied); ``n``, ``u``, ``p`` and ``Q`` are read-only
+    views of its rows.  ``spectrum`` is its rfft along x, shape
+    (4, N/2 + 1), computed here unless the caller passes it, in which case
+    it must be the rfft of ``fields`` (``step`` passes the spectrum it
+    integrates).  Instances compare and hash by identity.
     """
 
     grid: Grid1D
-    n: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    Q: np.ndarray
+    fields: np.ndarray = field(repr=False)
     t: float = 0.0
-    fields: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in FIELDS:
-            arr = getattr(self, name)
-            if arr.shape != (self.grid.n_points,):
-                raise ConfigError(f"field {name!r} has shape {arr.shape}, "
-                                  f"expected ({self.grid.n_points},)")
-        self._bind(np.array([self.n, self.u, self.p, self.Q], dtype=float))
+        if self.fields.shape != (len(FIELDS), self.grid.n_points):
+            raise ConfigError(f"fields have shape {self.fields.shape}, "
+                              f"expected ({len(FIELDS)}, {self.grid.n_points})")
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", np.fft.rfft(self.fields))
 
-    @classmethod
-    def from_fields(cls, grid: Grid1D, fields: np.ndarray, t: float = 0.0,
-                    spectrum: np.ndarray | None = None) -> "FluidState1D":
-        """State whose rows n, u, p, Q are those of ``fields`` (not copied).
-
-        ``spectrum``, when given, must be the rfft of ``fields``; it is
-        kept as ``FluidState1D.spectrum`` instead of being recomputed.
-        """
-        if fields.shape != (len(FIELDS), grid.n_points):
-            raise ConfigError(f"fields have shape {fields.shape}, "
-                              f"expected ({len(FIELDS)}, {grid.n_points})")
-        state = object.__new__(cls)
-        object.__setattr__(state, "grid", grid)
-        object.__setattr__(state, "t", t)
-        state._bind(fields)
-        if spectrum is not None:
-            state.__dict__["spectrum"] = spectrum
-        return state
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """rfft of ``fields`` along x, shape (4, N/2 + 1) (computed once)."""
-        return np.fft.rfft(self.fields)
-
-    def _bind(self, fields: np.ndarray) -> None:
-        object.__setattr__(self, "fields", fields)
-        for name, row in zip(FIELDS, fields):
-            object.__setattr__(self, name, row)
+    n = property(lambda self: self.fields[0])
+    u = property(lambda self: self.fields[1])
+    p = property(lambda self: self.fields[2])
+    Q = property(lambda self: self.fields[3])
 
     def check(self) -> None:
         """Raise on vacuum (n <= 0) or non-finite fields."""
@@ -198,15 +178,14 @@ class FluidState1D:
             raise VacuumError(f"density reached n <= 0 at t = {self.t:.6g}")
 
 
-def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams,
-                  mean_tol: float = 1e-8) -> np.ndarray:
+def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams) -> np.ndarray:
     """Solve d2phi/dx2 = (e/eps0)(n - n0) spectrally, zero-mean gauge.
 
     The k = 0 mode of the source must vanish on a periodic domain, so
-    mean(n) must equal n0 to within ``mean_tol`` (relative).
+    mean(n) must equal n0 to within 1e-8 (relative).
     """
     mean_n = float(np.mean(n))
-    if abs(mean_n - params.n0) > mean_tol * params.n0:
+    if abs(mean_n - params.n0) > _MEAN_TOL * params.n0:
         raise NumericalError(
             f"Poisson solvability violated: mean(n) = {mean_n:.12g} vs n0 = {params.n0:.12g}")
     k = grid.k
@@ -249,18 +228,18 @@ def _apply(op: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return (op * spec).sum(axis=1)
 
 
-def _nonlinear(state: FluidState1D, spec: np.ndarray, params: PlasmaParams) -> np.ndarray:
+def _nonlinear(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     """Spectrum of the nonlinear remainder, rhs - L y, dealiased by the 2/3 rule.
 
-    ``spec`` is the spectrum of ``state.fields``.  With dn = n - n0 and
-    dp = p - p0 every term below is at least quadratic in the departure
-    from the uniform state.  One irfft of the four derivatives and one
-    rfft of the four products; ``state.check()`` runs first.
+    With dn = n - n0 and dp = p - p0 every term below is at least
+    quadratic in the departure from the uniform state.  One irfft of the
+    four derivatives (from ``state.spectrum``) and one rfft of the four
+    products; ``state.check()`` runs first.
     """
     state.check()
     g = state.grid
     n, u, p, Q = state.fields
-    dn_dx, du_dx, dp_dx, dQ_dx = np.fft.irfft(1j * g.k * spec, n=g.n_points)
+    dn_dx, du_dx, dp_dx, dQ_dx = np.fft.irfft(1j * g.k * state.spectrum, n=g.n_points)
     n0, m = params.n0, params.m
     p0 = n0 * params.kB * params.T0_par
     dn, dp = n - n0, p - p0
@@ -285,9 +264,8 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     from the current density.  The result is dealiased by the 2/3 rule so
     band-limited states stay band-limited.
     """
-    spec = state.spectrum
-    remainder = _nonlinear(state, spec, params)
-    linear = _apply(_linear_operator(state.grid, params), spec)
+    remainder = _nonlinear(state, params)
+    linear = _apply(_linear_operator(state.grid, params), state.spectrum)
     return np.fft.irfft(linear + remainder, n=state.grid.n_points)
 
 
@@ -311,22 +289,19 @@ class SpectralDamping:
 
     @classmethod
     def tailored(cls, grid: Grid1D, params: PlasmaParams,
-                 protect_modes: int = 1, margin: float | None = None) -> "SpectralDamping":
+                 protect_modes: int = 1) -> "SpectralDamping":
         """Damping matched to the closure's companion-branch growth rate.
 
         Modes 0..protect_modes are untouched; every higher mode is damped
-        at its own growth rate plus ``margin`` (default 2 omega_p), which
-        pins rounding-noise amplification at a bounded factor for runs of
+        at its own growth rate plus 2 omega_p, which pins rounding-noise amplification at a bounded factor for runs of
         tens of plasma periods.  Raises ``ConfigError`` when
         ``protect_modes`` is negative: mode 0 (the mean density) must not
         be damped.
         """
         if protect_modes < 0:
             raise ConfigError(f"protected band must be >= 0 modes, got {protect_modes!r}")
-        if margin is None:
-            margin = 2.0 * params.omega_p
         k = grid.k
-        rates = dispersion.companion_growth_rate(k, params) + margin
+        rates = dispersion.companion_growth_rate(k, params) + _MARGIN * params.omega_p
         rates[k <= protect_modes * grid.k_fundamental + 1e-12 * grid.k_fundamental] = 0.0
         return cls(rates=rates)
 
@@ -369,21 +344,20 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
-def auto_dt(state: FluidState1D, params: PlasmaParams, safety: float = _SAFETY) -> float:
+def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
     """Largest step ``step`` accepts: the advective and plasma-period bounds.
 
-    dt <= safety * dx / max(|u| + sqrt(3 p / (m n))) and
-    dt <= safety / omega_p.  The linear oscillations, however fast at
+    dt <= 0.4 dx / max(|u| + sqrt(3 p / (m n))) and dt <= 0.4 / omega_p.  The linear oscillations, however fast at
     high k, are integrated exactly and set no bound.
     """
     g = state.grid
     speed = float(np.max(np.abs(state.u) + np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))))
-    dt_adv = safety * g.dx / speed if speed > 0 else math.inf
-    return min(dt_adv, safety / params.omega_p)
+    dt_adv = _SAFETY * g.dx / speed if speed > 0 else math.inf
+    return min(dt_adv, _SAFETY / params.omega_p)
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
-         damping: SpectralDamping | None = None, safety: float = _SAFETY) -> FluidState1D:
+         damping: SpectralDamping | None = None) -> FluidState1D:
     """Advance one Lawson (integrating-factor) RK4 step on the spectrum.
 
     With E = exp((L - rate) dt/2) from ``_half_step_exponential`` and the
@@ -405,7 +379,7 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
     Raises ``CFLViolationError`` (with a suggested dt) when the requested
     step exceeds ``auto_dt`` for the current state.
     """
-    limit = auto_dt(state, params, safety)
+    limit = auto_dt(state, params)
     if dt > limit * (1.0 + 1e-12):
         raise CFLViolationError(
             f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
@@ -415,19 +389,17 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
     E = _half_step_exponential(g, params, damping, dt)
 
     def remainder(spec, t):
-        stage = FluidState1D.from_fields(g, np.fft.irfft(spec, n=g.n_points), t=t)
-        return _nonlinear(stage, spec, params)
+        return _nonlinear(FluidState1D(g, np.fft.irfft(spec, n=g.n_points), t, spec), params)
 
     y = state.spectrum
-    k1 = _nonlinear(state, y, params)
+    k1 = _nonlinear(state, params)
     Ey, Ek1 = _apply(E, y), _apply(E, k1)
     k2 = remainder(Ey + (0.5 * dt) * Ek1, state.t + 0.5 * dt)
     k3 = remainder(Ey + (0.5 * dt) * k2, state.t + 0.5 * dt)
     k4 = remainder(_apply(E, Ey + dt * k3), state.t + dt)
     spec = _apply(E, Ey + (dt / 6.0) * (Ek1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
 
-    new = FluidState1D.from_fields(g, np.fft.irfft(spec, n=g.n_points),
-                                   t=state.t + dt, spectrum=spec)
+    new = FluidState1D(g, np.fft.irfft(spec, n=g.n_points), state.t + dt, spec)
     new.check()
     return new
 
@@ -483,7 +455,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if dt is None:
         limit = auto_dt(state, params)
         dt_bound = "plasma" if limit == _SAFETY / params.omega_p else "advective"
-        # margin below the instantaneous bound so mild nonlinear drift of
+        # stay below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
         dt = 0.75 * limit
     else:
@@ -524,9 +496,8 @@ def uniform_state(grid: Grid1D, params: PlasmaParams,
     """Spatially uniform equilibrium (an exact fixed point of the dynamics)."""
     if p0 is None:
         p0 = params.n0 * params.kB * params.T0_par
-    N = grid.n_points
-    return FluidState1D(grid, np.full(N, params.n0), np.zeros(N),
-                        np.full(N, p0), np.zeros(N))
+    return FluidState1D(grid, np.full((len(FIELDS), grid.n_points),
+                                      [[params.n0], [0.0], [p0], [0.0]]))
 
 
 def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: float,
@@ -537,15 +508,16 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
     n and p perturbations scale with n0 (``amplitude`` is relative);
     u and Q take ``amplitude`` in raw units.
     """
-    base = uniform_state(grid, params, p0)
+    base = uniform_state(grid, params, p0).fields
     profile = np.cos(mode * grid.k_fundamental * grid.x)
-    updates = {}
+    rows = list(base)
     for name in fields:
         if name not in FIELDS:
             raise ConfigError(f"unknown field {name!r} in perturbation spec")
+        i = FIELDS.index(name)
         scale = params.n0 if name in ("n", "p") else 1.0
-        updates[name] = getattr(base, name) + amplitude * scale * profile
-    return replace(base, **updates)
+        rows[i] = base[i] + amplitude * scale * profile
+    return FluidState1D(grid, np.array(rows))
 
 
 def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
@@ -559,13 +531,19 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
         p1 = m n0 (omega^2 - wp^2) u1 / (omega k),
         Q1 = (omega p1 - 3 p0 k u1) / k.
 
-    ``amplitude`` A is the relative density perturbation.
+    ``amplitude`` A is the relative density perturbation.  Raises
+    ``ConfigError`` when omega is not finite (a domain too short for the
+    mode).
     """
     if mode < 1:
         raise ConfigError("mode number must be >= 1")
     k = mode * grid.k_fundamental
     wp = params.omega_p
-    om = math.sqrt(float(dispersion.general_omega_sq(k, params)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = math.sqrt(float(dispersion.general_omega_sq(k, params)))
+    if not math.isfinite(om):
+        raise ConfigError(f"predicted omega at mode {mode} is not finite ({om!r}) "
+                          f"on a domain of length {grid.length!r}")
     p0 = params.n0 * params.kB * params.T0_par
 
     n1 = amplitude * params.n0
@@ -573,10 +551,8 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
     p1 = params.m * params.n0 * (om**2 - wp**2) * u1 / (om * k)
     Q1 = (om * p1 - 3.0 * p0 * k * u1) / k
 
-    c = np.cos(k * grid.x)
-    base = uniform_state(grid, params, p0)
-    return replace(base, n=base.n + n1 * c, u=base.u + u1 * c,
-                   p=base.p + p1 * c, Q=base.Q + Q1 * c)
+    uniform = uniform_state(grid, params, p0).fields
+    return FluidState1D(grid, uniform + np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)))
 
 
 def measure_frequency(t: np.ndarray, y: np.ndarray,

@@ -51,7 +51,7 @@ class OdeResult:
 
 def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
                        rtol: float = 1e-9, atol: float = 1e-12,
-                       sample_points=None, max_step: float = math.inf,
+                       sample_points=None,
                        halt_on: tuple[type, ...] = ()) -> OdeResult:
     """Integrate y' = f(x, y) from x0 to x_end (x_end > x0).
 
@@ -98,7 +98,7 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     d1 = math.sqrt(float(np.mean((k0 / scale0) ** 2)))
     h = 1e-3 / d1 if d1 > 0 else 0.01 * span
     # floor the guess: a zero initial state must not stall the controller
-    h = min(max(h, 1e-8 * span, 64.0 * min_step(x0)), max_step, span)
+    h = min(max(h, 1e-8 * span, 64.0 * min_step(x0)), span)
 
     K = np.empty((7, dim))
     K[0] = k0

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _DET_RTOL = 1e-12
+_EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
 _STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
 
 
@@ -96,24 +97,23 @@ class TravelingState:
         return np.array([self.u, self.p, self.Q, self.phi, self.psi])
 
 
-def wave_frame_config(H: float, u0: float = 1.0, v: float = 0.0,
-                      n0: float = 1.0) -> WaveFrameConfig:
+def wave_frame_config(H: float, u0: float = 1.0, v: float = 0.0) -> WaveFrameConfig:
     """Nondimensional wave-frame setup with a single quantum knob H.
 
-    Uses the nondimensional preset (wp = sqrt(n0)); hbar is chosen so
-    that hbar wp / (m u0^2) equals H exactly.
+    Uses the nondimensional preset (n0 = wp = 1); hbar is chosen so that
+    hbar wp / (m u0^2) equals H exactly.
     """
     if H < 0.0:
         raise ConfigError("quantum parameter H must be non-negative")
-    base = nondimensional(n0=n0)
+    base = nondimensional()
     return WaveFrameConfig(v=v, u0=u0,
                            params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
 
 
-def density(u: float, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> float:
+def density(u: float, cfg: WaveFrameConfig) -> float:
     """Derived density n = n0 u0 / (u - v); the exact continuity integral."""
     w = u - cfg.v
-    if abs(w) <= eps_sonic * abs(cfg.u0):
+    if abs(w) <= _EPS_SONIC * abs(cfg.u0):
         raise SonicSingularityError(f"frame-relative velocity vanished (u - v = {w:.3e})")
     n = cfg.params.n0 * cfg.u0 / w
     if n <= 0.0:
@@ -141,7 +141,7 @@ def _field_response(u: float, p: float, Q: float, n: float,
     return (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
 
 
-def traveling_rhs(y, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> np.ndarray:
+def traveling_rhs(y, cfg: WaveFrameConfig) -> np.ndarray:
     """Derivatives (u', p', Q', phi', psi') at state vector y.
 
     Raises ``SonicSingularityError`` when |u - v| collapses or the 3x3
@@ -149,7 +149,7 @@ def traveling_rhs(y, cfg: WaveFrameConfig, eps_sonic: float = 1e-9) -> np.ndarra
     """
     u, p, Q, phi, psi = np.asarray(y, dtype=float).tolist()
     par = cfg.params
-    n = density(u, cfg, eps_sonic)
+    n = density(u, cfg)
     du, dp, dQ = _field_response(u, p, Q, n, cfg)
     b0 = (par.e / par.m) * psi
     return np.array([b0 * du, b0 * dp, b0 * dQ, psi,
@@ -207,8 +207,7 @@ class Trajectory:
 
 
 def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
-              tol: float = 1e-9, n_samples: int = 2048,
-              eps_sonic: float = 1e-9) -> Trajectory:
+              tol: float = 1e-9, n_samples: int = 2048) -> Trajectory:
     """Integrate the wave-frame system over xi in [initial.xi, xi_max].
 
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
@@ -222,7 +221,7 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
     res: OdeResult = integrate_adaptive(
-        lambda xi, y: traveling_rhs(y, cfg, eps_sonic),
+        lambda xi, y: traveling_rhs(y, cfg),
         y0, xi_max, x0=initial.xi, rtol=tol, atol=atol,
         sample_points=samples, halt_on=(SonicSingularityError,))
     u = res.y[:, 0]
@@ -263,7 +262,7 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
 
     ``config_for(H)`` must build a WaveFrameConfig for a given H; the
     bracket must classify differently at its ends.  A singular Jacobian
-    evaluation (the sonic point reaches the equilibrium at marginality)
+    evaluation (the sonic point reaches the equilibrium at the threshold)
     counts as the unstable side.  Raises ``ConfigError`` unless
     0 < tol < inf; the bisection also ends when the bracket cannot be
     halved any further in floating point.

@@ -57,6 +57,9 @@ __all__ = [
 
 _NORM_TOL = 1e-8
 _BOUNDARY_DECAY = 1e-10
+# ceiling on the analytic transform's workspace: the folded G (complex,
+# (n_s/2) x len(x)) plus the cosine and sine of the phase (len(v) x n_s/2)
+_MAX_WORKSPACE_MIB = 256
 
 
 def analytic_wigner(x_bar, v_bar, t_bar):
@@ -168,10 +171,12 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
 
     With an analytic amplitude attached the integrand is evaluated on a
     dedicated s grid sized from the packet's coherence width and the
-    output positions may be arbitrary.  For purely tabulated data the
-    products use even lattice shifts (x +- j dx on-grid), the output
-    positions are the grid points, and the requested velocities must stay
-    below the lattice Nyquist limit pi hbar / (2 m dx).
+    output positions may be arbitrary; ``ConfigError`` is raised before
+    any allocation when that grid's workspace would exceed 256 MiB.  For
+    purely tabulated data the products use even lattice shifts
+    (x +- j dx on-grid), the output positions are the grid points, and the
+    requested velocities must stay below the lattice Nyquist limit
+    pi hbar / (2 m dx).
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
@@ -184,9 +189,18 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
             raise ConfigError("transform needs at least one position")
         s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
         # resolve the fastest kernel oscillation with ~8 points per cycle
-        kappa = float(np.max(np.abs(v))) * m / hbar
+        v_max = float(np.max(np.abs(v)))
+        kappa = v_max * m / hbar
         ds = min(wfg.dx, 0.8 / max(kappa, 1.0 / s_half))
-        n_s = int(2.0 * s_half / ds) | 1  # odd: symmetric grid including s = 0
+        nodes = 2.0 * s_half / ds
+        # 16 bytes per folded node and output point of G and of cos/sin(phase)
+        workspace_mib = 8.0 * nodes * (x.size + v.size) / 2**20
+        if not workspace_mib <= _MAX_WORKSPACE_MIB:
+            raise ConfigError(
+                f"transform for |v| up to {v_max:.4g} needs {nodes:.4g} s nodes "
+                f"and a {workspace_mib:.4g} MiB workspace, above the "
+                f"{_MAX_WORKSPACE_MIB} MiB limit; narrow the velocity range or the output grid")
+        n_s = int(nodes) | 1  # odd: symmetric grid including s = 0
         s = np.linspace(-s_half, s_half, n_s)
         ds = s[1] - s[0]
         s = s[n_s // 2:]  # the centre node (s = 0 up to rounding) and the nodes above it

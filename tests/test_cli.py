@@ -99,6 +99,16 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
     assert code == 3
 
 
+def test_unfiltered_fluid_failure_names_the_filter(tmp_path, capsys):
+    # without the filter the companion branch grows from rounding noise at
+    # any dt, so the message must point at --no-stabilize, not at dt alone
+    assert run(tmp_path, ["fluid", "--no-stabilize", "-o", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "--no-stabilize" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tw_run_reproduces_reference_oscillations(tmp_path):
     code = run(tmp_path, ["tw", "run", "--H", "1", "--xi-max", "30",
                           "-o", "tw.csv"])
@@ -211,6 +221,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["fluid", "--length", "1e-300"],
     ["response", "--dphi", "nan"],
     ["response", "--dphi", "inf"],
+    ["wigner", "--v-max", "1000", "--times", "6"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2

@@ -225,6 +225,38 @@ def test_oscillation_wavenumber_lies_on_dispersion_branch(v, H):
     assert om_sq == pytest.approx((cfg.u0 * kappa) ** 2, rel=1e-6)
 
 
+def orbit_period(cfg, density_ratio, tol=1e-12):
+    """Period of the orbit launched at ``density_ratio``: the second zero of psi.
+
+    Located from the sampled crossing over 1.5 linear periods and refined
+    by Newton steps with psi' = (e/eps0)(n - n0).
+    """
+    par = cfg.params
+    start = reference_oscillation_state(cfg, density_ratio=density_ratio)
+    span = 3.0 * math.pi / abs(equilibrium_eigenvalues(cfg)[3])
+    coarse = integrate(start, cfg, span, tol=tol, n_samples=600)
+    xi, psi = coarse.xi, coarse.psi
+    i = np.nonzero(np.sign(psi[1:]) * np.sign(psi[:-1]) < 0)[0][1]
+    period = xi[i] - psi[i] * (xi[i + 1] - xi[i]) / (psi[i + 1] - psi[i])
+    for _ in range(3):
+        end = integrate(start, cfg, period, tol=tol, n_samples=1)
+        period -= end.psi[-1] / ((par.e / par.eps0) * (end.n[-1] - par.n0))
+    return period
+
+
+@pytest.mark.parametrize("H", [0.5, 1.0, 1.5])
+def test_small_amplitude_orbit_period_tends_to_linear_period(H):
+    # L |lambda| / 2 pi - 1 measured: 0.0045, 0.0055, 0.0093 at density
+    # ratio 0.999 for H = 0.5, 1, 1.5 (bound 0.012, margin >= 1.3x), and
+    # 9.7-9.9 times that at 0.99 (bound |ratio - 10| < 0.5): the deviation
+    # is linear in the launch amplitude, so it vanishes as the amplitude does
+    cfg = wave_frame_config(H=H)
+    linear = 2.0 * math.pi / abs(equilibrium_eigenvalues(cfg)[3])
+    near, far = (orbit_period(cfg, ratio) / linear - 1.0 for ratio in (0.999, 0.99))
+    assert 0.0 < near < 0.012
+    assert abs(far / near - 10.0) < 0.5
+
+
 def test_oscillation_wavenumber_independent_of_frame_speed():
     kappas = []
     for v in (0.0, 1.3):
