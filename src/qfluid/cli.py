@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dispersion, fluid1d, linear_response, moments, traveling, wigner
 from .csvio import write_csv
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, SonicSingularityError
 from .params import PlasmaParams, load_params_config, nondimensional, si_electron
 
 __all__ = ["main", "build_parser"]
@@ -141,6 +141,8 @@ def _cmd_tw_run(args, command: str) -> None:
         cfg, density_ratio=args.density_ratio, p0_scale=args.p0_scale)
     traj = traveling.integrate(start, cfg, args.xi_max, tol=args.tol,
                                n_samples=args.samples)
+    if len(traj.xi) == 1:
+        raise SonicSingularityError(f"no step from the launch state: {traj.halt_reason}")
     comments = ()
     if not traj.completed:
         comments = (f"halted: {traj.halt_reason}",)
@@ -191,13 +193,15 @@ def _cmd_wigner(args, command: str) -> None:
         raise ConfigError("--nx and --nv must be at least 1")
     x_bar = np.linspace(-args.x_max, args.x_max, args.nx)
     v_bar = np.linspace(-args.v_max, args.v_max, args.nv)
+    # every panel is computed (and so validated) before the first is written
+    panels = []
     for t_bar in times:
         # rescaled units: sigma = m = hbar = 1, so x = x_bar, v = v_bar, t = t_bar
-        half_width = max(args.x_max + 2.0, 8.0 * float(np.sqrt(1.0 + t_bar**2)))
+        half_width = max(args.x_max + 2.0, 8.0 * math.sqrt(1.0 + t_bar * t_bar))
         wfg = wigner.evolve_free_gaussian(1.0, t_bar, half_width, n_points=args.npsi)
-        table = wigner.wigner_transform(wfg, v=v_bar, x=x_bar)
-        _, _, f_bar = table.rescaled(1.0)
-        X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
+        panels.append(wigner.wigner_transform(wfg, v=v_bar, x=x_bar).rescaled(1.0)[2])
+    X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
+    for t_bar, f_bar in zip(times, panels):
         path = args.output if len(times) == 1 else _suffixed(args.output, f"_t{t_bar:g}")
         write_csv(path, [("x_bar", X.ravel()), ("v_bar", V.ravel()),
                          ("f_bar", f_bar.T.ravel())],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,15 +65,18 @@ _STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
 
 @dataclass(frozen=True)
 class WaveFrameConfig:
-    """Frame speed v, reference velocity u0 (nonzero), and plasma parameters."""
+    """Frame speed v (finite), reference velocity u0 (0 < u0^2 < inf), and
+    plasma parameters."""
 
     v: float
     u0: float
     params: PlasmaParams
 
     def __post_init__(self):
-        if self.u0 == 0.0:
-            raise ConfigError("reference velocity u0 must be nonzero")
+        if not 0.0 < self.u0 * self.u0 < math.inf:
+            raise ConfigError(f"reference velocity u0 needs 0 < u0^2 < inf, got {self.u0!r}")
+        if not math.isfinite(self.v):
+            raise ConfigError(f"frame speed v must be finite, got {self.v!r}")
 
     @property
     def H(self) -> float:
@@ -103,11 +106,11 @@ def wave_frame_config(H: float, u0: float = 1.0, v: float = 0.0) -> WaveFrameCon
     Uses the nondimensional preset (n0 = wp = 1); hbar is chosen so that
     hbar wp / (m u0^2) equals H exactly.
     """
-    if H < 0.0:
-        raise ConfigError("quantum parameter H must be non-negative")
+    if not 0.0 <= H < math.inf:
+        raise ConfigError(f"quantum parameter H must be finite and non-negative, got {H!r}")
     base = nondimensional()
-    return WaveFrameConfig(v=v, u0=u0,
-                           params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
+    cfg = WaveFrameConfig(v=v, u0=u0, params=base)   # checks u0 and v first
+    return replace(cfg, params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
 
 
 def density(u: float, cfg: WaveFrameConfig) -> float:
@@ -125,17 +128,21 @@ def _field_response(u: float, p: float, Q: float, n: float,
                     cfg: WaveFrameConfig) -> tuple[float, float, float]:
     """(u', p', Q') per unit (e/m) psi, by Cramer's rule (module docstring).
 
-    Raises ``SonicSingularityError`` when |det| <= _DET_RTOL ||M||_inf^3.
+    Raises ``SonicSingularityError`` when |det| <= _DET_RTOL ||M||_inf^3,
+    which includes a ||M||_inf^3 that overflows.  Powers are written as
+    products: a Python float ``**`` raises ``OverflowError`` where ``*``
+    gives inf.
     """
     par = cfg.params
     w = u - cfg.v
     A = 1.0 / (par.m * n)
-    hq = (par.e * par.hbar) ** 2 * n**2 / (4.0 * par.m**2 * par.eps0)
+    eh = par.e * par.hbar
+    hq = eh * eh * (n * n) / (4.0 * (par.m * par.m) * par.eps0)
     c = 4.0 * Q - hq / w
     d = -3.0 * p * A
-    det = w**3 + c * A
+    det = w * w * w + c * A
     norm = max(abs(w) + A, 3.0 * abs(p) + abs(w) + 1.0, abs(c) + abs(d) + abs(w))
-    if abs(det) <= _DET_RTOL * norm**3:
+    if abs(det) <= _DET_RTOL * (norm * norm * norm):
         raise SonicSingularityError(
             f"derivative system singular at u = {u:.9g} (det = {det:.3e})")
     return (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
@@ -169,8 +176,11 @@ def reference_oscillation_state(cfg: WaveFrameConfig,
     n(0) = density_ratio * n0 (so u(0) - v = u0 / density_ratio),
     p(0) = p0_scale * m n0 u0^2, Q(0) = phi(0) = phi'(0) = 0.
     """
-    if not 0.0 < density_ratio:
-        raise ConfigError("density ratio must be positive")
+    if not (0.0 < density_ratio and math.isfinite(cfg.u0 / density_ratio)):
+        raise ConfigError(f"density ratio must be positive with u0 / ratio finite, "
+                          f"got {density_ratio!r}")
+    if not math.isfinite(p0_scale):
+        raise ConfigError(f"pressure scale must be finite, got {p0_scale!r}")
     par = cfg.params
     return TravelingState(
         xi=0.0,
@@ -181,8 +191,9 @@ def reference_oscillation_state(cfg: WaveFrameConfig,
 
 @dataclass
 class Trajectory:
-    """Sampled wave-frame trajectory with derived density and field, and
-    the integrator's accepted (``n_steps``) and rejected step counts."""
+    """Sampled wave-frame trajectory with derived density and field, the
+    integrator's accepted (``n_steps``) and rejected step counts, and its
+    number of ``traveling_rhs`` evaluations (``n_rhs``)."""
 
     xi: np.ndarray
     u: np.ndarray
@@ -195,6 +206,7 @@ class Trajectory:
     cfg: WaveFrameConfig
     n_steps: int
     n_rejected: int
+    n_rhs: int
 
     @property
     def completed(self) -> bool:
@@ -212,9 +224,11 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
 
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
     singularity the partial trajectory is returned with the halt reason.
-    Raises ``ConfigError`` unless n_samples >= 1 (and, from the
-    integrator, 0 < tol < inf).
+    Raises ``ConfigError`` unless initial.xi < xi_max < inf and
+    n_samples >= 1 (and, from the integrator, 0 < tol < inf).
     """
+    if not initial.xi < xi_max < math.inf:
+        raise ConfigError(f"need a finite xi_max > {initial.xi!r}, got {xi_max!r}")
     if n_samples < 1:
         raise ConfigError(f"need at least one sample interval, got {n_samples!r}")
     y0 = initial.vector()
@@ -229,7 +243,8 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     return Trajectory(xi=res.x, u=u, p=res.y[:, 1], Q=res.y[:, 2],
                       phi=res.y[:, 3], psi=res.y[:, 4], n=n,
                       halt_reason=res.halt_reason, cfg=cfg,
-                      n_steps=res.n_steps, n_rejected=res.n_rejected)
+                      n_steps=res.n_steps, n_rejected=res.n_rejected,
+                      n_rhs=res.n_rhs)
 
 
 def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None) -> np.ndarray:

@@ -125,8 +125,9 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float, n_points: int = 2
         raise ConfigError(f"time must be finite and non-negative, got {t!r}")
     if n_points < 2:
         raise ConfigError(f"wavefunction grid needs at least 2 points, got {n_points}")
-    if not (sigma > 0.0 and x_max > 0.0):
-        raise ConfigError("sigma and x_max must be positive")
+    if not (0.0 < sigma < math.inf and 0.0 < x_max < math.inf):
+        raise ConfigError(f"sigma and x_max must be finite and positive, "
+                          f"got sigma = {sigma!r}, x_max = {x_max!r}")
     x = np.linspace(-x_max, x_max, n_points)
     psi = gaussian_packet(x, t, sigma, m, hbar)
     peak = float(np.max(np.abs(psi)))

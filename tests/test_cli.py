@@ -222,6 +222,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["response", "--dphi", "nan"],
     ["response", "--dphi", "inf"],
     ["wigner", "--v-max", "1000", "--times", "6"],
+    ["wigner", "--times", "0,-1", "--nx", "8", "--nv", "8"],
+    ["wigner", "--times", "0,6", "--v-max", "1000"],
+    ["wigner", "--times", "0,6", "--v-max", "40000", "--nx", "1", "--nv", "1"],
+    ["wigner", "--times", "1e200", "--nx", "8", "--nv", "8"],
+    ["tw", "run", "--v", "nan"],
+    ["tw", "run", "--u0", "nan"],
+    ["tw", "run", "--p0-scale", "nan"],
+    ["tw", "run", "--u0", "1e200"],
+    ["tw", "run", "--xi-max", "inf"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
@@ -229,6 +238,25 @@ def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert "configuration error" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw", "run", "--p0-scale", "1e200"],
+    ["tw", "run", "--density-ratio", "1e-300"],
+], ids=" ".join)
+def test_singular_launch_state_exits_3_without_traceback(tmp_path, capsys, argv):
+    # the derivative matrix's norm cubed overflows: singular at the launch point
+    assert run(tmp_path, argv + ["-o", "out.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "no step from the launch state" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_infinite_xi_max_is_named_without_warnings(tmp_path, capsys, recwarn):
+    assert run(tmp_path, ["tw", "run", "--xi-max", "inf", "-o", "out.csv"]) == 2
+    assert "xi_max" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tiny_fluid_domain_is_named_in_the_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfluid.errors import ConfigError
+from qfluid.errors import ConfigError, StepUnderflowError
 from qfluid.ode import integrate_adaptive
 
 
@@ -22,6 +22,24 @@ def test_harmonic_oscillator_samples_hit_exactly():
     assert np.array_equal(res.x, samples)
     assert np.allclose(res.y[:, 0], np.cos(samples), atol=1e-8)
     assert res.y[-1, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_five_dimensional_linear_system_matches_closed_form():
+    # two rotations at different rates and one decay, each exact in closed form
+    w1, w2, lam = 1.0, 2.7, 0.3
+    y0 = np.array([1.0, 0.5, -0.3, 2.0, 1.5])
+    samples = np.linspace(0.0, 10.0, 41)
+    res = integrate_adaptive(
+        lambda x, y: np.array([w1 * y[1], -w1 * y[0], w2 * y[3], -w2 * y[2], -lam * y[4]]),
+        y0, 10.0, rtol=1e-13, atol=1e-16, sample_points=samples)
+    c1, s1 = np.cos(w1 * samples), np.sin(w1 * samples)
+    c2, s2 = np.cos(w2 * samples), np.sin(w2 * samples)
+    exact = np.stack([y0[0] * c1 + y0[1] * s1, y0[1] * c1 - y0[0] * s1,
+                      y0[2] * c2 + y0[3] * s2, y0[3] * c2 - y0[2] * s2,
+                      y0[4] * np.exp(-lam * samples)], axis=1)
+    assert res.completed and np.array_equal(res.x, samples)
+    # the rotating components cross zero, so the floor is relative to their amplitude
+    np.testing.assert_allclose(res.y, exact, rtol=1e-11, atol=1e-11 * np.max(np.abs(y0)))
 
 
 def test_tolerance_controls_error():
@@ -48,6 +66,21 @@ def test_fsal_costs_six_calls_per_step_attempt():
     assert res.completed and res.n_steps > 0 and res.n_rejected > 0
     # one call for the initial step guess, six per accepted or rejected attempt
     assert calls == 1 + 6 * (res.n_steps + res.n_rejected)
+    assert res.n_rhs == calls
+
+
+def test_non_finite_rhs_ends_in_step_underflow():
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            pytest.fail("the controller keeps retrying a nan error estimate")
+        return np.array([math.nan])
+
+    with pytest.raises(StepUnderflowError):
+        integrate_adaptive(f, np.array([1.0]), 1.0)
 
 
 class Boom(RuntimeError):
@@ -60,9 +93,17 @@ def test_halting_exception_returns_partial():
             raise Boom(f"wall at x = {x:.3f}")
         return np.array([1.0])
 
-    res = integrate_adaptive(f, np.array([0.0]), 3.0, rtol=1e-8,
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return f(x, y)
+
+    res = integrate_adaptive(counted, np.array([0.0]), 3.0, rtol=1e-8,
                              sample_points=np.linspace(0, 3, 31), halt_on=(Boom,))
     assert not res.completed
+    assert res.n_rhs == calls   # including the calls that raised
     assert "wall" in res.halt_reason
     assert 0.9 < res.x[-1] <= 1.0 + 1e-6
 
@@ -73,3 +114,8 @@ def test_invalid_spans_rejected():
     with pytest.raises(ConfigError):
         integrate_adaptive(lambda x, y: -y, np.array([1.0]), 1.0,
                            sample_points=np.array([0.0, 2.0]))
+
+
+def test_rhs_of_wrong_length_rejected():
+    with pytest.raises(ConfigError, match="3 components for a 2-component state"):
+        integrate_adaptive(lambda x, y: np.zeros(3), np.array([1.0, 0.0]), 1.0)

@@ -19,6 +19,30 @@ def test_config_validation_and_quantum_parameter():
     assert cfg.H == pytest.approx(1.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: wave_frame_config(H=math.nan),
+    lambda: wave_frame_config(H=math.inf),
+    lambda: wave_frame_config(H=1.0, v=math.nan),
+    lambda: wave_frame_config(H=1.0, u0=math.nan),
+    lambda: wave_frame_config(H=1.0, u0=1e200),    # u0^2 overflows
+    lambda: reference_oscillation_state(wave_frame_config(1.0), p0_scale=math.nan),
+    lambda: reference_oscillation_state(wave_frame_config(1.0), density_ratio=1e-310),
+    lambda: integrate(equilibrium_state(wave_frame_config(1.0), 1.0),
+                      wave_frame_config(1.0), xi_max=math.inf),
+], ids=["H nan", "H inf", "v nan", "u0 nan", "u0 1e200", "p0_scale nan",
+        "density_ratio 1e-310", "xi_max inf"])
+def test_non_finite_wave_frame_inputs_rejected(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+@pytest.mark.parametrize("y", [[1e300, 1.0, 0.0, 0.0, 0.0], [1.5, 1e200, 0.0, 0.0, 0.1]])
+def test_huge_state_is_singular_not_overflow(y):
+    # the cube of the matrix norm overflows: singular to within tolerance
+    with pytest.raises(SonicSingularityError):
+        traveling_rhs(np.array(y), wave_frame_config(H=1.0))
+
+
 def test_density_is_exact_continuity_integral():
     cfg = wave_frame_config(H=1.0)
     n = density(1.5, cfg)
@@ -299,5 +323,8 @@ def test_trajectory_field_accessor():
                        n_samples=4)
     for count in (coarse.n_steps, coarse.n_rejected):
         assert isinstance(count, int) and count > 0
+    # FSAL: one call for the step guess, six per attempt (no halts here)
+    for run in (traj, coarse):
+        assert run.n_rhs == 1 + 6 * (run.n_steps + run.n_rejected)
     assert traj.xi[0] == 0.0
     assert np.all(np.diff(traj.xi) > 0)
