@@ -79,19 +79,16 @@ def _cmd_response(args, command: str) -> None:
         raise ConfigError("response sweep requires --kmin > 0 (k = 0 carries no wave)")
     P0 = linear_response.anisotropic_dyad(params.n0, params.T0_perp, params.T0_par, params)
     if args.p_iso is not None:
+        if not 0.0 <= args.p_iso < math.inf:
+            raise ConfigError(f"--p-iso must be finite and non-negative, got {args.p_iso!r}")
         P0 = args.p_iso * np.eye(3)
-    rows = {name: [] for name in ("omega_sq", "dP_xx", "dP_yy", "dP_zz",
-                                  "dP_xy", "dP_xz", "dP_yz")}
-    for k in ks:
-        om2 = float(dispersion.general_omega_sq(k, params))
-        dP = linear_response.delta_P(linear_response.PerturbationInput(
-            k=float(k), omega_sq=om2, delta_phi=args.dphi, P0=P0, params=params))
-        rows["omega_sq"].append(om2)
-        for name, (i, j) in (("dP_xx", (0, 0)), ("dP_yy", (1, 1)), ("dP_zz", (2, 2)),
-                             ("dP_xy", (0, 1)), ("dP_xz", (0, 2)), ("dP_yz", (1, 2))):
-            rows[name].append(dP[i, j])
-    write_csv(args.output, [("k", ks)] + [(n, np.array(v)) for n, v in rows.items()],
-              command=command)
+    om2 = dispersion.general_omega_sq(ks, params)
+    dP = linear_response.delta_P(ks, om2, args.dphi, P0, params)
+    cols = [("k", ks), ("omega_sq", om2)] + [
+        (f"dP_{name}", dP[:, i, j]) for name, (i, j) in (
+            ("xx", (0, 0)), ("yy", (1, 1)), ("zz", (2, 2)),
+            ("xy", (0, 1)), ("xz", (0, 2)), ("yz", (1, 2)))]
+    write_csv(args.output, cols, command=command)
 
 
 def _cmd_fluid(args, command: str) -> None:
@@ -196,10 +193,11 @@ def _cmd_wigner(args, command: str) -> None:
     # every panel is computed (and so validated) before the first is written
     panels = []
     for t_bar in times:
-        # rescaled units: sigma = m = hbar = 1, so x = x_bar, v = v_bar, t = t_bar
+        # the wigner module works in hbar = m = 1; with sigma = 1 too, x = x_bar,
+        # v = v_bar, t = t_bar and f_bar = pi f
         half_width = max(args.x_max + 2.0, 8.0 * math.sqrt(1.0 + t_bar * t_bar))
         wfg = wigner.evolve_free_gaussian(1.0, t_bar, half_width, n_points=args.npsi)
-        panels.append(wigner.wigner_transform(wfg, v=v_bar, x=x_bar).rescaled(1.0)[2])
+        panels.append(np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f)
     X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
     for t_bar, f_bar in zip(times, panels):
         path = args.output if len(times) == 1 else _suffixed(args.output, f"_t{t_bar:g}")

@@ -72,8 +72,8 @@ def quantum_langmuir_omega_sq(k, params: PlasmaParams):
 
 def adiabatic_omega_sq(k, params: PlasmaParams, gamma: float):
     """Scalar-pressure adiabatic relation wp^2 + gamma (kB T0_par/m) k^2."""
-    if not gamma > 0.0:
-        raise ConfigError(f"adiabatic exponent must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ConfigError(f"adiabatic exponent must be positive and finite, got {gamma}")
     k = np.asarray(k, dtype=float)
     return params.omega_p**2 + gamma * params.vt2_par * k**2
 
@@ -121,11 +121,11 @@ def k_grid(k_min: float, k_max: float, n_points: int,
            log_spacing: bool = False) -> np.ndarray:
     """Uniform or log-uniform wavenumber grid on [k_min, k_max].
 
-    Raises ``ConfigError`` unless 0 <= k_min < k_max (k_min > 0 for log
-    spacing) and n_points >= 2.
+    Raises ``ConfigError`` unless 0 <= k_min < k_max < inf (k_min > 0 for
+    log spacing) and n_points >= 2.
     """
-    if not (0.0 <= k_min < k_max):
-        raise ConfigError(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
+    if not (0.0 <= k_min < k_max < np.inf):
+        raise ConfigError(f"need 0 <= k_min < k_max < inf, got [{k_min}, {k_max}]")
     if n_points < 2:
         raise ConfigError(f"n_points must be >= 2, got {n_points}")
     if log_spacing:

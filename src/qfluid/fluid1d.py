@@ -506,8 +506,11 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
     """Equilibrium plus a cosine perturbation on the named fields.
 
     n and p perturbations scale with n0 (``amplitude`` is relative);
-    u and Q take ``amplitude`` in raw units.
+    u and Q take ``amplitude`` in raw units.  Raises ``ConfigError`` for
+    a non-finite amplitude.
     """
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
     base = uniform_state(grid, params, p0).fields
     profile = np.cos(mode * grid.k_fundamental * grid.x)
     rows = list(base)
@@ -532,11 +535,13 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
         Q1 = (omega p1 - 3 p0 k u1) / k.
 
     ``amplitude`` A is the relative density perturbation.  Raises
-    ``ConfigError`` when omega is not finite (a domain too short for the
-    mode).
+    ``ConfigError`` for a non-finite amplitude and when omega is not
+    finite (a domain too short for the mode).
     """
     if mode < 1:
         raise ConfigError("mode number must be >= 1")
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
     k = mode * grid.k_fundamental
     wp = params.omega_p
     with np.errstate(over="ignore", invalid="ignore"):

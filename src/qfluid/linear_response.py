@@ -10,7 +10,8 @@ so the wave drives the zz component three times harder than the
 transverse ones even for an isotropic equilibrium, plus a quantum
 contribution: a propagating wave is itself a source of pressure
 anisotropy, which is why a scalar-pressure closure cannot be consistent
-here.
+here.  ``delta_P`` evaluates the formula on a whole k grid in one call:
+k and omega^2 broadcast, and the result has shape k.shape + (3, 3).
 
 Symmetrization convention used throughout the hierarchy: a bracketed
 index group is expanded as the minimal sum over permutations of the free
@@ -23,15 +24,12 @@ the general dispersion relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError
 from .params import PlasmaParams
 
 __all__ = [
-    "PerturbationInput",
     "delta_P",
     "delta_P_for_direction",
     "anisotropic_dyad",
@@ -41,39 +39,35 @@ __all__ = [
 _SYM_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PerturbationInput:
-    """Inputs for the pressure-dyad perturbation at one (k, omega^2) point."""
+def delta_P(k, omega_sq, delta_phi: float, P0: np.ndarray,
+            params: PlasmaParams) -> np.ndarray:
+    """First-order pressure perturbation tensor, shape ``k.shape + (3, 3)``.
 
-    k: float
-    omega_sq: float
-    delta_phi: float
-    P0: np.ndarray = field(repr=False)     # 3x3 symmetric equilibrium pressure
-    params: PlasmaParams = field(repr=False)
-
-    def __post_init__(self):
-        if not self.omega_sq > 0.0:
-            raise ConfigError(f"linear response requires omega^2 > 0, got {self.omega_sq}")
-        P0 = np.asarray(self.P0, dtype=float)
-        if P0.shape != (3, 3):
-            raise ConfigError(f"P0 must be 3x3, got shape {P0.shape}")
-        scale = max(float(np.max(np.abs(P0))), 1.0)
-        if np.max(np.abs(P0 - P0.T)) > _SYM_ATOL * scale:
-            raise ConfigError("P0 must be symmetric")
-        object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
-
-
-def delta_P(inp: PerturbationInput) -> np.ndarray:
-    """First-order pressure perturbation tensor (3x3, exactly symmetric).
-
-    Linear in delta_phi; for diagonal P0 the output stays diagonal.
+    ``k`` and ``omega_sq`` broadcast against each other; each 3x3 block is
+    exactly symmetric, linear in delta_phi, and diagonal for diagonal P0.
+    Raises ``ConfigError`` unless every omega^2 > 0 and P0 is a finite,
+    symmetric 3x3 matrix.
     """
-    p = inp.params
-    coeff = p.e * inp.delta_phi * inp.k**2 / (p.m * inp.omega_sq)
-    col_z = np.outer(inp.P0[:, 2], np.array([0.0, 0.0, 1.0]))
-    tensor = inp.P0 + col_z + col_z.T
-    tensor[2, 2] += p.n0 * p.hbar**2 * inp.k**2 / (4.0 * p.m)
-    return -coeff * tensor
+    k, omega_sq = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                      np.asarray(omega_sq, dtype=float))
+    bad = omega_sq[~(omega_sq > 0.0)]
+    if bad.size:
+        raise ConfigError(f"linear response requires omega^2 > 0, got {bad[0]}")
+    P0 = np.asarray(P0, dtype=float)
+    if P0.shape != (3, 3):
+        raise ConfigError(f"P0 must be 3x3, got shape {P0.shape}")
+    if not np.all(np.isfinite(P0)):
+        raise ConfigError("P0 must be finite")
+    scale = max(float(np.max(np.abs(P0))), 1.0)
+    if np.max(np.abs(P0 - P0.T)) > _SYM_ATOL * scale:
+        raise ConfigError("P0 must be symmetric")
+    P0 = 0.5 * (P0 + P0.T)
+    k2 = k * k
+    coeff = params.e * delta_phi * k2 / (params.m * omega_sq)
+    col_z = np.outer(P0[:, 2], [0.0, 0.0, 1.0])
+    tensor = np.broadcast_to(P0 + col_z + col_z.T, k.shape + (3, 3)).copy()
+    tensor[..., 2, 2] += params.n0 * params.hbar**2 * k2 / (4.0 * params.m)
+    return -coeff[..., None, None] * tensor
 
 
 def anisotropic_dyad(n: float, T_perp: float, T_par: float,
@@ -111,7 +105,5 @@ def delta_P_for_direction(k: float, omega_sq: float, delta_phi: float,
     the result rotated back.
     """
     R = rotation_to_z(khat)
-    inp = PerturbationInput(k=k, omega_sq=omega_sq, delta_phi=delta_phi,
-                            P0=R @ np.asarray(P0, dtype=float) @ R.T, params=params)
-    dP = delta_P(inp)
+    dP = delta_P(k, omega_sq, delta_phi, R @ np.asarray(P0, dtype=float) @ R.T, params)
     return R.T @ dP @ R

@@ -252,11 +252,14 @@ def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None) -> np
 
     Closed form (module docstring): three zeros and
     +-sqrt(J[u', psi] J[psi', u]), a purely imaginary pair for H < 2 and a
-    real pair for H > 2.
+    real pair for H > 2.  ``p0`` defaults to m n0 u0^2; ``ConfigError``
+    unless it is finite and non-negative.
     """
     par = cfg.params
     if p0 is None:
         p0 = par.m * par.n0 * cfg.u0**2
+    elif not 0.0 <= p0 < math.inf:
+        raise ConfigError(f"equilibrium pressure p0 must be finite and non-negative, got {p0!r}")
     eq = equilibrium_state(cfg, p0)
     j_u_psi = (par.e / par.m) * _field_response(eq.u, eq.p, eq.Q, density(eq.u, cfg), cfg)[0]
     j_psi_u = -(par.e / par.eps0) * par.n0 / cfg.u0
@@ -272,7 +275,7 @@ def classify_equilibrium(cfg: WaveFrameConfig, p0: float | None = None) -> str:
 
 
 def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
-                        p0: float | None = None, tol: float = 1e-6) -> float:
+                        tol: float = 1e-6) -> float:
     """Bisect the quantum parameter for loss of equilibrium stability.
 
     ``config_for(H)`` must build a WaveFrameConfig for a given H; the
@@ -287,7 +290,7 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
 
     def is_unstable(H: float) -> bool:
         try:
-            return classify_equilibrium(config_for(H), p0) == "unstable"
+            return classify_equilibrium(config_for(H)) == "unstable"
         except SonicSingularityError:
             return True
 

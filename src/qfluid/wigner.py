@@ -1,12 +1,14 @@
 """Free-particle Wigner evolution and the phase-space transform.
 
+The module works in units with hbar = m = 1; positions, velocities and
+times are in those units and the packet width sigma stays a parameter.
 A free Gaussian wave packet of initial width sigma spreads dispersively,
 yet its Wigner function does not spread at fixed velocity: in the
 rescaled variables
 
-    x_bar = x / sigma,  v_bar = m v sigma / hbar,  t_bar = hbar t / (m sigma^2),
+    x_bar = x / sigma,  v_bar = v sigma,  t_bar = t / sigma^2,
 
-the rescaled distribution f_bar = (pi hbar / m) f is exactly
+the rescaled distribution f_bar = pi f is exactly
 
     f_bar(x_bar, v_bar, t_bar) = exp[-(x_bar - v_bar t_bar)^2 - v_bar^2],
 
@@ -18,16 +20,14 @@ closed form, the exact analytic packet evolution
 
 and a numerical transform
 
-    f(x, v) = (m / 2 pi hbar) int ds exp(i m v s / hbar)
-              psi*(x + s/2) psi(x - s/2)
+    f(x, v) = (1 / 2 pi) int ds exp(i v s) psi*(x + s/2) psi(x - s/2)
 
 evaluated by direct quadrature on a symmetric s grid with arbitrary output
 velocities.  The integrand G(x, s) = psi*(x + s/2) psi(x - s/2) is
 Hermitian, G(x, -s) = conj G(x, s), which is why f is real; the sum is
 therefore folded onto s >= 0,
 
-    f = (m / 2 pi hbar) ds [G(x, 0) + 2 sum_{s > 0} (cos(m v s / hbar) Re G
-                                                    - sin(m v s / hbar) Im G)],
+    f = (ds / 2 pi) [G(x, 0) + 2 sum_{s > 0} (cos(v s) Re G - sin(v s) Im G)],
 
 which evaluates G on half the nodes and replaces one complex matrix
 product by two real ones.  When the wavefunction carries its analytic
@@ -69,19 +69,17 @@ def analytic_wigner(x_bar, v_bar, t_bar):
     return np.exp(-((x_bar - v_bar * t_bar) ** 2) - v_bar**2)
 
 
-def gaussian_packet(x, t: float, sigma: float = 1.0, m: float = 1.0,
-                    hbar: float = 1.0) -> np.ndarray:
+def gaussian_packet(x, t: float, sigma: float = 1.0) -> np.ndarray:
     """Exact free evolution of the width-sigma Gaussian initial state."""
     x = np.asarray(x, dtype=float)
-    t_bar = hbar * t / (m * sigma**2)
+    t_bar = t / sigma**2
     z = 1.0 + 1j * t_bar
     return (np.pi * sigma**2) ** (-0.25) / np.sqrt(z) * np.exp(-(x**2) / (2.0 * sigma**2 * z))
 
 
-def position_variance(t: float, sigma: float = 1.0, m: float = 1.0,
-                      hbar: float = 1.0) -> float:
+def position_variance(t: float, sigma: float = 1.0) -> float:
     """Packet position variance (sigma^2/2)(1 + t_bar^2)."""
-    t_bar = hbar * t / (m * sigma**2)
+    t_bar = t / sigma**2
     return 0.5 * sigma**2 * (1.0 + t_bar**2)
 
 
@@ -113,8 +111,8 @@ class WavefunctionGrid:
         return float(self.x[1] - self.x[0])
 
 
-def evolve_free_gaussian(sigma: float, t: float, x_max: float, n_points: int = 256,
-                         m: float = 1.0, hbar: float = 1.0) -> WavefunctionGrid:
+def evolve_free_gaussian(sigma: float, t: float, x_max: float,
+                         n_points: int = 256) -> WavefunctionGrid:
     """Exactly evolved Gaussian packet on a symmetric grid [-x_max, x_max].
 
     The grid must be wide enough that the boundary amplitude is below
@@ -129,7 +127,7 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float, n_points: int = 2
         raise ConfigError(f"sigma and x_max must be finite and positive, "
                           f"got sigma = {sigma!r}, x_max = {x_max!r}")
     x = np.linspace(-x_max, x_max, n_points)
-    psi = gaussian_packet(x, t, sigma, m, hbar)
+    psi = gaussian_packet(x, t, sigma)
     peak = float(np.max(np.abs(psi)))
     edge = max(abs(psi[0]), abs(psi[-1]))
     if edge > _BOUNDARY_DECAY * peak:
@@ -137,23 +135,16 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float, n_points: int = 2
             f"grid too narrow for t = {t:g}: boundary amplitude {edge / peak:.2e} "
             f"of peak exceeds {_BOUNDARY_DECAY:g}")
     return WavefunctionGrid(x=x, psi=psi,
-                            amplitude_fn=lambda xx: gaussian_packet(xx, t, sigma, m, hbar))
+                            amplitude_fn=lambda xx: gaussian_packet(xx, t, sigma))
 
 
 @dataclass
 class WignerTable:
-    """Tabulated transform f on an (x, v) product grid (raw, unrescaled)."""
+    """Tabulated transform f on an (x, v) product grid (raw; f_bar = pi f)."""
 
     x: np.ndarray
     v: np.ndarray
     f: np.ndarray              # shape (len(v), len(x))
-    m: float
-    hbar: float
-
-    def rescaled(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x_bar, v_bar, f_bar) with f_bar = (pi hbar / m) f."""
-        return (self.x / sigma, self.m * self.v * sigma / self.hbar,
-                (np.pi * self.hbar / self.m) * self.f)
 
 
 def _coherence_width(psi_grid: WavefunctionGrid) -> float:
@@ -166,8 +157,7 @@ def _coherence_width(psi_grid: WavefunctionGrid) -> float:
 
 
 def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
-                     x: np.ndarray | None = None,
-                     m: float = 1.0, hbar: float = 1.0) -> WignerTable:
+                     x: np.ndarray | None = None) -> WignerTable:
     """Numerical phase-space transform of a wavefunction.
 
     With an analytic amplitude attached the integrand is evaluated on a
@@ -177,7 +167,7 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
     purely tabulated data the products use even lattice shifts
     (x +- j dx on-grid), the output positions are the grid points, and the
     requested velocities must stay below the lattice Nyquist limit
-    pi hbar / (2 m dx).
+    pi / (2 dx).
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
@@ -191,8 +181,7 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
         s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
         # resolve the fastest kernel oscillation with ~8 points per cycle
         v_max = float(np.max(np.abs(v)))
-        kappa = v_max * m / hbar
-        ds = min(wfg.dx, 0.8 / max(kappa, 1.0 / s_half))
+        ds = min(wfg.dx, 0.8 / max(v_max, 1.0 / s_half))
         nodes = 2.0 * s_half / ds
         # 16 bytes per folded node and output point of G and of cos/sin(phase)
         workspace_mib = 8.0 * nodes * (x.size + v.size) / 2**20
@@ -211,7 +200,7 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
         if x is not None:
             raise ConfigError("tabulated-data transform evaluates on the wavefunction grid only")
         x = wfg.x
-        v_nyq = math.pi * hbar / (2.0 * m * wfg.dx)
+        v_nyq = math.pi / (2.0 * wfg.dx)
         if float(np.max(np.abs(v))) >= v_nyq:
             raise AliasingError(
                 f"requested |v| up to {np.max(np.abs(v)):.4g} exceeds the lattice "
@@ -227,8 +216,8 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
 
     # G(x, -s) = conj G(x, s): the s = 0 row counts once and each s > 0 row
     # twice, as 2 Re(e^{i phase} G)
-    phase = np.outer(v, s[1:]) * (m / hbar)
+    phase = np.outer(v, s[1:])
     Gp = G[1:]
     f = G[0].real + 2.0 * (np.cos(phase) @ Gp.real - np.sin(phase) @ Gp.imag)
-    f *= (m / (2.0 * math.pi * hbar)) * ds
-    return WignerTable(x=x, v=v, f=f, m=m, hbar=hbar)
+    f *= (1.0 / (2.0 * math.pi)) * ds
+    return WignerTable(x=x, v=v, f=f)

@@ -112,17 +112,13 @@ def test_criterion_4_wave_driven_anisotropy():
         k, p0 = 1.3, 1.0
         p_classical = nondimensional(hbar=0.0)
         om2 = float(dispersion.general_omega_sq(k, p_classical))
-        dP = linear_response.delta_P(linear_response.PerturbationInput(
-            k=k, omega_sq=om2, delta_phi=0.7, P0=p0 * np.eye(3),
-            params=p_classical))
+        dP = linear_response.delta_P(k, om2, 0.7, p0 * np.eye(3), p_classical)
         assert dP[2, 2] / dP[0, 0] == 3.0
         assert dP[0, 0] == dP[1, 1]
 
         p_quantum = nondimensional(hbar=0.8)
         om2q = float(dispersion.general_omega_sq(k, p_quantum))
-        dPq = linear_response.delta_P(linear_response.PerturbationInput(
-            k=k, omega_sq=om2q, delta_phi=0.7, P0=p0 * np.eye(3),
-            params=p_quantum))
+        dPq = linear_response.delta_P(k, om2q, 0.7, p0 * np.eye(3), p_quantum)
         # independent re-derivation of the ratio from the raw inputs
         expected = 3.0 + p_quantum.n0 * p_quantum.hbar**2 * k**2 / (4.0 * p_quantum.m * p0)
         assert dPq[2, 2] / dPq[0, 0] == pytest.approx(expected, rel=1e-14)

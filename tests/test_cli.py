@@ -231,6 +231,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["tw", "run", "--p0-scale", "nan"],
     ["tw", "run", "--u0", "1e200"],
     ["tw", "run", "--xi-max", "inf"],
+    ["tw", "stability", "--p0", "nan", "--H", "1"],
+    ["tw", "stability", "--p0", "-5", "--H", "1"],
+    ["response", "--p-iso", "nan"],
+    ["response", "--p-iso", "inf"],
+    ["response", "--p-iso", "-1"],
+    ["dispersion", "--kmax", "inf"],
+    ["response", "--kmax", "inf"],
+    ["dispersion", "--relation", "adiabatic", "--gamma", "inf"],
+    ["fluid", "--amplitude", "nan"],
+    ["fluid", "--amplitude", "inf"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
@@ -251,6 +261,13 @@ def test_singular_launch_state_exits_3_without_traceback(tmp_path, capsys, argv)
     assert "no step from the launch state" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["dispersion", "response"])
+def test_infinite_kmax_is_named_without_warnings(tmp_path, capsys, recwarn, sub):
+    assert run(tmp_path, [sub, "--kmax", "inf", "-o", "out.csv"]) == 2
+    assert "k_max" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_infinite_xi_max_is_named_without_warnings(tmp_path, capsys, recwarn):

@@ -195,6 +195,10 @@ def test_sweep_log_spacing():
     lambda p: evaluate("nope", k_grid(0.0, 1.0, 10), p),
     lambda p: evaluate("adiabatic", k_grid(0.0, 1.0, 10), p),  # missing gamma
     lambda p: k_grid(0.0, 1.0, 10, log_spacing=True),
+    lambda p: k_grid(0.0, np.inf, 10),
+    lambda p: k_grid(0.1, np.inf, 10, log_spacing=True),
+    lambda p: adiabatic_omega_sq(1.0, p, np.inf),
+    lambda p: evaluate("adiabatic", k_grid(0.0, 1.0, 10), p, np.nan),
 ])
 def test_sweep_validation(call):
     with pytest.raises(ConfigError):

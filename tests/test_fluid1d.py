@@ -521,6 +521,15 @@ def test_eigenmode_rejects_non_finite_frequency():
         eigenmode_state(Grid1D(64, 1e-300), nondimensional(), 1, 1e-6)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_initial_states_reject_non_finite_amplitude(amplitude):
+    g = grid(16)
+    with pytest.raises(ConfigError, match="amplitude"):
+        eigenmode_state(g, WARM, 1, amplitude)
+    with pytest.raises(ConfigError, match="amplitude"):
+        perturbed_state(g, WARM, mode=1, amplitude=amplitude, fields=("n", "u"))
+
+
 def test_state_fields_are_rows_of_one_array():
     g = grid(16)
     state = perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("n", "u"))

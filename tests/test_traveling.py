@@ -204,6 +204,20 @@ def test_eigenvalues_center_at_h1_unstable_at_h3():
     assert classify_equilibrium(wave_frame_config(H=3.0)) == "unstable"
 
 
+@pytest.mark.parametrize("p0", [math.nan, -5.0, math.inf])
+def test_equilibrium_rejects_bad_pressure(p0):
+    # a negative p0 used to be classified "unstable" even at H = 1
+    cfg = wave_frame_config(H=1.0)
+    with pytest.raises(ConfigError, match="p0"):
+        equilibrium_eigenvalues(cfg, p0=p0)
+    with pytest.raises(ConfigError, match="p0"):
+        classify_equilibrium(cfg, p0=p0)
+
+
+def test_equilibrium_accepts_zero_pressure():
+    assert classify_equilibrium(wave_frame_config(H=1.0), p0=0.0) == "center-like"
+
+
 def test_classical_spectrum_matches_symbolic_oracle():
     # symbolic characteristic polynomial of the analytic Jacobian, at the
     # classical H = 0 and on both sides of H = 2; at u0 = 1 the quantum

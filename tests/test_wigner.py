@@ -68,7 +68,7 @@ def test_transform_matches_closed_form():
     for t in (0.0, 2.0):
         wfg = evolve_free_gaussian(1.0, t, x_max=50.0, n_points=1024)
         table = wigner_transform(wfg, v=v, x=x)
-        _, _, f_bar = table.rescaled(1.0)
+        f_bar = np.pi * table.f  # sigma = 1: x_bar = x, v_bar = v
         expected = analytic_wigner(x[None, :], v[:, None], t)
         assert np.max(np.abs(f_bar - expected)) < 1e-9
 
