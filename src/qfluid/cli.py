@@ -82,7 +82,8 @@ def _cmd_response(args, command: str) -> None:
         if not 0.0 <= args.p_iso < math.inf:
             raise ConfigError(f"--p-iso must be finite and non-negative, got {args.p_iso!r}")
         P0 = args.p_iso * np.eye(3)
-    om2 = dispersion.general_omega_sq(ks, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        om2 = dispersion.require_finite(ks, dispersion.general_omega_sq(ks, params))
     dP = linear_response.delta_P(ks, om2, args.dphi, P0, params)
     cols = [("k", ks), ("omega_sq", om2)] + [
         (f"dP_{name}", dP[:, i, j]) for name, (i, j) in (
@@ -140,9 +141,10 @@ def _cmd_tw_run(args, command: str) -> None:
                                n_samples=args.samples)
     if len(traj.xi) == 1:
         raise SonicSingularityError(f"no step from the launch state: {traj.halt_reason}")
-    comments = ()
+    comments = (f"steps: accepted={traj.n_steps}, rejected={traj.n_rejected}, "
+                f"rhs_calls={traj.n_rhs}",)
     if not traj.completed:
-        comments = (f"halted: {traj.halt_reason}",)
+        comments += (f"halted: {traj.halt_reason}",)
     write_csv(args.output, [("xi", traj.xi), ("n", traj.n), ("u", traj.u),
                             ("p", traj.p), ("Q", traj.Q), ("phi", traj.phi),
                             ("E", traj.E)],

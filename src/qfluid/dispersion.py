@@ -41,7 +41,13 @@ __all__ = [
     "RELATIONS",
     "k_grid",
     "evaluate",
+    "require_finite",
 ]
+
+# a `qfluid response` sweep peaks at ~830 bytes per k point (its 3x3
+# tensors and CSV text), so this keeps a sweep near the Wigner module's
+# 256 MiB workspace bound
+_MAX_K_POINTS = 2**18
 
 
 def _tau_eta(k, params: PlasmaParams):
@@ -122,12 +128,13 @@ def k_grid(k_min: float, k_max: float, n_points: int,
     """Uniform or log-uniform wavenumber grid on [k_min, k_max].
 
     Raises ``ConfigError`` unless 0 <= k_min < k_max < inf (k_min > 0 for
-    log spacing) and n_points >= 2.
+    log spacing) and 2 <= n_points <= 2**18.
     """
     if not (0.0 <= k_min < k_max < np.inf):
         raise ConfigError(f"need 0 <= k_min < k_max < inf, got [{k_min}, {k_max}]")
-    if n_points < 2:
-        raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    if not 2 <= n_points <= _MAX_K_POINTS:
+        raise ConfigError(f"n_points must be between 2 and the {_MAX_K_POINTS}-point "
+                          f"sweep limit, got {n_points}")
     if log_spacing:
         if k_min <= 0.0:
             raise ConfigError("log spacing requires k_min > 0")
@@ -140,13 +147,28 @@ def evaluate(relation_tag: str, k, params: PlasmaParams,
     """omega^2 of the relation named ``relation_tag`` (a key of ``RELATIONS``) at k.
 
     ``gamma`` is the adiabatic exponent; it is required by "adiabatic"
-    and ignored by every other relation.
+    and ignored by every other relation.  Overflow raises ``ConfigError``
+    (``require_finite``) instead of warning.
     """
     if relation_tag not in RELATIONS:
         raise ConfigError(f"unknown relation {relation_tag!r} (choices: {sorted(RELATIONS)})")
     fn = RELATIONS[relation_tag]
-    if relation_tag == "adiabatic":
-        if gamma is None:
-            raise ConfigError("relation 'adiabatic' requires gamma")
-        return fn(k, params, gamma)
-    return fn(k, params)
+    if relation_tag == "adiabatic" and gamma is None:
+        raise ConfigError("relation 'adiabatic' requires gamma")
+    with np.errstate(over="ignore", invalid="ignore"):
+        om2 = fn(k, params, gamma) if relation_tag == "adiabatic" else fn(k, params)
+    return require_finite(k, om2)
+
+
+def require_finite(k, omega_sq):
+    """``omega_sq`` unchanged, or ``ConfigError`` naming the first k where it is not finite.
+
+    At a huge finite k, k^2 or k^4 overflows and omega^2 comes out inf or
+    nan; compute it under ``np.errstate`` and check it here.
+    """
+    k, om2 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega_sq, dtype=float))
+    bad = ~np.isfinite(om2)
+    if bad.any():
+        raise ConfigError(f"omega^2 is not finite at k = {float(k[bad][0])!r} "
+                          f"(k^2 or k^4 overflows); lower k_max")
+    return omega_sq

@@ -45,14 +45,15 @@ def delta_P(k, omega_sq, delta_phi: float, P0: np.ndarray,
 
     ``k`` and ``omega_sq`` broadcast against each other; each 3x3 block is
     exactly symmetric, linear in delta_phi, and diagonal for diagonal P0.
-    Raises ``ConfigError`` unless every omega^2 > 0 and P0 is a finite,
-    symmetric 3x3 matrix.
+    Raises ``ConfigError`` unless every 0 < omega^2 < inf and P0 is a
+    finite, symmetric 3x3 matrix, and when the tensor overflows (it is
+    computed under ``np.errstate``, so it never warns).
     """
     k, omega_sq = np.broadcast_arrays(np.asarray(k, dtype=float),
                                       np.asarray(omega_sq, dtype=float))
-    bad = omega_sq[~(omega_sq > 0.0)]
+    bad = omega_sq[~((omega_sq > 0.0) & (omega_sq < np.inf))]
     if bad.size:
-        raise ConfigError(f"linear response requires omega^2 > 0, got {bad[0]}")
+        raise ConfigError(f"linear response requires 0 < omega^2 < inf, got {bad[0]}")
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (3, 3):
         raise ConfigError(f"P0 must be 3x3, got shape {P0.shape}")
@@ -61,13 +62,19 @@ def delta_P(k, omega_sq, delta_phi: float, P0: np.ndarray,
     scale = max(float(np.max(np.abs(P0))), 1.0)
     if np.max(np.abs(P0 - P0.T)) > _SYM_ATOL * scale:
         raise ConfigError("P0 must be symmetric")
-    P0 = 0.5 * (P0 + P0.T)
-    k2 = k * k
-    coeff = params.e * delta_phi * k2 / (params.m * omega_sq)
-    col_z = np.outer(P0[:, 2], [0.0, 0.0, 1.0])
-    tensor = np.broadcast_to(P0 + col_z + col_z.T, k.shape + (3, 3)).copy()
-    tensor[..., 2, 2] += params.n0 * params.hbar**2 * k2 / (4.0 * params.m)
-    return -coeff[..., None, None] * tensor
+    with np.errstate(over="ignore", invalid="ignore"):
+        P0 = 0.5 * (P0 + P0.T)
+        k2 = k * k
+        coeff = params.e * delta_phi * k2 / (params.m * omega_sq)
+        col_z = np.outer(P0[:, 2], [0.0, 0.0, 1.0])
+        tensor = np.broadcast_to(P0 + col_z + col_z.T, k.shape + (3, 3)).copy()
+        # hbar * hbar, not hbar**2: a Python float ** raises OverflowError
+        tensor[..., 2, 2] += params.n0 * (params.hbar * params.hbar) * k2 / (4.0 * params.m)
+        dP = -coeff[..., None, None] * tensor
+    bad = ~np.all(np.isfinite(dP), axis=(-2, -1))
+    if bad.any():
+        raise ConfigError(f"pressure response overflows at k = {float(k[bad][0])!r}")
+    return dP
 
 
 def anisotropic_dyad(n: float, T_perp: float, T_par: float,

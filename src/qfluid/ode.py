@@ -17,8 +17,10 @@ time in the driver's array temporaries than in the six rhs calls.  So the
 tableau is unpacked into scalars once per call, each stage is one
 comprehension over the components with its coefficients written out, and
 the error norm is summed from the error weights (5th- minus 4th-order) in
-one more pass, with no 4th-order solution formed.  ``f`` still receives
-a 1-D float ndarray, and its return is converted to a list once per call.
+one more pass, with no 4th-order solution formed.  ``f`` receives the
+state as the list of Python floats the driver steps, and a list it
+returns is used as is, so a right-hand side written on floats makes no
+ndarray at all; any other array_like return is converted once per call.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
                        halt_on: tuple[type, ...] = ()) -> OdeResult:
     """Integrate y' = f(x, y) from x0 to x_end (x_end > x0).
 
-    ``f`` gets y as a 1-D float ndarray and returns an array_like of the
-    same length.  ``sample_points`` (default: 512 uniform intervals) are
-    landed on exactly.  Exceptions listed in ``halt_on`` raised by ``f``
+    ``f`` gets y as a list of Python floats, which it must not modify,
+    and returns a list (used as is) or an array_like of the same length.
+    ``sample_points`` (default: 512 uniform intervals) are landed on
+    exactly.  Exceptions listed in ``halt_on`` raised by ``f``
     trigger step halving; if the step cannot be reduced further the
     partial trajectory is returned with a halt reason.  Step underflow
     from pure error control, including an error estimate that is not
@@ -100,7 +103,8 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     def rhs(xv: float, yv) -> list[float]:
         nonlocal n_rhs
         n_rhs += 1
-        return np.asarray(f(xv, np.array(yv)), dtype=float).tolist()
+        dy = f(xv, yv)
+        return dy if isinstance(dy, list) else np.asarray(dy, dtype=float).tolist()
 
     dim = len(y0)
     xs = [samples[0]]
@@ -108,8 +112,9 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     ys = np.empty((n_samples + 1, dim))
     ys[0] = y0
     x = x0
+    y = y0.tolist()
     try:
-        k1 = rhs(x, y0)
+        k1 = rhs(x, y)
     except halt_on as exc:  # singular right at the start
         return OdeResult(np.array(xs), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
     if len(k1) != dim:
@@ -127,7 +132,6 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     a71, _, a73, a74, a75, a76 = _A[6, :6].tolist()   # the 5th-order weights
     e1, _, e3, e4, e5, e6, e7 = (_A[6] - _B4).tolist()
 
-    y = y0.tolist()
     next_sample = 1
     n_steps = n_rejected = 0
     halt = None

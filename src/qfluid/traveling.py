@@ -148,19 +148,21 @@ def _field_response(u: float, p: float, Q: float, n: float,
     return (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
 
 
-def traveling_rhs(y, cfg: WaveFrameConfig) -> np.ndarray:
-    """Derivatives (u', p', Q', phi', psi') at state vector y.
+def traveling_rhs(y, cfg: WaveFrameConfig) -> list[float]:
+    """Derivatives [u', p', Q', phi', psi'] at state y, as a list of floats.
 
-    Raises ``SonicSingularityError`` when |u - v| collapses or the 3x3
+    ``y`` is any sequence of five numbers (list, tuple or ndarray).  The
+    arithmetic runs on Python floats and the list goes to
+    ``integrate_adaptive`` as is, so a call makes no ndarray.  Raises
+    ``SonicSingularityError`` when |u - v| collapses or the 3x3
     derivative matrix is singular to within tolerance.
     """
-    u, p, Q, phi, psi = np.asarray(y, dtype=float).tolist()
+    u, p, Q, phi, psi = map(float, y)
     par = cfg.params
     n = density(u, cfg)
     du, dp, dQ = _field_response(u, p, Q, n, cfg)
     b0 = (par.e / par.m) * psi
-    return np.array([b0 * du, b0 * dp, b0 * dQ, psi,
-                     (par.e / par.eps0) * (n - par.n0)])
+    return [b0 * du, b0 * dp, b0 * dQ, psi, (par.e / par.eps0) * (n - par.n0)]
 
 
 def equilibrium_state(cfg: WaveFrameConfig, p0: float) -> TravelingState:

@@ -6,6 +6,7 @@ import pytest
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
+from qfluid.traveling import integrate, reference_oscillation_state, wave_frame_config
 from qfluid.wigner import analytic_wigner
 
 
@@ -120,6 +121,21 @@ def test_tw_run_reproduces_reference_oscillations(tmp_path):
     assert np.max(cols["n"]) < 3.0       # bounded
     assert np.min(cols["n"]) > 0.3
     assert np.max(np.abs(cols["E"])) > 0.01  # field actually oscillates
+
+
+def test_tw_run_header_reports_its_steps(tmp_path):
+    argv = ["tw", "run", "--H", "1", "--xi-max", "20", "-o", "tw.csv"]
+    assert run(tmp_path, argv) == 0
+    first = (tmp_path / "tw.csv").read_bytes()
+    assert run(tmp_path, argv) == 0
+    assert (tmp_path / "tw.csv").read_bytes() == first
+    cfg = wave_frame_config(1.0)
+    traj = integrate(reference_oscillation_state(cfg, density_ratio=2.0 / 3.0), cfg, 20.0)
+    assert traj.completed
+    line = (f"# steps: accepted={traj.n_steps}, rejected={traj.n_rejected}, "
+            f"rhs_calls={traj.n_rhs}")
+    assert line in first.decode().splitlines()
+    assert traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
 
 
 def test_tw_stability_table(tmp_path):
@@ -241,6 +257,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["dispersion", "--relation", "adiabatic", "--gamma", "inf"],
     ["fluid", "--amplitude", "nan"],
     ["fluid", "--amplitude", "inf"],
+    ["dispersion", "--n", "100000000000"],
+    ["dispersion", "--kmax", "1e200", "--n", "4"],
+    ["response", "--kmax", "1e200", "--n", "4"],
+    ["response", "--p-iso", "1e308", "--n", "4"],
+    ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
@@ -267,6 +288,23 @@ def test_singular_launch_state_exits_3_without_traceback(tmp_path, capsys, argv)
 def test_infinite_kmax_is_named_without_warnings(tmp_path, capsys, recwarn, sub):
     assert run(tmp_path, [sub, "--kmax", "inf", "-o", "out.csv"]) == 2
     assert "k_max" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+OVERFLOWING_SWEEPS = [
+    (["dispersion", "--kmax", "1e200", "--n", "4"], "omega^2 is not finite at k = 3.33"),
+    (["dispersion", "--relation", "all", "--kmax", "1e200", "--n", "4"], "at k = 3.33"),
+    (["response", "--kmax", "1e200", "--n", "4"], "omega^2 is not finite at k = 3.33"),
+    (["response", "--p-iso", "1e308", "--n", "4"], "pressure response overflows at k = 0.1"),
+    (["dispersion", "--n", "100000000000"], "262144-point sweep limit"),
+]
+
+
+@pytest.mark.parametrize("argv, named", OVERFLOWING_SWEEPS,
+                         ids=[" ".join(argv) for argv, _ in OVERFLOWING_SWEEPS])
+def test_overflowing_sweep_is_named_without_warnings(tmp_path, capsys, recwarn, argv, named):
+    assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
+    assert named in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

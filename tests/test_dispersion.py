@@ -197,6 +197,8 @@ def test_sweep_log_spacing():
     lambda p: k_grid(0.0, 1.0, 10, log_spacing=True),
     lambda p: k_grid(0.0, np.inf, 10),
     lambda p: k_grid(0.1, np.inf, 10, log_spacing=True),
+    lambda p: k_grid(0.0, 1.0, 2**18 + 1),
+    lambda p: evaluate("general", np.array([1.0, 1e200]), p),
     lambda p: adiabatic_omega_sq(1.0, p, np.inf),
     lambda p: evaluate("adiabatic", k_grid(0.0, 1.0, 10), p, np.nan),
 ])

@@ -106,6 +106,15 @@ def test_rejects_nonpositive_omega_sq():
         delta_P(**make_input(omega_sq=0.0))
     with pytest.raises(ConfigError):
         delta_P(**make_input(omega_sq=-1.0))
+    with pytest.raises(ConfigError):
+        delta_P(**make_input(omega_sq=np.inf))
+
+
+def test_overflowing_response_is_rejected_without_warnings(recwarn):
+    # 1e308 is finite, but 0.5 (P0 + P0^T) and the zz entry 3 P0_zz overflow
+    with pytest.raises(ConfigError, match="overflows at k = 1.0"):
+        delta_P(**make_input(p0=1e308))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_rejects_asymmetric_p0():

@@ -8,10 +8,29 @@ from qfluid.ode import integrate_adaptive
 
 
 def test_exponential_decay_accuracy():
-    res = integrate_adaptive(lambda x, y: -y, np.array([1.0]), 5.0, rtol=1e-10,
+    res = integrate_adaptive(lambda x, y: [-y[0]], np.array([1.0]), 5.0, rtol=1e-10,
                              atol=1e-14)
     assert res.completed
     assert res.y[-1, 0] == pytest.approx(math.exp(-5.0), rel=1e-8)
+
+
+def test_f_gets_a_list_of_floats_and_may_return_a_list_or_an_array():
+    seen = []
+
+    def as_list(x, y):
+        seen.append(y)
+        return [y[1], -y[0]]
+
+    kwargs = dict(rtol=1e-9, atol=1e-12, sample_points=np.linspace(0.0, 3.0, 7))
+    res_list = integrate_adaptive(as_list, np.array([1.0, 0.0]), 3.0, **kwargs)
+    res_array = integrate_adaptive(lambda x, y: np.array([y[1], -y[0]]),
+                                   np.array([1.0, 0.0]), 3.0, **kwargs)
+    assert len(seen) == res_list.n_rhs > 1
+    assert all(type(y) is list and all(type(v) is float for v in y) for y in seen)
+    assert np.array_equal(res_list.x, res_array.x)
+    assert np.array_equal(res_list.y, res_array.y)
+    assert (res_list.n_steps, res_list.n_rejected, res_list.n_rhs) == \
+        (res_array.n_steps, res_array.n_rejected, res_array.n_rhs)
 
 
 def test_harmonic_oscillator_samples_hit_exactly():

@@ -82,6 +82,16 @@ def test_derivative_matrix_determinant_tracks_quantum_parameter():
         traveling_rhs(equilibrium_state(cfg2, p0=1.0).vector(), cfg2)
 
 
+def test_rhs_takes_any_sequence_and_returns_a_list_of_floats():
+    cfg = wave_frame_config(H=1.0, v=0.3)
+    y = [1.7, 0.8, -0.2, 0.1, 0.35]
+    out = traveling_rhs(y, cfg)
+    assert type(out) is list and len(out) == 5
+    assert all(type(v) is float for v in out)
+    assert traveling_rhs(tuple(y), cfg) == out
+    assert traveling_rhs(np.array(y), cfg) == out
+
+
 def test_rhs_matches_generic_solve_of_docstring_matrix():
     # reference: np.linalg.solve of the 3x3 system written in the module
     # docstring, at seeded random states on both sides of H = 2
