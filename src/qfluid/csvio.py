@@ -5,8 +5,13 @@ produced it, so outputs are reproducible from their own header.  Each
 file's rows come from one printf-style template built from the column
 dtypes: floats in scientific notation with 17 significant digits
 (``%.16e``), integers as ``%d`` and strings as ``%s``; any other dtype
-(bool, complex, object, ...) is rejected.  Files are replaced atomically
-(write to a temporary name, then rename).
+(bool, complex, object, ...) is rejected.  A float column in which at
+most half the values are distinct (a grid repeated in every row) has
+each distinct value formatted once, keyed on its bit pattern so that
+-0.0/0.0 and NaN payloads stay apart; the bytes are the same as
+formatting every row.  Rows are streamed in chunks of ``_CHUNK_ROWS``,
+so the text of a whole file is never held at once.  Files are replaced
+atomically (write to a temporary name, then rename).
 """
 
 from __future__ import annotations
@@ -22,15 +27,32 @@ COMMAND_PREFIX = "# command: "
 
 _FORMATS = {"f": "%.16e", "i": "%d", "u": "%d", "U": "%s"}
 
+_CHUNK_ROWS = 8192
 
-def _row_template(names: list[str], arrays: list[np.ndarray]) -> str:
+
+def _field_formats(names: list[str], arrays: list[np.ndarray]) -> list[str]:
     fields = []
     for name, a in zip(names, arrays):
         if a.dtype.kind not in _FORMATS:
             raise TypeError(f"column {name!r} has unsupported dtype {a.dtype} "
                             "(float, integer or str only)")
         fields.append(_FORMATS[a.dtype.kind])
-    return ",".join(fields)
+    return fields
+
+
+def _formatted_once(a: np.ndarray, fmt: str) -> np.ndarray | None:
+    """The cells of float column ``a`` as strings, each distinct value
+    formatted once; None when more than half the values are distinct or
+    the dtype has no integer view of its width (longdouble)."""
+    if a.dtype.kind != "f" or a.itemsize not in (2, 4, 8) or a.ndim != 1:
+        return None
+    # the bits, not the floats: -0.0 == 0.0 and nan != nan as floats
+    _, first, inverse = np.unique(a.view(f"u{a.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    if 2 * len(first) > len(a):
+        return None
+    cells = np.array([fmt % v for v in a[first].tolist()], dtype=object)
+    return cells[inverse]
 
 
 def write_csv(path, columns: list[tuple[str, np.ndarray]],
@@ -41,21 +63,25 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("columns must have equal length")
-    template = _row_template(names, arrays)
+    fields = _field_formats(names, arrays)
+    for i, a in enumerate(arrays):
+        cells = _formatted_once(a, fields[i])
+        if cells is not None:
+            arrays[i], fields[i] = cells, "%s"
+    row = ",".join(fields) + "\n"
 
-    lines = []
-    if command is not None:
-        lines.append(COMMAND_PREFIX + command)
-    lines.extend(f"# {c}" for c in extra_comments)
-    lines.append(",".join(names))
-    lines.extend(map(template.__mod__, zip(*[a.tolist() for a in arrays])))
-    text = "\n".join(lines) + "\n"
+    header = [COMMAND_PREFIX + command] if command is not None else []
+    header.extend(f"# {c}" for c in extra_comments)
+    header.append(",".join(names))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write("\n".join(header) + "\n")
+            for lo in range(0, n_rows, _CHUNK_ROWS):
+                chunk = zip(*[a[lo:lo + _CHUNK_ROWS].tolist() for a in arrays])
+                fh.write("".join(map(row.__mod__, chunk)))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,12 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .params import PlasmaParams
 
-__all__ = [
-    "delta_P",
-    "delta_P_for_direction",
-    "anisotropic_dyad",
-    "rotation_to_z",
-]
+__all__ = ["delta_P", "anisotropic_dyad"]
 
 _SYM_ATOL = 1e-12
 
@@ -83,34 +78,3 @@ def anisotropic_dyad(n: float, T_perp: float, T_par: float,
     if n < 0.0 or T_perp < 0.0 or T_par < 0.0:
         raise ConfigError("density and temperatures must be non-negative")
     return n * params.kB * np.diag([T_perp, T_perp, T_par])
-
-
-def rotation_to_z(khat: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with R @ khat = z_hat (minimal-angle rotation)."""
-    khat = np.asarray(khat, dtype=float)
-    norm = np.linalg.norm(khat)
-    if norm == 0.0:
-        raise ConfigError("propagation direction must be nonzero")
-    a = khat / norm
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(a @ z)
-    if c < 0.0:   # turn by pi about x first, so that 1 + c below stays >= 1
-        flip = np.diag([1.0, -1.0, -1.0])
-        return rotation_to_z(flip @ a) @ flip
-    v = np.cross(a, z)
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
-def delta_P_for_direction(k: float, omega_sq: float, delta_phi: float,
-                          P0: np.ndarray, params: PlasmaParams,
-                          khat: np.ndarray) -> np.ndarray:
-    """Pressure perturbation for propagation along an arbitrary unit vector.
-
-    Conjugates the along-z formula with the rotation taking khat to z:
-    P0 is rotated into the wave frame, the response evaluated there, and
-    the result rotated back.
-    """
-    R = rotation_to_z(khat)
-    dP = delta_P(k, omega_sq, delta_phi, R @ np.asarray(P0, dtype=float) @ R.T, params)
-    return R.T @ dP @ R

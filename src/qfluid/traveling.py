@@ -61,6 +61,10 @@ __all__ = [
 _DET_RTOL = 1e-12
 _EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
 _STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
+# every sample interval costs at least one accepted step (~60 us), so
+# 2**20 samples is already a run of about a minute; the cap rejects a
+# huge count before its sample arrays are allocated
+_MAX_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -227,12 +231,13 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
     singularity the partial trajectory is returned with the halt reason.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
-    n_samples >= 1 (and, from the integrator, 0 < tol < inf).
+    1 <= n_samples <= 2**20 (and, from the integrator, 0 < tol < inf).
     """
     if not initial.xi < xi_max < math.inf:
         raise ConfigError(f"need a finite xi_max > {initial.xi!r}, got {xi_max!r}")
-    if n_samples < 1:
-        raise ConfigError(f"need at least one sample interval, got {n_samples!r}")
+    if not 1 <= n_samples <= _MAX_SAMPLES:
+        raise ConfigError(f"n_samples must be between 1 and the {_MAX_SAMPLES}-sample "
+                          f"limit, got {n_samples!r}")
     y0 = initial.vector()
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
@@ -284,9 +289,11 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
     bracket must classify differently at its ends.  A singular Jacobian
     evaluation (the sonic point reaches the equilibrium at the threshold)
     counts as the unstable side.  Raises ``ConfigError`` unless
-    0 < tol < inf; the bisection also ends when the bracket cannot be
-    halved any further in floating point.
+    -inf < h_lo < h_hi < inf and 0 < tol < inf; the bisection also ends
+    when the bracket cannot be halved any further in floating point.
     """
+    if not -math.inf < h_lo < h_hi < math.inf:
+        raise ConfigError(f"need a finite bracket h_lo < h_hi, got [{h_lo!r}, {h_hi!r}]")
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
 

@@ -262,6 +262,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["response", "--kmax", "1e200", "--n", "4"],
     ["response", "--p-iso", "1e308", "--n", "4"],
     ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
+    ["tw", "threshold", "--h-lo", "3", "--h-hi", "0.5"],
+    ["tw", "run", "--samples", "100000000000"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfluid.csvio import read_csv, write_csv
+from qfluid.csvio import _CHUNK_ROWS, _formatted_once, read_csv, write_csv
 
 # every qfluid output file uses these bytes; any change here changes them all
 FROZEN = (
@@ -44,3 +44,52 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
         write_csv(tmp_path / "out.csv", [("a", np.zeros(3)), ("b", np.zeros(2))])
     assert not list(tmp_path.iterdir())
+
+
+def reference_bytes(columns, command=None, extra_comments=()):
+    """The writer without deduplication or chunking: every row formatted by
+    one ``template % row`` and the whole text joined at once."""
+    formats = {"f": "%.16e", "i": "%d", "u": "%d", "U": "%s"}
+    template = ",".join(formats[a.dtype.kind] for _, a in columns)
+    lines = [] if command is None else ["# command: " + command]
+    lines.extend(f"# {c}" for c in extra_comments)
+    lines.append(",".join(name for name, _ in columns))
+    lines.extend(map(template.__mod__, zip(*[a.tolist() for _, a in columns])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+POOL = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, 5e-324, 0.1, -1e300], NANS])
+
+
+def parity_columns(n_rows):
+    rng = np.random.default_rng(11)
+    return [
+        ("grid", np.tile(POOL, n_rows // len(POOL) + 1)[:n_rows]),
+        ("drawn", POOL[rng.integers(len(POOL), size=n_rows)]),
+        ("f32", np.float32([0.1, -0.0, 3.4e38, 1e-45, np.nan])[rng.integers(5, size=n_rows)]),
+        ("f16", np.float16([0.1, -0.0, 65504.0])[rng.integers(3, size=n_rows)]),
+        ("distinct", rng.standard_normal(n_rows)),
+        ("i", rng.integers(-2**40, 2**40, size=n_rows)),
+        ("u", rng.integers(0, 7, size=n_rows).astype(np.uint8)),
+        ("s", np.array(["a", "", "x y"])[rng.integers(3, size=n_rows)]),
+    ]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
+def test_write_csv_bytes_match_reference_writer(tmp_path, n_rows):
+    columns = parity_columns(n_rows)
+    path = tmp_path / "parity.csv"
+    write_csv(path, columns, command="qfluid parity", extra_comments=("note",))
+    assert path.read_bytes() == reference_bytes(columns, "qfluid parity", ("note",))
+    assert [p.name for p in tmp_path.iterdir()] == ["parity.csv"]
+
+
+def test_repeated_float_columns_take_the_formatted_once_path():
+    columns = dict(parity_columns(2 * _CHUNK_ROWS + 3))
+    for name in ("grid", "drawn", "f32", "f16"):
+        cells = _formatted_once(columns[name], "%.16e")
+        assert cells is not None
+        assert cells.tolist() == ["%.16e" % v for v in columns[name].tolist()]
+    assert _formatted_once(columns["distinct"], "%.16e") is None
+    assert _formatted_once(columns["grid"].astype(np.longdouble), "%.16e") is None

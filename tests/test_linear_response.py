@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from qfluid import moments
 from qfluid.dispersion import general_omega_sq
 from qfluid.errors import ConfigError
-from qfluid.linear_response import (anisotropic_dyad, delta_P,
-                                    delta_P_for_direction, rotation_to_z)
+from qfluid.linear_response import anisotropic_dyad, delta_P
 from qfluid.params import nondimensional
 
 
@@ -207,52 +206,3 @@ def test_off_branch_omega_leaves_nonzero_residual():
     residual = (-1j * om * du + 1j * k * dP[2, 2] / (params.m * params.n0)
                 - 1j * k * params.e / params.m)
     assert abs(residual) > 1e-3
-
-
-def test_rotation_to_z_properties():
-    for khat in ([0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, -1], [0.3, -0.4, 0.8],
-                 [0, 2**-8, 1], [0, 2**-8, -1], [1e-9, 0, -1]):
-        khat = np.asarray(khat, dtype=float)
-        R = rotation_to_z(khat)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(R @ (khat / np.linalg.norm(khat)), [0, 0, 1], atol=1e-12)
-    with pytest.raises(ConfigError):
-        rotation_to_z(np.zeros(3))
-
-
-def test_rotated_response_matches_z_aligned():
-    params = nondimensional(hbar=0.5)
-    k, dphi, p0 = 1.2, 0.7, 0.9
-    om2 = float(general_omega_sq(k, params))
-    along_z = delta_P(k, om2, dphi, p0 * np.eye(3), params)
-    same = delta_P_for_direction(k, om2, dphi, p0 * np.eye(3), params, np.array([0, 0, 1.0]))
-    assert np.allclose(same, along_z, rtol=1e-13)
-    # along x the zz structure moves to xx
-    along_x = delta_P_for_direction(k, om2, dphi, p0 * np.eye(3), params,
-                                    np.array([1.0, 0, 0]))
-    assert along_x[0, 0] == pytest.approx(along_z[2, 2], rel=1e-12)
-    assert along_x[1, 1] == pytest.approx(along_z[0, 0], rel=1e-12)
-    assert along_x[2, 2] == pytest.approx(along_z[1, 1], rel=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
-def test_rotated_response_anisotropy_along_khat(a, b, c):
-    khat = np.array([a, b, c])
-    norm = np.linalg.norm(khat)
-    if norm < 1e-3:
-        return
-    khat /= norm
-    params = nondimensional(hbar=0.0)
-    k, p0 = 0.9, 1.0
-    om2 = float(general_omega_sq(k, params))
-    dP = delta_P_for_direction(k, om2, 1.0, p0 * np.eye(3), params, khat)
-    assert np.allclose(dP, dP.T, atol=1e-14)
-    longitudinal = khat @ dP @ khat
-    # any unit vector orthogonal to khat sees the transverse response
-    ref = np.array([1.0, 0, 0]) if abs(khat[0]) < 0.9 else np.array([0, 1.0, 0])
-    perp = np.cross(khat, ref)
-    perp /= np.linalg.norm(perp)
-    transverse = perp @ dP @ perp
-    assert longitudinal / transverse == pytest.approx(3.0, rel=1e-10)

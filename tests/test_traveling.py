@@ -330,11 +330,27 @@ def test_threshold_requires_classification_change():
         stability_threshold(0.1, 1.9)
 
 
+@pytest.mark.parametrize("h_lo, h_hi", [(3.0, 0.5), (2.0, 2.0), (math.nan, 3.0),
+                                         (1.0, math.inf), (-math.inf, 3.0)])
+def test_threshold_requires_finite_ordered_bracket(h_lo, h_hi):
+    with pytest.raises(ConfigError, match="bracket h_lo < h_hi"):
+        stability_threshold(h_lo, h_hi)
+
+
 def test_threshold_invariant_under_rescaled_reference_velocity():
     h_default = stability_threshold(1.5, 2.5, tol=1e-6)
     h_scaled = stability_threshold(
         1.5, 2.5, config_for=lambda H: wave_frame_config(H, u0=3.0), tol=1e-6)
     assert h_scaled == pytest.approx(h_default, abs=2e-6)
+
+
+def test_sample_count_is_capped_before_allocation():
+    cfg = wave_frame_config(H=1.0)
+    start = reference_oscillation_state(cfg)
+    with pytest.raises(ConfigError, match="1048576-sample limit"):
+        integrate(start, cfg, xi_max=5.0, n_samples=2**20 + 1)
+    with pytest.raises(ConfigError, match="got 0"):
+        integrate(start, cfg, xi_max=5.0, n_samples=0)
 
 
 def test_trajectory_field_accessor():
