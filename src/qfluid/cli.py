@@ -124,7 +124,9 @@ def _cmd_fluid(args, command: str) -> None:
         cols.append((f"{name}_mode_im", run.mode[name].imag))
     cols.append(("mean_n", run.mass))
     write_csv(args.output, cols, command=command,
-              extra_comments=(f"probe: fourier mode {args.mode}, omega_predicted={omega!r}",))
+              extra_comments=(f"probe: fourier mode {args.mode}, omega_predicted={omega!r}",
+                              f"steps: taken={run.n_steps}, dt={run.dt!r}, "
+                              f"dt_bound={run.dt_bound}, halvings={run.n_halvings}"))
     if args.snapshot:
         s = run.final
         phi = fluid1d.solve_poisson(s.n, grid, params)

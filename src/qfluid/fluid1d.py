@@ -24,12 +24,15 @@ linearised about (n0, u = 0, p0 = n0 kB T0_par, Q = 0) mode by mode
 remainder N(y) of the terms at least quadratic in the departure from that
 state (``_nonlinear``); ``rhs`` returns their sum.  ``step`` integrates
 L y and the filter exactly through exp((L - rate) dt/2), computed in
-closed form once per run (``_half_step_exponential``), and samples only
-N at its four stages, with the potential re-solved at each.  The linear
-oscillations therefore set no time-step bound: ``auto_dt`` is the
-smaller of the advective bound 0.4 dx / max(|u| + sqrt(3 p/(m n))) and
-the plasma-period bound 0.4 / omega_p, and ``step`` raises
-``CFLViolationError`` (CLI exit 3) for a dt above it.
+closed form once per step size (``_half_step_exponential``), and samples
+only N at its four stages, with the potential re-solved at each.  The linear
+oscillations and the linear sound speed c0 = sqrt(3 p0/(m n0)) therefore
+set no time-step bound: ``auto_dt`` is the smaller of the advective
+bound 0.4 dx / max(|u| + |c - c0|), with c = sqrt(3 p/(m n)), and the
+plasma-period bound 0.4 / omega_p, and ``step`` raises
+``CFLViolationError`` (CLI exit 3) for a dt above it.  ``evolve`` halves
+an automatic step that a steepening state outgrows, down to half the
+step the full sound speed would allow.
 
 State layout: a state is one ``(4, N)`` array, ``FluidState1D.fields``,
 whose rows are (n, u, p, Q); ``rhs`` returns its derivative in the same
@@ -43,10 +46,11 @@ record and the steepening check reuse it.  ``Grid1D.k`` and
 ``Grid1D.dealias_mask`` are computed once per grid.
 
 ``evolve`` rejects a run length, time step, sample interval, probe mode
-or steepening limit outside its domain, ``SpectralDamping.tailored`` a
-negative protected band, ``eigenmode_state`` a mode whose predicted
-frequency is not finite and ``Grid1D`` a length outside (0, inf), with
-``ConfigError`` (CLI exit 2) before any step.
+or steepening limit outside its domain and a run of more than 2**20
+steps, ``SpectralDamping.tailored`` a negative protected band,
+``eigenmode_state`` a mode whose predicted frequency is not finite and
+``Grid1D`` a length outside (0, inf), with ``ConfigError`` (CLI exit 2)
+before any step.
 
 Stability note: the closure supports a non-oscillatory growing branch at
 every wavenumber with rate increasing with k (see
@@ -139,6 +143,10 @@ _SAFETY = 0.4
 _MARGIN = 2.0
 # relative tolerance on mean(n) = n0 in solve_poisson
 _MEAN_TOL = 1e-8
+# a step costs at least ~0.2 ms (N = 8), so 2**20 steps is a run of about
+# four minutes; the cap rejects a run length over a step that could never
+# finish before the loop starts
+_MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +327,8 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     coefficient; the growing exponential is formed as exp((gamma - rate) h)
     so a filtered mode never overflows.  The last result is cached, keyed
     on (grid, params, damping, dt), so ``evolve`` computes it once per run
-    and keeps at most one (4, 4, N/2 + 1) array alive afterwards.
+    and once per halving of its step, and keeps at most one
+    (4, 4, N/2 + 1) array alive afterwards.
     """
     h = 0.5 * dt
     L = _linear_operator(grid, params)
@@ -344,16 +353,27 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
+def _dt_limit(state: FluidState1D, params: PlasmaParams, c0: float) -> float:
+    """min(0.4 dx / max(|u| + |c - c0|), 0.4 / omega_p) with c = sqrt(3 p / (m n))."""
+    c = np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))
+    speed = float(np.max(np.abs(state.u) + np.abs(c - c0)))
+    dt_adv = _SAFETY * state.grid.dx / speed if speed > 0 else math.inf
+    return min(dt_adv, _SAFETY / params.omega_p)
+
+
 def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
     """Largest step ``step`` accepts: the advective and plasma-period bounds.
 
-    dt <= 0.4 dx / max(|u| + sqrt(3 p / (m n))) and dt <= 0.4 / omega_p.  The linear oscillations, however fast at
-    high k, are integrated exactly and set no bound.
+    dt <= 0.4 dx / max(|u| + |c - c0|) and dt <= 0.4 / omega_p, with the
+    local sound speed c = sqrt(3 p / (m n)) and its uniform value
+    c0 = sqrt(3 p0 / (m n0)), p0 = n0 kB T0_par.  ``step`` carries the
+    linear propagation at c0 and the linear oscillations, however fast at
+    high k, exactly, so they set no bound: only the flow and the departure
+    of c from c0, the speeds of the nonlinear remainder, do.  At
+    T0_par = 0 this is the full speed |u| + c.
     """
-    g = state.grid
-    speed = float(np.max(np.abs(state.u) + np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))))
-    dt_adv = _SAFETY * g.dx / speed if speed > 0 else math.inf
-    return min(dt_adv, _SAFETY / params.omega_p)
+    p0 = params.n0 * params.kB * params.T0_par
+    return _dt_limit(state, params, math.sqrt(3.0 * p0 / (params.m * params.n0)))
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
@@ -407,11 +427,13 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
 @dataclass
 class FluidRun:
     """Probe time series from ``evolve``: complex fundamental-mode
-    coefficients per field plus bulk diagnostics, and the step taken.
+    coefficients per field plus bulk diagnostics, and the steps taken.
 
-    ``dt_bound`` names what set ``dt``: ``"advective"`` or ``"plasma"``
-    (the smaller bound of ``auto_dt`` at the initial state) or ``"user"``
-    (``dt`` was given).
+    ``dt_bound`` names what set the initial step: ``"advective"`` or
+    ``"plasma"`` (the smaller bound of ``auto_dt`` at the initial state)
+    or ``"user"`` (``dt`` was given).  ``n_halvings`` counts the times an
+    automatic step was halved because the state outgrew its bound,
+    ``n_steps`` the steps taken and ``dt`` the final step.
     """
 
     t: np.ndarray
@@ -421,6 +443,13 @@ class FluidRun:
     n_steps: int
     dt: float
     dt_bound: str
+    n_halvings: int
+
+
+def _step_count(t_end: float, dt: float) -> int | float:
+    """Least n >= 1 with t_end / n <= dt (to 1e-12); inf if that overflows."""
+    ratio = t_end / dt if dt > 0.0 else math.inf
+    return max(1, math.ceil(ratio - 1e-12)) if ratio < math.inf else math.inf
 
 
 def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
@@ -435,9 +464,21 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     with a diagnostic when max |du/dx| exceeds it; the solver targets
     smooth regimes only.
 
+    Without ``dt`` the step is 0.75 ``auto_dt`` at the initial state,
+    rounded down to t_end / n.  A fixed step cannot foresee a steepening
+    wave, so when ``step`` rejects it (``CFLViolationError``, raised
+    before any work) the step is halved and the steps left and the
+    sample stride are doubled: the samples stay uniform and the run ends
+    at t_end.  The step is never halved below half of 0.75 times the
+    full-speed bound 0.4 dx / max(|u| + c) (``auto_dt`` with c0 = 0) at
+    the initial state, rounded the same way; past that floor the error
+    propagates.  A given ``dt`` is never halved.
+
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
-    sample_every >= 1, 0 <= probe_mode <= N/2 and steepening_limit is
-    None or finite and > 0.
+    sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
+    or finite and > 0 and the run takes at most 2**20 steps, and
+    ``NumericalError`` (``FluidState1D.check``) for an initial state that
+    is not finite or has n <= 0.
     """
     g = state.grid
     if not 0.0 < t_end < math.inf:
@@ -452,16 +493,21 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if steepening_limit is not None and not 0.0 < steepening_limit < math.inf:
         raise ConfigError(
             f"steepening limit must be positive and finite, got {steepening_limit!r}")
+    state.check()
     if dt is None:
         limit = auto_dt(state, params)
         dt_bound = "plasma" if limit == _SAFETY / params.omega_p else "advective"
         # stay below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
         dt = 0.75 * limit
+        floor = 0.5 * t_end / _step_count(t_end, 0.75 * _dt_limit(state, params, 0.0))
     else:
-        dt_bound = "user"
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
+        dt_bound, floor = "user", math.inf
+    left = _step_count(t_end, dt)
+    if left > _MAX_STEPS:
+        raise ConfigError(f"a run of length {t_end!r} at dt = {dt!r} needs more than "
+                          f"the {_MAX_STEPS}-step limit")
+    dt = t_end / left
 
     norm = 2.0 / g.n_points
     times, mass = [], []
@@ -474,21 +520,32 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
             coeffs[name].append(complex(c) * norm)
 
     record(state)
-    for i in range(n_steps):
-        state = step(state, dt, params, damping=damping)
+    stride, since, taken, halvings = sample_every, 0, 0, 0
+    while left:
+        try:
+            state = step(state, dt, params, damping=damping)
+        except CFLViolationError:
+            if 0.5 * dt < floor:
+                raise
+            dt, left, stride, since = 0.5 * dt, 2 * left, 2 * stride, 2 * since
+            halvings += 1
+            continue
+        left, since, taken = left - 1, since + 1, taken + 1
         if steepening_limit is not None:
             du = np.fft.irfft(1j * g.k * state.spectrum[1], n=g.n_points)
             if float(np.max(np.abs(du))) > steepening_limit * params.omega_p:
                 raise SteepeningError(
                     f"velocity gradient exceeded {steepening_limit} omega_p "
                     f"at t = {state.t:.6g}; smooth-wave regime left")
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
+        if since == stride or not left:
             record(state)
+            since = 0
 
     return FluidRun(
         t=np.asarray(times),
         mode={k: np.asarray(v) for k, v in coeffs.items()},
-        mass=np.asarray(mass), final=state, n_steps=n_steps, dt=dt, dt_bound=dt_bound)
+        mass=np.asarray(mass), final=state, n_steps=taken, dt=dt, dt_bound=dt_bound,
+        n_halvings=halvings)
 
 
 def uniform_state(grid: Grid1D, params: PlasmaParams,

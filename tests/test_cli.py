@@ -1,11 +1,20 @@
+import contextlib
+import io
+import math
 import shlex
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfluid import dispersion, fluid1d
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
+from qfluid.params import nondimensional
 from qfluid.traveling import integrate, reference_oscillation_state, wave_frame_config
 from qfluid.wigner import analytic_wigner
 
@@ -98,6 +107,65 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
     code = run(tmp_path, ["fluid", "--grid", "64", "--periods", "1",
                           "--dt", "10.0", "-o", "x.csv"])
     assert code == 3
+
+
+def test_fluid_header_reports_its_steps(tmp_path):
+    argv = ["fluid", "--grid", "64", "--periods", "1", "--tpar", "0.05", "--hbar", "0.2",
+            "-o", "probe.csv"]
+    assert run(tmp_path, argv) == 0
+    first = (tmp_path / "probe.csv").read_bytes()
+    assert run(tmp_path, argv) == 0
+    assert (tmp_path / "probe.csv").read_bytes() == first
+    params = nondimensional(hbar=0.2, T0_par=0.05)
+    grid = fluid1d.Grid1D(64, 2.0 * np.pi)
+    omega = math.sqrt(float(dispersion.general_omega_sq(grid.k_fundamental, params)))
+    reference = fluid1d.evolve(fluid1d.eigenmode_state(grid, params, 1, 1e-6), params,
+                               2.0 * np.pi / omega,
+                               damping=fluid1d.SpectralDamping.tailored(grid, params))
+    line = (f"# steps: taken={reference.n_steps}, dt={reference.dt!r}, "
+            f"dt_bound={reference.dt_bound}, halvings={reference.n_halvings}")
+    assert line in first.decode().splitlines()
+    assert reference.dt * reference.n_steps == pytest.approx(reference.t[-1], rel=1e-12)
+
+
+# option -> (values of a small, short run; values that should be refused or
+# fail cleanly: 0, negatives, nan, inf, 1e308 and a step too small to finish)
+FLUID_OPTIONS = {
+    "--grid": (["8", "16", "32"], ["0", "-8", "7", "nan", "1e308"]),
+    "--periods": (["0.2", "1"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--tpar": ([None, "0", "0.01", "0.1"], ["-1", "nan", "inf", "1e308"]),
+    "--hbar": ([None, "0", "0.3", "1"], ["-0.5", "nan", "inf", "1e308"]),
+    "--amplitude": ([None, "1e-6", "1e-2"], ["0", "0.5", "2", "-1e-3", "nan", "inf",
+                                            "1e308", "-1e308"]),
+    "--dt": ([None, "0.05"], ["0.5", "1e-300", "5e-324", "0", "-0.1", "nan", "inf",
+                              "1e308"]),
+    "--mode": ([None, "1", "2"], ["9", "0", "-1", "nan", "1e308"]),
+}
+
+
+@st.composite
+def fluid_argv(draw):
+    """A ``qfluid fluid`` argv with up to three options set to a spoiling value."""
+    spoiled = draw(st.sets(st.sampled_from(sorted(FLUID_OPTIONS)), max_size=3))
+    argv = ["fluid"]
+    for name, (good, bad) in FLUID_OPTIONS.items():
+        value = draw(st.sampled_from(bad if name in spoiled else good))
+        if value is not None:
+            argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=20_000)
+@given(argv=fluid_argv())
+def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(Path(tmp), argv + ["-o", "out.csv"])
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not list(Path(tmp).iterdir())
 
 
 def test_unfiltered_fluid_failure_names_the_filter(tmp_path, capsys):

@@ -421,9 +421,13 @@ def test_steepening_halt():
 def test_evolve_records_which_bound_set_dt():
     g = grid(64)
     warm = nondimensional(hbar=0.0, T0_par=0.1)
-    state = perturbed_state(g, warm, mode=1, amplitude=1e-3)
+    # a uniform drift is carried by the remainder, not by the linear propagator
+    drifting = uniform_state(g, warm).fields.copy()
+    drifting[1] = 0.5
+    state = FluidState1D(g, drifting)
     run = evolve(state, warm, t_end=1.0)
     assert run.dt_bound == "advective"
+    assert auto_dt(state, warm) == pytest.approx(0.4 * g.dx / 0.5)
     assert auto_dt(state, warm) < 0.4 / warm.omega_p
     assert run.dt == pytest.approx(1.0 / run.n_steps)
     assert run.dt <= 0.75 * auto_dt(state, warm)
@@ -438,6 +442,72 @@ def test_evolve_records_which_bound_set_dt():
     run = evolve(state, cold, t_end=0.1, dt=0.01)
     assert (run.dt_bound, run.n_steps) == ("user", 10)
     assert run.dt == pytest.approx(0.01)
+
+
+def test_linear_sound_speed_sets_no_bound():
+    g = grid(64)
+    for T0_par in (0.1, 1.0, 10.0):
+        warm = nondimensional(hbar=0.5, T0_par=T0_par)
+        assert auto_dt(uniform_state(g, warm), warm) == 0.4 / warm.omega_p
+
+
+def steepening_wave():
+    g = grid(128)
+    p = nondimensional(hbar=0.0, T0_par=0.1)
+    return perturbed_state(g, p, mode=1, amplitude=0.1, fields=("n", "u")), p
+
+
+def test_evolve_halves_its_step_when_the_state_outgrows_the_bound():
+    state, p = steepening_wave()
+    damping = SpectralDamping.tailored(state.grid, p)
+    run = evolve(state, p, t_end=2.0, damping=damping, sample_every=3)
+    assert run.n_halvings >= 1
+    assert run.dt == pytest.approx(0.75 * auto_dt(state, p) / 2 ** run.n_halvings, rel=0.1)
+    steps = np.diff(run.t)
+    assert np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
+    assert run.t[-1] == pytest.approx(2.0, rel=1e-12)
+    assert run.final.t == run.t[-1]
+    # a given step is never halved
+    with pytest.raises(CFLViolationError):
+        evolve(state, p, t_end=2.0, dt=0.75 * auto_dt(state, p), damping=damping)
+
+
+def test_evolve_never_halves_below_half_the_full_speed_step():
+    # cold: c0 = 0, so the automatic step is the full-speed one and one halving
+    # is allowed; the oscillation's flow soon needs less than that
+    g = grid(64)
+    cold = nondimensional(hbar=0.0, T0_par=0.0)
+    state = perturbed_state(g, cold, mode=1, amplitude=0.3)
+    with pytest.raises(CFLViolationError) as err:
+        evolve(state, cold, t_end=5.0, damping=SpectralDamping.tailored(g, cold))
+    n_today = math.ceil(5.0 / (0.75 * 0.4 / cold.omega_p))
+    assert f"dt = {0.5 * 5.0 / n_today:.6g} exceeds" in str(err.value)
+
+
+def test_automatic_step_accuracy_on_a_nonlinear_warm_eigenmode():
+    # the price of the larger step: error against a dt/8 reference, as a
+    # share of the nonlinear part of the signal (reference minus the scaled
+    # linear run), and fourth-order convergence when dt is halved
+    g = grid(256)
+    p = nondimensional(hbar=0.3, T0_par=0.05)
+    omega = math.sqrt(float(dispersion.general_omega_sq(g.k_fundamental, p)))
+    t_end = 5 * 2 * math.pi / omega
+    damping = SpectralDamping.tailored(g, p)
+    big, small = 1e-2, 1e-8
+
+    def final(amplitude, dt=None):
+        run = evolve(eigenmode_state(g, p, 1, amplitude), p, t_end, dt=dt, damping=damping)
+        return run.final.fields, run.dt
+
+    auto, dt = final(big)
+    half, _ = final(big, dt / 2)
+    reference, _ = final(big, dt / 8)
+    linear, _ = final(small, dt)
+    base = uniform_state(g, p).fields
+    nonlinear = np.max(np.abs((reference - base) - (linear - base) * (big / small)))
+    error = np.max(np.abs(auto - reference))
+    assert error / np.max(np.abs(half - reference)) > 10.0
+    assert error <= 1e-2 * nonlinear
 
 
 def test_evolve_is_deterministic():
