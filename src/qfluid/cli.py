@@ -18,17 +18,18 @@ import numpy as np
 from . import dispersion, fluid1d, linear_response, moments, traveling, wigner
 from .csvio import write_csv
 from .errors import ConfigError, NumericalError, SonicSingularityError
-from .params import PlasmaParams, load_params_config, nondimensional, si_electron
+from .params import PRESETS, PlasmaParams, load_params_config, preset
 
 __all__ = ["main", "build_parser"]
 
 
 def _add_param_options(sub: argparse.ArgumentParser) -> None:
     g = sub.add_argument_group("plasma parameters")
-    g.add_argument("--preset", choices=["nondim", "si-electron"], default="nondim",
-                   help="parameter preset (default: nondim)")
-    g.add_argument("--config", metavar="FILE",
-                   help="key=value parameter file; flags override its keys")
+    source = g.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESETS,
+                        help="parameter preset (default: nondim)")
+    source.add_argument("--config", metavar="FILE",
+                        help="complete key=value parameter file; flags override its keys")
     g.add_argument("--n0", type=float, default=None, help="number density")
     g.add_argument("--hbar", type=float, default=None, help="reduced Planck constant")
     g.add_argument("--tpar", type=float, default=None, help="parallel temperature T0_par")
@@ -36,24 +37,12 @@ def _add_param_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args) -> PlasmaParams:
+    flags = {name: value for name, value in (("n0", args.n0), ("hbar", args.hbar),
+                                             ("T0_par", args.tpar), ("T0_perp", args.tperp))
+             if value is not None}
     if args.config:
-        base = load_params_config(args.config)
-    elif args.preset == "si-electron":
-        if args.n0 is None:
-            raise ConfigError("preset si-electron requires --n0")
-        base = si_electron(n0=args.n0)
-    else:
-        base = nondimensional()
-    overrides = {}
-    if args.n0 is not None:
-        overrides["n0"] = args.n0
-    if args.hbar is not None:
-        overrides["hbar"] = args.hbar
-    if args.tpar is not None:
-        overrides["T0_par"] = args.tpar
-    if args.tperp is not None:
-        overrides["T0_perp"] = args.tperp
-    return base.with_(**overrides) if overrides else base
+        return load_params_config(args.config).with_(**flags)
+    return preset(args.preset or "nondim", **flags)
 
 
 def _cmd_dispersion(args, command: str) -> None:
@@ -82,8 +71,7 @@ def _cmd_response(args, command: str) -> None:
         if not 0.0 <= args.p_iso < math.inf:
             raise ConfigError(f"--p-iso must be finite and non-negative, got {args.p_iso!r}")
         P0 = args.p_iso * np.eye(3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        om2 = dispersion.require_finite(ks, dispersion.general_omega_sq(ks, params))
+    om2 = dispersion.evaluate("general", ks, params)
     dP = linear_response.delta_P(ks, om2, args.dphi, P0, params)
     cols = [("k", ks), ("omega_sq", om2)] + [
         (f"dP_{name}", dP[:, i, j]) for name, (i, j) in (
@@ -95,12 +83,7 @@ def _cmd_response(args, command: str) -> None:
 def _cmd_fluid(args, command: str) -> None:
     params = _params_from(args)
     grid = fluid1d.Grid1D(n_points=args.grid, length=args.length)
-    k = args.mode * grid.k_fundamental
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega = float(np.sqrt(dispersion.general_omega_sq(k, params)))
-    if not math.isfinite(omega):
-        raise ConfigError(f"predicted omega at mode {args.mode} is not finite ({omega!r}) "
-                          f"on a domain of length {args.length!r}")
+    omega = fluid1d.mode_frequency(grid, params, args.mode)
     if args.ic == "eigenmode":
         state = fluid1d.eigenmode_state(grid, params, args.mode, args.amplitude)
     else:

@@ -1,4 +1,4 @@
-"""Deterministic CSV output with a re-run header.
+"""Deterministic CSV output with a re-run header, and the one CSV reader.
 
 Every file starts with a comment line holding the exact command that
 produced it, so outputs are reproducible from their own header.  Each
@@ -12,14 +12,20 @@ each distinct value formatted once, keyed on its bit pattern so that
 formatting every row.  Rows are streamed in chunks of ``_CHUNK_ROWS``,
 so the text of a whole file is never held at once.  Files are replaced
 atomically (write to a temporary name, then rename).
+
+``read_csv`` is the package's one CSV parser (``moments.load_distribution_csv``
+reads through it), so a malformed table raises ``ConfigError`` in one place.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = ["write_csv", "read_csv"]
 
@@ -90,24 +96,50 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
 
 
 def read_csv(path) -> tuple[str | None, dict[str, np.ndarray]]:
-    """Read a file written by ``write_csv``: (command, column mapping).
+    """Read a CSV table such as ``write_csv`` writes: (command, column mapping).
 
-    Columns convert to float where possible and stay strings otherwise.
+    Lines starting with '#' are comments, in the body too; a
+    ``# command: `` line sets the command.  The first other line is the
+    header, one distinct non-empty name per column.  An all-numeric body
+    is parsed straight to float64; a body with a text cell is parsed as
+    strings, and each column converts to float where it can and stays
+    str otherwise.  A header-only table gives empty float columns.  A
+    missing or bad header, a row whose width differs from the header's
+    and text that is not UTF-8 raise ``ConfigError``.
     """
     command = None
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            if line.startswith(COMMAND_PREFIX):
-                command = line[len(COMMAND_PREFIX):].strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             line = fh.readline()
-        names = line.strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", dtype=str, ndmin=2)
+            while line.startswith("#"):
+                if line.startswith(COMMAND_PREFIX):
+                    command = line[len(COMMAND_PREFIX):].strip()
+                line = fh.readline()
+            names = line.strip().split(",")
+            body = fh.tell()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError:
+                    fh.seek(body)
+                    data = np.loadtxt(fh, delimiter=",", dtype=str, ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: rows must hold one value per header column ({exc})") from None
+    if "" in names or len(set(names)) != len(names):
+        raise ConfigError(f"{path}: header {line.strip()!r} needs distinct, non-empty "
+                          "column names")
+    if len(data) == 0:
+        return command, {name: np.empty(0) for name in names}
+    if data.shape[1] != len(names):
+        raise ConfigError(f"{path}: rows hold {data.shape[1]} values, "
+                          f"the header names {len(names)}")
     out = {}
-    for i, name in enumerate(names):
-        col = data[:, i]
+    for name, col in zip(names, data.T):
         try:
-            out[name] = col.astype(float)
+            out[name] = col.astype(float, copy=False)
         except ValueError:
             out[name] = col
     return command, out

@@ -41,7 +41,6 @@ __all__ = [
     "RELATIONS",
     "k_grid",
     "evaluate",
-    "require_finite",
 ]
 
 # a `qfluid response` sweep peaks at ~830 bytes per k point (its 3x3
@@ -147,8 +146,10 @@ def evaluate(relation_tag: str, k, params: PlasmaParams,
     """omega^2 of the relation named ``relation_tag`` (a key of ``RELATIONS``) at k.
 
     ``gamma`` is the adiabatic exponent; it is required by "adiabatic"
-    and ignored by every other relation.  Overflow raises ``ConfigError``
-    (``require_finite``) instead of warning.
+    and ignored by every other relation.  At a huge finite k, k^2 or k^4
+    overflows: omega^2 is computed under ``np.errstate`` and a value that
+    is not finite raises ``ConfigError`` naming the first such k instead
+    of warning.
     """
     if relation_tag not in RELATIONS:
         raise ConfigError(f"unknown relation {relation_tag!r} (choices: {sorted(RELATIONS)})")
@@ -157,18 +158,8 @@ def evaluate(relation_tag: str, k, params: PlasmaParams,
         raise ConfigError("relation 'adiabatic' requires gamma")
     with np.errstate(over="ignore", invalid="ignore"):
         om2 = fn(k, params, gamma) if relation_tag == "adiabatic" else fn(k, params)
-    return require_finite(k, om2)
-
-
-def require_finite(k, omega_sq):
-    """``omega_sq`` unchanged, or ``ConfigError`` naming the first k where it is not finite.
-
-    At a huge finite k, k^2 or k^4 overflows and omega^2 comes out inf or
-    nan; compute it under ``np.errstate`` and check it here.
-    """
-    k, om2 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega_sq, dtype=float))
-    bad = ~np.isfinite(om2)
+    k, bad = np.broadcast_arrays(np.asarray(k, dtype=float), ~np.isfinite(om2))
     if bad.any():
         raise ConfigError(f"omega^2 is not finite at k = {float(k[bad][0])!r} "
                           f"(k^2 or k^4 overflows); lower k_max")
-    return omega_sq
+    return om2

@@ -88,6 +88,7 @@ __all__ = [
     "FluidRun",
     "uniform_state",
     "perturbed_state",
+    "mode_frequency",
     "eigenmode_state",
     "measure_frequency",
 ]
@@ -557,18 +558,29 @@ def uniform_state(grid: Grid1D, params: PlasmaParams,
                                       [[params.n0], [0.0], [p0], [0.0]]))
 
 
+def _initial_state(grid: Grid1D, fields: np.ndarray, amplitude: float) -> FluidState1D:
+    """``FluidState1D`` of ``fields``, or ``ConfigError`` when their spectrum is
+    not finite (a non-finite field makes its mean non-finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(fields)
+    if not np.isfinite(spectrum).all():
+        raise ConfigError(f"perturbation amplitude {amplitude!r} makes the initial fields "
+                          "or their spectrum overflow")
+    return FluidState1D(grid, fields, spectrum=spectrum)
+
+
 def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: float,
-                    fields: tuple[str, ...] = ("n",),
-                    p0: float | None = None) -> FluidState1D:
+                    fields: tuple[str, ...] = ("n",)) -> FluidState1D:
     """Equilibrium plus a cosine perturbation on the named fields.
 
     n and p perturbations scale with n0 (``amplitude`` is relative);
     u and Q take ``amplitude`` in raw units.  Raises ``ConfigError`` for
-    a non-finite amplitude.
+    an amplitude that is not finite or makes a field or its spectrum
+    overflow.
     """
     if not math.isfinite(amplitude):
         raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
-    base = uniform_state(grid, params, p0).fields
+    base = uniform_state(grid, params).fields
     profile = np.cos(mode * grid.k_fundamental * grid.x)
     rows = list(base)
     for name in fields:
@@ -577,7 +589,18 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
         i = FIELDS.index(name)
         scale = params.n0 if name in ("n", "p") else 1.0
         rows[i] = base[i] + amplitude * scale * profile
-    return FluidState1D(grid, np.array(rows))
+    return _initial_state(grid, np.array(rows), amplitude)
+
+
+def mode_frequency(grid: Grid1D, params: PlasmaParams, mode: int) -> float:
+    """omega of the general relation at k = mode * 2pi/L; ``ConfigError``
+    when it is not finite (a domain too short for the mode)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = math.sqrt(float(dispersion.general_omega_sq(mode * grid.k_fundamental, params)))
+    if not math.isfinite(om):
+        raise ConfigError(f"predicted omega at mode {mode} is not finite ({om!r}) "
+                          f"on a domain of length {grid.length!r}")
+    return om
 
 
 def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
@@ -592,8 +615,9 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
         Q1 = (omega p1 - 3 p0 k u1) / k.
 
     ``amplitude`` A is the relative density perturbation.  Raises
-    ``ConfigError`` for a non-finite amplitude and when omega is not
-    finite (a domain too short for the mode).
+    ``ConfigError`` for an amplitude that is not finite or makes a field
+    or its spectrum overflow, and when omega is not finite
+    (``mode_frequency``).
     """
     if mode < 1:
         raise ConfigError("mode number must be >= 1")
@@ -601,11 +625,7 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
         raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
     k = mode * grid.k_fundamental
     wp = params.omega_p
-    with np.errstate(over="ignore", invalid="ignore"):
-        om = math.sqrt(float(dispersion.general_omega_sq(k, params)))
-    if not math.isfinite(om):
-        raise ConfigError(f"predicted omega at mode {mode} is not finite ({om!r}) "
-                          f"on a domain of length {grid.length!r}")
+    om = mode_frequency(grid, params, mode)
     p0 = params.n0 * params.kB * params.T0_par
 
     n1 = amplitude * params.n0
@@ -614,7 +634,8 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
     Q1 = (om * p1 - 3.0 * p0 * k * u1) / k
 
     uniform = uniform_state(grid, params, p0).fields
-    return FluidState1D(grid, uniform + np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)))
+    return _initial_state(grid, uniform + np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)),
+                          amplitude)
 
 
 def measure_frequency(t: np.ndarray, y: np.ndarray,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import read_csv, write_csv
 from .errors import ConfigError, MomentError
 
 __all__ = [
@@ -253,24 +253,28 @@ def save_distribution_csv(path, f: np.ndarray, grid: VelocityGrid) -> None:
 
 
 def load_distribution_csv(path) -> tuple[np.ndarray, VelocityGrid]:
-    """Read a distribution written by ``save_distribution_csv``.
+    """Read a distribution table such as ``save_distribution_csv`` writes.
 
-    1D files have columns (v, f); 3D files (v1, v2, v3, f) in row-major
-    tensor-product order.  Grid weights are rebuilt by the trapezoid rule.
+    The file is parsed by ``csvio.read_csv``, so '#' lines are comments.
+    1D files have columns (v, f); 3D files (v1, v2, v3, f), one row per
+    node of a tensor-product grid in row-major order (v1 outermost, v3
+    innermost), each node once.  Every value must be a finite number.
+    Grid weights are rebuilt by the trapezoid rule.  Anything else raises
+    ``ConfigError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",")
-    if header == ["v", "f"]:
-        nodes, vals = data[:, 0], data[:, 1]
-        grid = VelocityGrid.from_nodes(nodes)
-        return vals, grid
-    if header == ["v1", "v2", "v3", "f"]:
-        axes = [np.unique(data[:, i]) for i in range(3)]
-        shape = tuple(len(a) for a in axes)
-        if np.prod(shape) != data.shape[0]:
-            raise ConfigError("3D distribution file is not a complete tensor product")
-        vals = data[:, 3].reshape(shape)
-        grid = VelocityGrid.from_nodes(*axes)
-        return vals, grid
-    raise ConfigError(f"unrecognized distribution header {header!r}")
+    _, cols = read_csv(path)
+    if list(cols) not in (["v", "f"], ["v1", "v2", "v3", "f"]):
+        raise ConfigError(f"unrecognized distribution header {list(cols)!r} "
+                          "(expected v,f or v1,v2,v3,f)")
+    for name, col in cols.items():
+        if col.dtype.kind != "f" or not np.isfinite(col).all():
+            raise ConfigError(f"distribution column {name!r} must hold finite numbers")
+    *vs, f = cols.values()
+    axes = [np.unique(v) for v in vs]
+    shape = tuple(len(a) for a in axes)
+    nodes = np.meshgrid(*axes, indexing="ij", copy=False)
+    if np.prod(shape) != len(f) or not all(
+            (v.reshape(shape) == g).all() for v, g in zip(vs, nodes)):
+        raise ConfigError("distribution rows must list each node of a tensor-product grid "
+                          "once, in row-major order")
+    return f.reshape(shape), VelocityGrid.from_nodes(*axes)

@@ -2,8 +2,9 @@
 
 Everything downstream (dispersion relations, the 1D fluid solver, the
 traveling-wave reduction) reads its constants from a ``PlasmaParams``
-instance.  Two presets are provided: a nondimensional one in which
-e = m = eps0 = kB = 1, and an SI electron preset with CODATA constants.
+instance.  Two presets are provided, both built by ``preset``: a
+nondimensional one in which e = m = eps0 = kB = 1, and an SI electron
+preset with CODATA constants and no default density.
 
 Sign convention: ``e`` is the (positive) magnitude of the elementary
 charge; the momentum equation carries the force term +(e/m) d(phi)/dx and
@@ -23,6 +24,8 @@ __all__ = [
     "PlasmaParams",
     "nondimensional",
     "si_electron",
+    "PRESETS",
+    "preset",
     "parse_params_config",
     "load_params_config",
 ]
@@ -98,26 +101,42 @@ def nondimensional(hbar: float = 1.0, T0_par: float = 0.0, T0_perp: float = 0.0,
                         T0_par=T0_par, T0_perp=T0_perp, kB=1.0)
 
 
-def si_electron(n0: float, T0_par: float = 0.0, T0_perp: float = 0.0) -> PlasmaParams:
-    """SI electron preset with CODATA 2018 constants."""
-    return PlasmaParams(n0=n0, m=_ME_SI, e=_E_SI, eps0=_EPS0_SI, hbar=_HBAR_SI,
-                        T0_par=T0_par, T0_perp=T0_perp, kB=_KB_SI)
+def si_electron(n0: float) -> PlasmaParams:
+    """SI electron preset with CODATA 2018 constants, at zero temperature."""
+    return PlasmaParams(n0=n0, m=_ME_SI, e=_E_SI, eps0=_EPS0_SI, hbar=_HBAR_SI, kB=_KB_SI)
 
 
-_PRESETS = {"nondim": nondimensional, "si-electron": si_electron}
+PRESETS = ("nondim", "si-electron")
 _FLOAT_KEYS = tuple(f.name for f in fields(PlasmaParams))
+
+
+def preset(name: str, **changes: float) -> PlasmaParams:
+    """The preset ``name`` (one of ``PRESETS``) with the fields in ``changes`` replaced.
+
+    "si-electron" has no default density, so ``changes`` must give n0;
+    an unknown name or a missing n0 raises ``ConfigError``.
+    """
+    if name == "nondim":
+        base = nondimensional()
+    elif name == "si-electron":
+        if "n0" not in changes:
+            raise ConfigError("preset 'si-electron' requires n0")
+        base = si_electron(n0=changes["n0"])
+    else:
+        raise ConfigError(f"unknown preset {name!r} (choices: {list(PRESETS)})")
+    return base.with_(**changes)
 
 
 def parse_params_config(text: str) -> PlasmaParams:
     """Parse a key=value parameter config.
 
-    Lines are ``key = value`` with '#' comments.  A ``preset`` key
-    ("nondim" or "si-electron") supplies defaults that later keys override;
-    without a preset every parameter field must be given.  Unknown keys are
-    an error.
+    Lines are ``key = value`` with '#' comments.  A ``preset`` key names
+    a preset (``preset``) whose fields the other keys replace; the
+    "si-electron" preset needs an ``n0`` key.  Without a preset every
+    parameter field must be given.  Unknown keys are an error.
     """
     values: dict[str, float] = {}
-    preset: str | None = None
+    name: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,10 +146,7 @@ def parse_params_config(text: str) -> PlasmaParams:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "preset":
-            if val not in _PRESETS:
-                raise ConfigError(f"line {lineno}: unknown preset {val!r} "
-                                  f"(choices: {sorted(_PRESETS)})")
-            preset = val
+            name = val
         elif key in _FLOAT_KEYS:
             try:
                 values[key] = float(val)
@@ -139,20 +155,19 @@ def parse_params_config(text: str) -> PlasmaParams:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    if preset == "nondim":
-        base = nondimensional()
-    elif preset == "si-electron":
-        base = si_electron(n0=values.get("n0", 1.0))
-    else:
-        missing = [k for k in _FLOAT_KEYS if k not in values]
-        if missing:
-            raise ConfigError(f"no preset given and parameters missing: {missing}")
-        base = PlasmaParams(**values)
-        return base
-    return base.with_(**values)
+    if name is not None:
+        return preset(name, **values)
+    missing = [k for k in _FLOAT_KEYS if k not in values]
+    if missing:
+        raise ConfigError(f"no preset given and parameters missing: {missing}")
+    return PlasmaParams(**values)
 
 
 def load_params_config(path) -> PlasmaParams:
     """Read and parse a key=value parameter config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_params_config(text)

@@ -244,6 +244,98 @@ def test_moments_subcommand(tmp_path):
     assert float(table["P_xx"]) == pytest.approx(1.5 * 0.7, rel=1e-8)
 
 
+def _v3_outermost(header, rows):
+    return [header] + [rows[i] for i in np.arange(len(rows)).reshape(8, 8, 8).T.ravel()]
+
+
+# name -> (spoil (header, rows) -> lines, what the error names); the first
+# case is a valid file
+DISTRIBUTION_SPOILERS = {
+    "comment lines": (lambda h, rows: ["# command: qfluid demo", h, *rows[:5], "# a note",
+                                       *rows[5:]], None),
+    "header only": (lambda h, rows: [h], "need at least 8 nodes, got 0"),
+    "text cell": (lambda h, rows: [h, "x" + rows[0][rows[0].index(","):], *rows[1:]],
+                  "column 'v1' must hold finite numbers"),
+    "ragged row": (lambda h, rows: [h, *rows[:7], rows[7].rsplit(",", 1)[0], *rows[8:]],
+                   "one value per header column"),
+    "v3 outermost": (_v3_outermost, "row-major order"),
+    "a node twice": (lambda h, rows: [h, rows[0], rows[0], *rows[2:]], "row-major order"),
+    "unknown header": (lambda h, rows: ["u1,u2,u3,f", *rows], "expected v,f or v1,v2,v3,f"),
+    "text f column": (lambda h, rows: [h, *(r.rsplit(",", 1)[0] + ",high" for r in rows)],
+                      "column 'f' must hold finite numbers"),
+    "nan f value": (lambda h, rows: [h, rows[0].rsplit(",", 1)[0] + ",nan", *rows[1:]],
+                    "column 'f' must hold finite numbers"),
+}
+
+
+def write_distribution(directory, spoiler=None):
+    """dist.csv: a Maxwellian on an 8^3 grid, spoiled by ``spoiler`` if given."""
+    g = VelocityGrid.uniform(3, 6.0, 8)
+    save_distribution_csv(directory / "dist.csv", maxwellian(g, 1.0, 1.0), g)
+    if spoiler is not None:
+        header, *rows = (directory / "dist.csv").read_text().splitlines()
+        lines = DISTRIBUTION_SPOILERS[spoiler][0](header, rows)
+        (directory / "dist.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("spoiler", list(DISTRIBUTION_SPOILERS)[1:])
+def test_bad_moments_input_exits_2_without_traceback(tmp_path, capsys, spoiler):
+    write_distribution(tmp_path, spoiler)
+    assert run(tmp_path, ["moments", "--input", "dist.csv", "-o", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert DISTRIBUTION_SPOILERS[spoiler][1] in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["dist.csv"]
+
+
+def test_moments_input_may_carry_comment_lines(tmp_path):
+    write_distribution(tmp_path)
+    assert run(tmp_path, ["moments", "--input", "dist.csv", "-o", "plain.csv"]) == 0
+    write_distribution(tmp_path, "comment lines")
+    assert run(tmp_path, ["moments", "--input", "dist.csv", "-o", "commented.csv"]) == 0
+    plain, commented = ((tmp_path / name).read_text().splitlines()[1:]
+                        for name in ("plain.csv", "commented.csv"))
+    assert commented == plain
+
+
+# option -> values: unset, usable, then 0, negatives, nan, inf and 1e308
+PARAM_VALUES = {
+    "--preset": [None, "nondim", "si-electron"],
+    "--n0": [None, "2.5", "0", "-1", "nan", "inf", "1e308"],
+    "--hbar": [None, "0.5", "0", "-0.5", "nan", "inf", "1e308"],
+    "--tpar": [None, "0.1", "0", "-1", "nan", "inf", "1e308"],
+    "--tperp": [None, "0.1", "0", "-1", "nan", "inf", "1e308"],
+}
+
+
+@st.composite
+def moments_case(draw):
+    """A spoiler for the input file (or None) and a ``qfluid moments`` argv."""
+    spoiler = draw(st.sampled_from([None, *DISTRIBUTION_SPOILERS]))
+    argv = ["moments", "--input", "dist.csv"]
+    for name, values in PARAM_VALUES.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{name}={value}")
+    return spoiler, argv
+
+
+@settings(max_examples=60, deadline=20_000)
+@given(case=moments_case())
+def test_moments_argv_fuzz_exits_with_a_documented_code(case):
+    spoiler, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        write_distribution(Path(tmp), spoiler)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(Path(tmp), argv + ["-o", "out.csv"])
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert [p.name for p in Path(tmp).iterdir()] == ["dist.csv"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "plasma.cfg"
     cfg.write_text("preset = nondim\nT0_par = 0.1\nhbar = 0\n")
@@ -367,6 +459,8 @@ OVERFLOWING_SWEEPS = [
     (["response", "--kmax", "1e200", "--n", "4"], "omega^2 is not finite at k = 3.33"),
     (["response", "--p-iso", "1e308", "--n", "4"], "pressure response overflows at k = 0.1"),
     (["dispersion", "--n", "100000000000"], "262144-point sweep limit"),
+    (["fluid", "--amplitude", "1e308"], "amplitude 1e+308"),
+    (["fluid", "--ic", "perturb", "--ic-fields", "u", "--amplitude", "1e308"], "amplitude 1e+308"),
 ]
 
 
@@ -393,6 +487,24 @@ def test_si_preset_requires_density(tmp_path, capsys):
     code = run(tmp_path, ["dispersion", "--preset", "si-electron", "-o", "x.csv"])
     assert code == 2
     assert "n0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["nondim", "si-electron"])
+def test_config_and_preset_are_exclusive(tmp_path, capsys, name):
+    (tmp_path / "nd.cfg").write_text("preset = nondim\n")
+    argv = ["dispersion", "--config", "nd.cfg", "--preset", name, "--n0", "1e28", "-o", "x.csv"]
+    assert run(tmp_path, argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["nd.cfg"]
+
+
+def test_config_file_must_be_complete_on_its_own(tmp_path, capsys):
+    # a flag overrides a key of the file but cannot supply a missing one
+    (tmp_path / "si.cfg").write_text("preset = si-electron\nT0_par = 300\n")
+    assert run(tmp_path, ["dispersion", "--config", "si.cfg", "--n0", "1e28", "-o", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "requires n0" in err
 
 
 def test_io_error_exits_4(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfluid.csvio import _CHUNK_ROWS, _formatted_once, read_csv, write_csv
+from qfluid.errors import ConfigError
 
 # every qfluid output file uses these bytes; any change here changes them all
 FROZEN = (
@@ -93,3 +94,59 @@ def test_repeated_float_columns_take_the_formatted_once_path():
         assert cells.tolist() == ["%.16e" % v for v in columns[name].tolist()]
     assert _formatted_once(columns["distinct"], "%.16e") is None
     assert _formatted_once(columns["grid"].astype(np.longdouble), "%.16e") is None
+
+
+def test_read_csv_parses_a_numeric_body_to_float64(tmp_path):
+    values = np.array([[-0.0, 5e-324, np.inf], [0.1, -1e300, np.nan]])
+    path = tmp_path / "numbers.csv"
+    write_csv(path, [(name, values[:, i]) for i, name in enumerate("abc")])
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(["# note", text[0], text[1], "# inside the body", text[2]]) + "\n")
+    command, cols = read_csv(path)
+    assert command is None and list(cols) == ["a", "b", "c"]
+    for i, name in enumerate("abc"):
+        assert cols[name].dtype == np.float64
+        assert cols[name].tobytes() == values[:, i].tobytes()
+
+
+def test_read_csv_keeps_text_columns_as_str(tmp_path):
+    path = tmp_path / "mixed.csv"
+    write_csv(path, [("component", np.array(["n", "boundary_ok"])),
+                     ("value", np.array(["1.5", "True"])), ("x", np.array([1.0, 2.0]))])
+    _, cols = read_csv(path)
+    assert cols["component"].tolist() == ["n", "boundary_ok"]
+    assert cols["value"].tolist() == ["1.5", "True"]
+    assert cols["x"].dtype == np.float64 and cols["x"].tolist() == [1.0, 2.0]
+
+
+def test_read_csv_header_only_gives_empty_float_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, [("a", np.zeros(0)), ("b", np.zeros(0))], command="qfluid x")
+    command, cols = read_csv(path)
+    assert command == "qfluid x"
+    assert {name: (c.dtype, c.shape) for name, c in cols.items()} == {
+        "a": (np.float64, (0,)), "b": (np.float64, (0,))}
+
+
+@pytest.mark.parametrize("text, named", [
+    ("a,b\n1,2\n3\n", "one value per header column"),
+    ("a,b\n1,2\n3,x,4\n", "one value per header column"),
+    ("a,b\n1,2,3\n", "rows hold 3 values, the header names 2"),
+    ("a,a\n1,2\n", "distinct, non-empty"),
+    ("a,,b\n1,2,3\n", "distinct, non-empty"),
+    ("# only a comment\n", "distinct, non-empty"),
+    ("", "distinct, non-empty"),
+], ids=["short row", "long text row", "every row too wide", "repeated name", "empty name",
+        "no header", "empty file"])
+def test_read_csv_rejects_malformed_tables(tmp_path, text, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=named):
+        read_csv(path)
+
+
+def test_read_csv_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        read_csv(path)

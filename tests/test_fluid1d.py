@@ -600,6 +600,18 @@ def test_initial_states_reject_non_finite_amplitude(amplitude):
         perturbed_state(g, WARM, mode=1, amplitude=amplitude, fields=("n", "u"))
 
 
+def test_initial_states_reject_an_amplitude_that_overflows(recwarn):
+    # 1e308 is finite, but the fields (eigenmode: u1 = omega n1/(k n0)) or
+    # their spectrum (a sum of N values near 1e308) are not
+    g = grid(16)
+    with pytest.raises(ConfigError, match=r"amplitude 1e\+308"):
+        eigenmode_state(g, WARM, 1, 1e308)
+    for fields, n0 in ((("n",), 4.0), (("u",), 1.0)):
+        with pytest.raises(ConfigError, match=r"amplitude 1e\+308"):
+            perturbed_state(g, nondimensional(n0=n0), mode=1, amplitude=1e308, fields=fields)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_state_fields_are_rows_of_one_array():
     g = grid(16)
     state = perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("n", "u"))

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfluid.errors import ConfigError
-from qfluid.params import (PlasmaParams, load_params_config, nondimensional,
-                           parse_params_config, si_electron)
+from qfluid.params import (PRESETS, PlasmaParams, load_params_config, nondimensional,
+                           parse_params_config, preset, si_electron)
 from qfluid.traveling import WaveFrameConfig
 
 # frozen from a 50-digit evaluation of sqrt(e^2 n0 / (m eps0)) with CODATA values
@@ -86,6 +86,28 @@ def test_config_si_preset():
     assert p.omega_p == pytest.approx(OMEGA_P_N0_1E28, rel=1e-15)
 
 
+def test_preset_replaces_fields():
+    assert preset("nondim") == nondimensional()
+    assert preset("nondim", hbar=0.5, T0_par=0.1) == nondimensional(hbar=0.5, T0_par=0.1)
+    assert preset("si-electron", n0=1e28, T0_par=300.0) == si_electron(1e28).with_(T0_par=300.0)
+    assert set(PRESETS) == {"nondim", "si-electron"}
+
+
+def test_preset_rejects_unknown_names_and_si_without_density():
+    with pytest.raises(ConfigError, match="unknown preset 'cgs'"):
+        preset("cgs")
+    with pytest.raises(ConfigError, match="requires n0"):
+        preset("si-electron", hbar=1.0)
+
+
+def test_config_si_preset_requires_density():
+    # the density has no SI default: n0 = 1 m^-3 would give omega_p = 56.4 rad/s
+    with pytest.raises(ConfigError, match="requires n0"):
+        parse_params_config("preset = si-electron\nT0_par = 300\n")
+    with pytest.raises(ConfigError, match="unknown preset 'cgs'"):
+        parse_params_config("preset = cgs\n")
+
+
 def test_config_unknown_key_fails_fast():
     with pytest.raises(ConfigError, match="unknown key 'charge'"):
         parse_params_config("preset = nondim\ncharge = 2\n")
@@ -111,6 +133,13 @@ def test_config_non_numeric_value():
 def test_config_bad_line():
     with pytest.raises(ConfigError, match="key=value"):
         parse_params_config("just some words\n")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "plasma.cfg"
+    path.write_bytes(b"preset = nondim\nhbar = \xff\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_params_config(path)
 
 
 def test_config_file_roundtrip(tmp_path):
