@@ -19,9 +19,13 @@ class SonicSingularityError(NumericalError):
 
 
 class CFLViolationError(NumericalError):
-    """Requested time step exceeds the advective or oscillatory limit."""
+    """Requested time step exceeds the advective or oscillatory limit.
 
-    def __init__(self, message: str, suggested_dt: float):
+    ``suggested_dt`` is a step that would pass, or None when no step would
+    help (a steepening wave outgrows any fixed step).
+    """
+
+    def __init__(self, message: str, suggested_dt: float | None):
         super().__init__(message)
         self.suggested_dt = suggested_dt
 
@@ -43,7 +47,15 @@ class NoOscillationError(NumericalError):
 
 
 class StepUnderflowError(NumericalError):
-    """Adaptive integrator step size shrank below the representable limit."""
+    """Adaptive integrator step size shrank below the representable limit.
+
+    ``partial`` is the trajectory up to that point (an ``ode.OdeResult``
+    whose halt reason is this message), or None.
+    """
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class MomentError(NumericalError):

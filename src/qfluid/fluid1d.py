@@ -354,10 +354,21 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
+def _remainder_speed(state: FluidState1D, params: PlasmaParams, c0: float) -> float:
+    """max(|u| + |c - c0|) with c = sqrt(3 p / (m n))."""
+    c = np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))
+    return float(np.max(np.abs(state.u) + np.abs(c - c0)))
+
+
+def _uniform_sound_speed(params: PlasmaParams) -> float:
+    """c0 = sqrt(3 p0 / (m n0)) with p0 = n0 kB T0_par."""
+    p0 = params.n0 * params.kB * params.T0_par
+    return math.sqrt(3.0 * p0 / (params.m * params.n0))
+
+
 def _dt_limit(state: FluidState1D, params: PlasmaParams, c0: float) -> float:
     """min(0.4 dx / max(|u| + |c - c0|), 0.4 / omega_p) with c = sqrt(3 p / (m n))."""
-    c = np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))
-    speed = float(np.max(np.abs(state.u) + np.abs(c - c0)))
+    speed = _remainder_speed(state, params, c0)
     dt_adv = _SAFETY * state.grid.dx / speed if speed > 0 else math.inf
     return min(dt_adv, _SAFETY / params.omega_p)
 
@@ -373,8 +384,7 @@ def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
     of c from c0, the speeds of the nonlinear remainder, do.  At
     T0_par = 0 this is the full speed |u| + c.
     """
-    p0 = params.n0 * params.kB * params.T0_par
-    return _dt_limit(state, params, math.sqrt(3.0 * p0 / (params.m * params.n0)))
+    return _dt_limit(state, params, _uniform_sound_speed(params))
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
@@ -472,8 +482,12 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     sample stride are doubled: the samples stay uniform and the run ends
     at t_end.  The step is never halved below half of 0.75 times the
     full-speed bound 0.4 dx / max(|u| + c) (``auto_dt`` with c0 = 0) at
-    the initial state, rounded the same way; past that floor the error
-    propagates.  A given ``dt`` is never halved.
+    the initial state, rounded the same way.  A given ``dt`` is never
+    halved.  Past the floor, or at once for a given ``dt``, a rejection
+    after the first step raises ``CFLViolationError`` naming t and the
+    growth of max(|u| + |c - c0|) since the start: the wave is steepening
+    or growing, so no step size is suggested.  A given ``dt`` rejected at
+    the first step keeps ``step``'s error, with its suggested dt.
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
     sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
@@ -521,13 +535,22 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
             coeffs[name].append(complex(c) * norm)
 
     record(state)
+    initial = state
     stride, since, taken, halvings = sample_every, 0, 0, 0
     while left:
         try:
             state = step(state, dt, params, damping=damping)
-        except CFLViolationError:
+        except CFLViolationError as exc:
             if 0.5 * dt < floor:
-                raise
+                if not taken:
+                    raise
+                c0 = _uniform_sound_speed(params)
+                raise CFLViolationError(
+                    f"dt = {dt:.6g} exceeds stability bound {exc.suggested_dt:.6g} "
+                    f"at t = {state.t:.6g}: max(|u| + |c - c0|) grew from "
+                    f"{_remainder_speed(initial, params, c0):.6g} at t = {initial.t:.6g} "
+                    f"to {_remainder_speed(state, params, c0):.6g}; the wave is steepening or "
+                    f"growing, which a smaller dt does not cure", suggested_dt=None) from None
             dt, left, stride, since = 0.5 * dt, 2 * left, 2 * stride, 2 * since
             halvings += 1
             continue

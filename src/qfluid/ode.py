@@ -18,9 +18,11 @@ tableau is unpacked into scalars once per call, each stage is one
 comprehension over the components with its coefficients written out, and
 the error norm is summed from the error weights (5th- minus 4th-order) in
 one more pass, with no 4th-order solution formed.  ``f`` receives the
-state as the list of Python floats the driver steps, and a list it
-returns is used as is, so a right-hand side written on floats makes no
-ndarray at all; any other array_like return is converted once per call.
+state as the list of Python floats the driver steps and is called
+directly, with no wrapper per call.  Its first return fixes its return
+type: a list is used as is from then on, so a right-hand side written on
+floats makes no ndarray at all; otherwise ``f`` is wrapped once in a
+converter to lists.
 """
 
 from __future__ import annotations
@@ -71,14 +73,16 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     """Integrate y' = f(x, y) from x0 to x_end (x_end > x0).
 
     ``f`` gets y as a list of Python floats, which it must not modify,
-    and returns a list (used as is) or an array_like of the same length.
+    and returns a list or an array_like of the same length; whichever
+    its first return is, every return must be (a list is used as is).
     ``sample_points`` (default: 512 uniform intervals) are landed on
     exactly.  Exceptions listed in ``halt_on`` raised by ``f``
     trigger step halving; if the step cannot be reduced further the
     partial trajectory is returned with a halt reason.  Step underflow
     from pure error control, including an error estimate that is not
-    finite, raises ``StepUnderflowError``.  Raises ``ConfigError`` unless
-    0 < rtol < inf and 0 <= atol < inf.
+    finite, raises ``StepUnderflowError``, whose ``partial`` is the
+    trajectory up to there with the same halt reason.  Raises
+    ``ConfigError`` unless 0 < rtol < inf and 0 <= atol < inf.
     """
     if not x_end > x0:
         raise ConfigError(f"need x_end > x0, got [{x0}, {x_end}]")
@@ -98,14 +102,6 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     samples = samples.tolist()
     n_samples = len(samples)
 
-    n_rhs = 0
-
-    def rhs(xv: float, yv) -> list[float]:
-        nonlocal n_rhs
-        n_rhs += 1
-        dy = f(xv, yv)
-        return dy if isinstance(dy, list) else np.asarray(dy, dtype=float).tolist()
-
     dim = len(y0)
     xs = [samples[0]]
     # one spare row for the point reached before a halt
@@ -113,10 +109,14 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     ys[0] = y0
     x = x0
     y = y0.tolist()
+    n_rhs = 1
     try:
-        k1 = rhs(x, y)
+        k1 = f(x, y)
     except halt_on as exc:  # singular right at the start
         return OdeResult(np.array(xs), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
+    if not isinstance(k1, list):
+        f = _returning_lists(f)
+        k1 = np.asarray(k1, dtype=float).tolist()
     if len(k1) != dim:
         raise ConfigError(f"f returned {len(k1)} components for a {dim}-component state")
     span = x_end - x0
@@ -135,6 +135,7 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     next_sample = 1
     n_steps = n_rejected = 0
     halt = None
+    underflow = False
     end_tol = 1e-14 * max(abs(x_end), 1.0)
     blocked_by = None   # message of the halt exception we are backing off from
     while x < x_end - end_tol:
@@ -142,30 +143,38 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
         hit = h >= target - x
         h_try = target - x if hit else h
         if h_try < _MIN_STEP * max(abs(x), 1.0):
-            if blocked_by is not None:
-                halt = blocked_by
-                break
-            raise StepUnderflowError(f"step size underflow at x = {x:.9g}")
+            underflow = blocked_by is None
+            halt = f"step size underflow at x = {x:.9g}" if underflow else blocked_by
+            break
+        # ``stage`` counts the calls of f made so far in this attempt
         try:
-            k2 = rhs(x + c2 * h_try, [v + h_try * (a21 * p) for v, p in zip(y, k1)])
-            k3 = rhs(x + c3 * h_try, [v + h_try * (a31 * p + a32 * q)
-                                      for v, p, q in zip(y, k1, k2)])
-            k4 = rhs(x + c4 * h_try, [v + h_try * (a41 * p + a42 * q + a43 * r)
-                                      for v, p, q, r in zip(y, k1, k2, k3)])
-            k5 = rhs(x + c5 * h_try, [v + h_try * (a51 * p + a52 * q + a53 * r + a54 * s)
-                                      for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(x + h_try, [v + h_try * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * t)
-                                 for v, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)])
+            stage = 1
+            k2 = f(x + c2 * h_try, [v + h_try * (a21 * p) for v, p in zip(y, k1)])
+            stage = 2
+            k3 = f(x + c3 * h_try, [v + h_try * (a31 * p + a32 * q)
+                                    for v, p, q in zip(y, k1, k2)])
+            stage = 3
+            k4 = f(x + c4 * h_try, [v + h_try * (a41 * p + a42 * q + a43 * r)
+                                    for v, p, q, r in zip(y, k1, k2, k3)])
+            stage = 4
+            k5 = f(x + c5 * h_try, [v + h_try * (a51 * p + a52 * q + a53 * r + a54 * s)
+                                    for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+            stage = 5
+            k6 = f(x + h_try, [v + h_try * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * t)
+                               for v, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)])
             y5 = [v + h_try * (a71 * p + a73 * r + a74 * s + a75 * t + a76 * u)
                   for v, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(x + h_try, y5)
+            stage = 6
+            k7 = f(x + h_try, y5)
         except halt_on as exc:
+            n_rhs += stage
             blocked_by = str(exc)
             h = 0.5 * h_try
             if h < _MIN_STEP * max(abs(x), 1.0):
                 halt = blocked_by
                 break
             continue
+        n_rhs += 6
         # RMS of the 5th- minus 4th-order difference over atol + rtol max(|y|, |y5|)
         err = math.sqrt(sum(
             d * d for d in (
@@ -198,5 +207,13 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     if halt is not None and x > xs[-1] + end_tol:
         xs.append(x)          # last point actually reached before the halt
         ys[len(xs) - 1] = y
-    return OdeResult(np.array(xs), ys[:len(xs)], halt_reason=halt,
-                     n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
+    result = OdeResult(np.array(xs), ys[:len(xs)], halt_reason=halt,
+                       n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
+    if underflow:
+        raise StepUnderflowError(halt, partial=result)
+    return result
+
+
+def _returning_lists(f):
+    """``f`` with each return converted to a list of Python floats."""
+    return lambda x, y: np.asarray(f(x, y), dtype=float).tolist()

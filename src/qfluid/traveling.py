@@ -26,9 +26,14 @@ gives
     (u', p', Q') = ((e/m) psi / det) (w^2 - d, c - 3p w, 3p d - w c),
     det = w^3 + c A.
 
+``traveling_rhs`` is the one home of this arithmetic: it evaluates the
+continuity integral and Cramer's rule inline on Python floats, from nine
+constants computed once per ``WaveFrameConfig``.
+
 At the fixed point psi = 0, so the 5x5 Jacobian is nonzero only in its
 psi column and at J[psi', u] = -(e/eps0) n0/u0; its characteristic
-polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]).
+polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]), and
+J[u', psi] is u' at the fixed point with psi set to 1.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, SonicSingularityError
+from .errors import ConfigError, SonicSingularityError, StepUnderflowError
 from .ode import OdeResult, integrate_adaptive
 from .params import PlasmaParams, nondimensional
 
@@ -47,7 +53,6 @@ __all__ = [
     "WaveFrameConfig",
     "TravelingState",
     "wave_frame_config",
-    "density",
     "traveling_rhs",
     "equilibrium_state",
     "reference_oscillation_state",
@@ -61,8 +66,8 @@ __all__ = [
 _DET_RTOL = 1e-12
 _EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
 _STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
-# every sample interval costs at least one accepted step (~60 us), so
-# 2**20 samples is already a run of about a minute; the cap rejects a
+# every sample interval costs at least one accepted step (~25 us), so
+# 2**20 samples is already a run of half a minute; the cap rejects a
 # huge count before its sample arrays are allocated
 _MAX_SAMPLES = 2**20
 
@@ -87,6 +92,15 @@ class WaveFrameConfig:
         """Quantum parameter hbar wp / (m u0^2)."""
         p = self.params
         return p.hbar * p.omega_p / (p.m * self.u0**2)
+
+    @cached_property
+    def _rhs_constants(self) -> tuple[float, ...]:
+        """(v, n0, n0 u0, sonic threshold on |u - v|, m, (e hbar)^2,
+        4 m^2 eps0, e/m, e/eps0) for ``traveling_rhs``."""
+        p = self.params
+        eh = p.e * p.hbar
+        return (self.v, p.n0, p.n0 * self.u0, _EPS_SONIC * abs(self.u0), p.m, eh * eh,
+                4.0 * (p.m * p.m) * p.eps0, p.e / p.m, p.e / p.eps0)
 
 
 @dataclass(frozen=True)
@@ -117,56 +131,42 @@ def wave_frame_config(H: float, u0: float = 1.0, v: float = 0.0) -> WaveFrameCon
     return replace(cfg, params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
 
 
-def density(u: float, cfg: WaveFrameConfig) -> float:
-    """Derived density n = n0 u0 / (u - v); the exact continuity integral."""
-    w = u - cfg.v
-    if abs(w) <= _EPS_SONIC * abs(cfg.u0):
-        raise SonicSingularityError(f"frame-relative velocity vanished (u - v = {w:.3e})")
-    n = cfg.params.n0 * cfg.u0 / w
-    if n <= 0.0:
-        raise SonicSingularityError(f"derived density nonpositive (n = {n:.3e})")
-    return n
+def traveling_rhs(y, cfg: WaveFrameConfig) -> list[float]:
+    """Derivatives [u', p', Q', phi', psi'] at state y, as a list of floats.
 
-
-def _field_response(u: float, p: float, Q: float, n: float,
-                    cfg: WaveFrameConfig) -> tuple[float, float, float]:
-    """(u', p', Q') per unit (e/m) psi, by Cramer's rule (module docstring).
-
-    Raises ``SonicSingularityError`` when |det| <= _DET_RTOL ||M||_inf^3,
-    which includes a ||M||_inf^3 that overflows.  Powers are written as
+    ``y`` is a sequence of five numbers: a list must hold Python floats
+    and is unpacked as is (the ODE driver passes one); a tuple, ndarray or
+    other sequence is converted first.  The density is the exact
+    continuity integral n = n0 u0 / (u - v) and (u', p', Q') come from
+    Cramer's rule (module docstring), all on Python floats, so a call
+    makes no ndarray.  Raises ``SonicSingularityError`` when
+    |u - v| <= 1e-9 |u0|, when n <= 0, or when the 3x3 derivative matrix
+    M is singular to within tolerance: |det| <= 1e-12 ||M||_inf^3, which
+    includes a ||M||_inf^3 that overflows.  Powers are written as
     products: a Python float ``**`` raises ``OverflowError`` where ``*``
     gives inf.
     """
-    par = cfg.params
-    w = u - cfg.v
-    A = 1.0 / (par.m * n)
-    eh = par.e * par.hbar
-    hq = eh * eh * (n * n) / (4.0 * (par.m * par.m) * par.eps0)
-    c = 4.0 * Q - hq / w
+    if type(y) is not list:
+        y = [float(c) for c in y]
+    u, p, Q, phi, psi = y
+    v, n0, flux, sonic, m, eh2, m2eps0, e_m, e_eps0 = cfg._rhs_constants
+    w = u - v
+    if abs(w) <= sonic:
+        raise SonicSingularityError(f"frame-relative velocity vanished (u - v = {w:.3e})")
+    n = flux / w
+    if n <= 0.0:
+        raise SonicSingularityError(f"derived density nonpositive (n = {n:.3e})")
+    A = 1.0 / (m * n)
+    c = 4.0 * Q - eh2 * (n * n) / m2eps0 / w
     d = -3.0 * p * A
     det = w * w * w + c * A
     norm = max(abs(w) + A, 3.0 * abs(p) + abs(w) + 1.0, abs(c) + abs(d) + abs(w))
     if abs(det) <= _DET_RTOL * (norm * norm * norm):
         raise SonicSingularityError(
             f"derivative system singular at u = {u:.9g} (det = {det:.3e})")
-    return (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
-
-
-def traveling_rhs(y, cfg: WaveFrameConfig) -> list[float]:
-    """Derivatives [u', p', Q', phi', psi'] at state y, as a list of floats.
-
-    ``y`` is any sequence of five numbers (list, tuple or ndarray).  The
-    arithmetic runs on Python floats and the list goes to
-    ``integrate_adaptive`` as is, so a call makes no ndarray.  Raises
-    ``SonicSingularityError`` when |u - v| collapses or the 3x3
-    derivative matrix is singular to within tolerance.
-    """
-    u, p, Q, phi, psi = map(float, y)
-    par = cfg.params
-    n = density(u, cfg)
-    du, dp, dQ = _field_response(u, p, Q, n, cfg)
-    b0 = (par.e / par.m) * psi
-    return [b0 * du, b0 * dp, b0 * dQ, psi, (par.e / par.eps0) * (n - par.n0)]
+    b0 = e_m * psi
+    return [b0 * ((w * w - d) / det), b0 * ((c - 3.0 * p * w) / det),
+            b0 * ((3.0 * p * d - w * c) / det), psi, e_eps0 * (n - n0)]
 
 
 def equilibrium_state(cfg: WaveFrameConfig, p0: float) -> TravelingState:
@@ -229,7 +229,9 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     """Integrate the wave-frame system over xi in [initial.xi, xi_max].
 
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
-    singularity the partial trajectory is returned with the halt reason.
+    singularity, or a step size underflow (as next to the singular set),
+    the partial trajectory is returned with the halt reason.  Each rhs
+    evaluation calls the module's ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
     1 <= n_samples <= 2**20 (and, from the integrator, 0 < tol < inf).
     """
@@ -241,10 +243,13 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     y0 = initial.vector()
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
-    res: OdeResult = integrate_adaptive(
-        lambda xi, y: traveling_rhs(y, cfg),
-        y0, xi_max, x0=initial.xi, rtol=tol, atol=atol,
-        sample_points=samples, halt_on=(SonicSingularityError,))
+    try:
+        res: OdeResult = integrate_adaptive(
+            lambda xi, y: traveling_rhs(y, cfg),
+            y0, xi_max, x0=initial.xi, rtol=tol, atol=atol,
+            sample_points=samples, halt_on=(SonicSingularityError,))
+    except StepUnderflowError as exc:
+        res = exc.partial
     u = res.y[:, 0]
     n = cfg.params.n0 * cfg.u0 / (u - cfg.v)
     return Trajectory(xi=res.x, u=u, p=res.y[:, 1], Q=res.y[:, 2],
@@ -267,8 +272,7 @@ def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None) -> np
         p0 = par.m * par.n0 * cfg.u0**2
     elif not 0.0 <= p0 < math.inf:
         raise ConfigError(f"equilibrium pressure p0 must be finite and non-negative, got {p0!r}")
-    eq = equilibrium_state(cfg, p0)
-    j_u_psi = (par.e / par.m) * _field_response(eq.u, eq.p, eq.Q, density(eq.u, cfg), cfg)[0]
+    j_u_psi = traveling_rhs([cfg.u0 + cfg.v, float(p0), 0.0, 0.0, 1.0], cfg)[0]
     j_psi_u = -(par.e / par.eps0) * par.n0 / cfg.u0
     rate = cmath.sqrt(j_u_psi * j_psi_u)
     return np.array([0.0, 0.0, 0.0, rate, -rate])

@@ -109,6 +109,16 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
     assert code == 3
 
 
+def test_fluid_steepening_failure_names_its_cause(tmp_path, capsys):
+    # a steepening wave outgrows any fixed step, so the message names the
+    # cause instead of a dt
+    assert run(tmp_path, ["fluid", "--amplitude", "0.5", "-o", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "steepen" in err and "at t = " in err and "max(|u| + |c - c0|) grew" in err
+    assert "suggested dt" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fluid_header_reports_its_steps(tmp_path):
     argv = ["fluid", "--grid", "64", "--periods", "1", "--tpar", "0.05", "--hbar", "0.2",
             "-o", "probe.csv"]
@@ -431,6 +441,16 @@ def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert "configuration error" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_wave_frame_step_underflow_writes_a_partial_trajectory(tmp_path):
+    # like a sonic halt: exit 0 with the rows reached and a # halted: line
+    assert run(tmp_path, ["tw", "run", "--H", "2.5", "--density-ratio", "0.95",
+                          "-o", "tw.csv"]) == 0
+    lines = (tmp_path / "tw.csv").read_text().splitlines()
+    assert any(line.startswith("# halted: step size underflow") for line in lines)
+    _, cols = read_csv(tmp_path / "tw.csv")
+    assert len(cols["xi"]) >= 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -482,6 +482,8 @@ def test_evolve_never_halves_below_half_the_full_speed_step():
         evolve(state, cold, t_end=5.0, damping=SpectralDamping.tailored(g, cold))
     n_today = math.ceil(5.0 / (0.75 * 0.4 / cold.omega_p))
     assert f"dt = {0.5 * 5.0 / n_today:.6g} exceeds" in str(err.value)
+    # past the floor the wave has outgrown any step: no step size is suggested
+    assert "steepening" in str(err.value) and err.value.suggested_dt is None
 
 
 def test_automatic_step_accuracy_on_a_nonlinear_warm_eigenmode():

@@ -102,6 +102,25 @@ def test_non_finite_rhs_ends_in_step_underflow():
         integrate_adaptive(f, np.array([1.0]), 1.0)
 
 
+def test_step_underflow_carries_the_partial_trajectory():
+    # y' = y^2 from y(0) = 1 blows up at x = 1: error control alone shrinks
+    # the step to nothing there
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        return [y[0] * y[0]]
+
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_adaptive(f, np.array([1.0]), 2.0, sample_points=np.linspace(0.0, 2.0, 9))
+    part = err.value.partial
+    assert part.halt_reason == str(err.value) and "underflow" in part.halt_reason
+    assert np.array_equal(part.x[:4], [0.0, 0.25, 0.5, 0.75]) and 0.75 < part.x[-1] < 1.0
+    assert part.y[3, 0] == pytest.approx(4.0, rel=1e-8)
+    assert part.n_rhs == calls == 1 + 6 * (part.n_steps + part.n_rejected)
+
+
 class Boom(RuntimeError):
     pass
 

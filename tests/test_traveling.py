@@ -5,8 +5,9 @@ import pytest
 
 from qfluid.errors import ConfigError, SonicSingularityError
 from qfluid.params import nondimensional
+from qfluid import traveling
 from qfluid.traveling import (WaveFrameConfig, classify_equilibrium,
-                              density, equilibrium_eigenvalues,
+                              equilibrium_eigenvalues,
                               equilibrium_state, integrate,
                               reference_oscillation_state, stability_threshold,
                               traveling_rhs, wave_frame_config)
@@ -43,14 +44,20 @@ def test_huge_state_is_singular_not_overflow(y):
         traveling_rhs(np.array(y), wave_frame_config(H=1.0))
 
 
+def rhs_density(u, cfg):
+    """n read back from the psi' row of ``traveling_rhs``, psi' = (e/eps0)(n - n0)."""
+    par = cfg.params
+    return traveling_rhs([u, 1.0, 0.0, 0.0, 0.0], cfg)[4] * par.eps0 / par.e + par.n0
+
+
 def test_density_is_exact_continuity_integral():
     cfg = wave_frame_config(H=1.0)
-    n = density(1.5, cfg)
+    n = rhs_density(1.5, cfg)
     assert n * (1.5 - cfg.v) == pytest.approx(cfg.params.n0 * cfg.u0, rel=1e-15)
     with pytest.raises(SonicSingularityError):
-        density(cfg.v, cfg)
+        rhs_density(cfg.v, cfg)
     with pytest.raises(SonicSingularityError):
-        density(cfg.v - 1.0, cfg)  # negative derived density
+        rhs_density(cfg.v - 1.0, cfg)  # negative derived density
 
 
 def test_equilibrium_is_fixed_point():
@@ -64,7 +71,7 @@ def test_reference_state_matches_captioned_values():
     cfg = wave_frame_config(H=1.0)
     s = reference_oscillation_state(cfg)
     par = cfg.params
-    assert density(s.u, cfg) == pytest.approx((2.0 / 3.0) * par.n0, rel=1e-15)
+    assert rhs_density(s.u, cfg) == pytest.approx((2.0 / 3.0) * par.n0, rel=1e-15)
     assert s.u - cfg.v == pytest.approx(1.5 * cfg.u0, rel=1e-15)
     assert s.p == par.m * par.n0 * cfg.u0**2
     assert s.Q == 0.0 and s.phi == 0.0 and s.psi == 0.0
@@ -90,6 +97,99 @@ def test_rhs_takes_any_sequence_and_returns_a_list_of_floats():
     assert all(type(v) is float for v in out)
     assert traveling_rhs(tuple(y), cfg) == out
     assert traveling_rhs(np.array(y), cfg) == out
+
+
+def reference_rhs(y, cfg):
+    """The right-hand side as three functions computed it before they were
+    inlined into ``traveling_rhs``: the density, then (u', p', Q') per unit
+    (e/m) psi by Cramer's rule, then the scaling, operation for operation."""
+    u, p, Q, phi, psi = map(float, y)
+    par = cfg.params
+    w = u - cfg.v
+    if abs(w) <= 1e-9 * abs(cfg.u0):
+        raise SonicSingularityError(f"frame-relative velocity vanished (u - v = {w:.3e})")
+    n = par.n0 * cfg.u0 / w
+    if n <= 0.0:
+        raise SonicSingularityError(f"derived density nonpositive (n = {n:.3e})")
+    A = 1.0 / (par.m * n)
+    eh = par.e * par.hbar
+    hq = eh * eh * (n * n) / (4.0 * (par.m * par.m) * par.eps0)
+    c = 4.0 * Q - hq / w
+    d = -3.0 * p * A
+    det = w * w * w + c * A
+    norm = max(abs(w) + A, 3.0 * abs(p) + abs(w) + 1.0, abs(c) + abs(d) + abs(w))
+    if abs(det) <= 1e-12 * (norm * norm * norm):
+        raise SonicSingularityError(
+            f"derivative system singular at u = {u:.9g} (det = {det:.3e})")
+    du, dp, dQ = (w * w - d) / det, (c - 3.0 * p * w) / det, (3.0 * p * d - w * c) / det
+    b0 = (par.e / par.m) * psi
+    return [b0 * du, b0 * dp, b0 * dQ, psi, (par.e / par.eps0) * (n - par.n0)]
+
+
+def outcome(rhs, y, cfg):
+    try:
+        return rhs(y, cfg)
+    except SonicSingularityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("H", [0.0, 1.0, 1.999, 3.0])
+def test_rhs_is_bitwise_equal_to_the_uninlined_reference(H):
+    # nondimensional at v = 0.4, and with no constant equal to 1 at v = -0.7
+    unit = wave_frame_config(H=H, v=0.4)
+    par = nondimensional().with_(n0=1.3, m=1.7, e=0.6, eps0=2.3)
+    odd = WaveFrameConfig(v=-0.7, u0=0.8,
+                          params=par.with_(hbar=H * par.m * 0.8**2 / par.omega_p))
+    rng = np.random.default_rng(11)
+    for cfg in (unit, odd):
+        eq = equilibrium_state(cfg, p0=1.0).vector().tolist()
+        states = [eq, [cfg.v, 1.0, 0.0, 0.0, 0.5], [cfg.v - 1.0, 1.0, 0.0, 0.0, 0.5]]
+        for _ in range(200):
+            w = rng.choice([-1.0, 1.0], p=[0.1, 0.9]) * rng.uniform(0.2, 3.0)
+            states.append([cfg.v + w, *rng.uniform(-2.0, 2.0, 4).tolist()])
+        for y in states:
+            expected = outcome(reference_rhs, y, cfg)
+            for form in (list(y), tuple(y), np.array(y)):
+                assert outcome(traveling_rhs, form, cfg) == expected
+
+
+def test_integrate_calls_traveling_rhs_through_the_module_global(monkeypatch):
+    # the benchmark traces the wave frame by replacing traveling.traveling_rhs
+    # with a counting wrapper: every evaluation must go through that name
+    calls = 0
+    original = traveling.traveling_rhs
+
+    def counted(y, cfg):
+        nonlocal calls
+        calls += 1
+        return original(y, cfg)
+
+    monkeypatch.setattr(traveling, "traveling_rhs", counted)
+    cfg = wave_frame_config(H=1.0, v=0.2)
+    traj = integrate(reference_oscillation_state(cfg), cfg, xi_max=10.0, n_samples=8)
+    assert traj.completed and traj.n_rejected > 0
+    assert calls == traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
+
+
+@pytest.mark.parametrize("H, v", [(1.0, 0.0), (0.3, 0.5), (1.8, -0.7), (1.0, 0.2)])
+def test_momentum_and_energy_fluxes_are_first_integrals(H, v):
+    # with n (u - v) = n0 u0 and eps0 psi' = e (n - n0) the momentum and
+    # energy equations integrate once; neither integral is built into the
+    # solver, so their drift tests the stepping and the u and p rows
+    # (measured: 4.2e-12 to 1.5e-11)
+    cfg = wave_frame_config(H=H, v=v)
+    par = cfg.params
+    t = integrate(reference_oscillation_state(cfg), cfg, xi_max=60.0, tol=1e-9)
+    assert t.completed
+    mass_flux = par.m * par.n0 * cfg.u0
+    charge_phi = par.e * par.n0 * t.phi
+    field = 0.5 * par.eps0 * t.psi * t.psi
+    momentum = [mass_flux * t.u, t.p, -charge_phi, -field]
+    energy = [0.5 * mass_flux * t.u * t.u, 0.5 * t.p * (t.u - cfg.v), t.p * t.u, 0.5 * t.Q,
+              -par.e * par.n0 * cfg.u0 * t.phi, -cfg.v * (charge_phi + field)]
+    for terms in (momentum, energy):
+        drift = np.ptp(np.sum(terms, axis=0)) / max(np.max(np.abs(term)) for term in terms)
+        assert drift < 1e-9
 
 
 def test_rhs_matches_generic_solve_of_docstring_matrix():
@@ -201,6 +301,18 @@ def test_sonic_singularity_returns_partial_trajectory():
     assert not traj.completed
     assert "singular" in traj.halt_reason or "sonic" in traj.halt_reason
     assert traj.xi[-1] < 50.0
+
+
+def test_step_underflow_next_to_the_singular_set_is_a_halt():
+    # past H = 2 this launch runs into a point where error control alone
+    # shrinks the step to nothing: a halt with the partial trajectory
+    cfg = wave_frame_config(H=2.5)
+    traj = integrate(reference_oscillation_state(cfg, density_ratio=0.95), cfg, xi_max=60.0)
+    assert traj.halt_reason.startswith("step size underflow at x = 0.8414")
+    assert len(traj.xi) >= 2 and 0.8 < traj.xi[-1] < 0.85
+    assert np.all(np.diff(traj.xi) > 0)
+    assert np.all(np.isfinite(np.stack([traj.u, traj.p, traj.Q, traj.phi, traj.psi])))
+    assert traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
 
 
 # ------------------------------------------------------------- stability
