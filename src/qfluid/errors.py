@@ -46,17 +46,5 @@ class NoOscillationError(NumericalError):
     """A probe signal showed no measurable oscillation."""
 
 
-class StepUnderflowError(NumericalError):
-    """Adaptive integrator step size shrank below the representable limit.
-
-    ``partial`` is the trajectory up to that point (an ``ode.OdeResult``
-    whose halt reason is this message), or None.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class MomentError(NumericalError):
     """Moment computation failed (nonpositive density within tolerance)."""

@@ -598,9 +598,12 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
 
     n and p perturbations scale with n0 (``amplitude`` is relative);
     u and Q take ``amplitude`` in raw units.  Raises ``ConfigError`` for
-    an amplitude that is not finite or makes a field or its spectrum
-    overflow.
+    a mode below 1 (mode 0 would change the mean density, which the
+    zero-mean Poisson solve cannot balance), or an amplitude that is not
+    finite or makes a field or its spectrum overflow.
     """
+    if mode < 1:
+        raise ConfigError("mode number must be >= 1")
     if not math.isfinite(amplitude):
         raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
     base = uniform_state(grid, params).fields

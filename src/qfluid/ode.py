@@ -1,10 +1,13 @@
 """Adaptive embedded Runge-Kutta integration (Dormand-Prince 5(4)).
 
-Compact single-trajectory driver used by the wave-frame module: steps are
-clamped so every requested sample point is hit exactly (no dense-output
-interpolation), and a caller-supplied exception class can mark points
-where the right-hand side ceases to exist, in which case the driver backs
-off and finally returns the partial trajectory with a halt reason.
+Compact single-trajectory driver used by the wave-frame module: the span
+is the array of sample points, and steps are clamped so every sample is
+hit exactly (no dense-output interpolation).  A caller-supplied exception
+class can mark points where the right-hand side ceases to exist, in which
+case the driver backs off.  Every halt (a blocked step that cannot be
+halved further, a step size underflow from error control alone, or the
+cap of ``_MAX_STEPS`` step attempts) returns the partial trajectory with
+a halt reason; none raises.
 
 The pair is FSAL (first same as last): the seventh stage is f at the
 accepted point and becomes the first stage of the next step, so every
@@ -18,11 +21,9 @@ tableau is unpacked into scalars once per call, each stage is one
 comprehension over the components with its coefficients written out, and
 the error norm is summed from the error weights (5th- minus 4th-order) in
 one more pass, with no 4th-order solution formed.  ``f`` receives the
-state as the list of Python floats the driver steps and is called
-directly, with no wrapper per call.  Its first return fixes its return
-type: a list is used as is from then on, so a right-hand side written on
-floats makes no ndarray at all; otherwise ``f`` is wrapped once in a
-converter to lists.
+state as the list of Python floats the driver steps, is called directly,
+with no wrapper per call, and returns a list of Python floats, so a
+right-hand side written on floats makes no ndarray at all.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepUnderflowError
+from .errors import ConfigError
 
 __all__ = ["OdeResult", "integrate_adaptive"]
 
@@ -50,6 +51,10 @@ _A = np.array([
 _B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40])
 _ORDER = 5.0
 _MIN_STEP = 16.0 * sys.float_info.epsilon   # in units of max(|x|, 1)
+# a step attempt costs about 30 us, so the cap halts a run after about two
+# minutes; it is above the 2**20 samples ``traveling`` allows, each of
+# which costs at least one attempt
+_MAX_STEPS = 2**22
 
 
 @dataclass
@@ -66,39 +71,29 @@ class OdeResult:
         return self.halt_reason is None
 
 
-def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
-                       rtol: float = 1e-9, atol: float = 1e-12,
-                       sample_points=None,
+def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-12,
                        halt_on: tuple[type, ...] = ()) -> OdeResult:
-    """Integrate y' = f(x, y) from x0 to x_end (x_end > x0).
+    """Integrate y' = f(x, y) from samples[0] to samples[-1], landing on
+    every sample exactly.
 
     ``f`` gets y as a list of Python floats, which it must not modify,
-    and returns a list or an array_like of the same length; whichever
-    its first return is, every return must be (a list is used as is).
-    ``sample_points`` (default: 512 uniform intervals) are landed on
-    exactly.  Exceptions listed in ``halt_on`` raised by ``f``
-    trigger step halving; if the step cannot be reduced further the
-    partial trajectory is returned with a halt reason.  Step underflow
-    from pure error control, including an error estimate that is not
-    finite, raises ``StepUnderflowError``, whose ``partial`` is the
-    trajectory up to there with the same halt reason.  Raises
-    ``ConfigError`` unless 0 < rtol < inf and 0 <= atol < inf.
+    and returns a list of Python floats of the same length.  Exceptions
+    listed in ``halt_on`` raised by ``f`` trigger step halving.  The run
+    halts, returning the trajectory up to there with a halt reason, when
+    such a step cannot be halved further, when error control alone (an
+    error estimate that is not finite included) shrinks the step below
+    the representable limit, or after ``_MAX_STEPS`` step attempts.
+    Raises ``ConfigError`` unless ``samples`` holds at least two finite,
+    strictly increasing points, 0 < rtol < inf and 0 <= atol < inf.
     """
-    if not x_end > x0:
-        raise ConfigError(f"need x_end > x0, got [{x0}, {x_end}]")
+    samples = np.asarray(samples, dtype=float)
+    if not (samples.ndim == 1 and len(samples) >= 2 and np.all(np.isfinite(samples))
+            and np.all(np.diff(samples) > 0)):
+        raise ConfigError("need at least two finite, strictly increasing sample points")
     if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
         raise ConfigError(f"need 0 < rtol < inf and 0 <= atol < inf, "
                           f"got rtol = {rtol!r}, atol = {atol!r}")
     y0 = np.array(y0, dtype=float)
-    if sample_points is None:
-        sample_points = np.linspace(x0, x_end, 513)
-    samples = np.asarray(sample_points, dtype=float)
-    if samples.ndim != 1 or not np.all(np.diff(samples) > 0):
-        raise ConfigError("sample points must be strictly increasing")
-    if abs(samples[0] - x0) > 1e-14 * max(abs(x0), 1.0):
-        samples = np.concatenate(([x0], samples))
-    if samples[-1] > x_end * (1.0 + 1e-14):
-        raise ConfigError("sample points must not exceed x_end")
     samples = samples.tolist()
     n_samples = len(samples)
 
@@ -107,24 +102,21 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     # one spare row for the point reached before a halt
     ys = np.empty((n_samples + 1, dim))
     ys[0] = y0
-    x = x0
+    x = samples[0]
     y = y0.tolist()
     n_rhs = 1
     try:
         k1 = f(x, y)
     except halt_on as exc:  # singular right at the start
         return OdeResult(np.array(xs), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
-    if not isinstance(k1, list):
-        f = _returning_lists(f)
-        k1 = np.asarray(k1, dtype=float).tolist()
     if len(k1) != dim:
         raise ConfigError(f"f returned {len(k1)} components for a {dim}-component state")
-    span = x_end - x0
+    span = samples[-1] - x
     scale0 = atol + rtol * max(float(np.max(np.abs(y0))), 1e-30)
     d1 = math.sqrt(float(np.mean((np.array(k1) / scale0) ** 2)))
     h = 1e-3 / d1 if d1 > 0 else 0.01 * span
     # floor the guess: a zero initial state must not stall the controller
-    h = min(max(h, 1e-8 * span, 64.0 * _MIN_STEP * max(abs(x0), 1.0)), span)
+    h = min(max(h, 1e-8 * span, 64.0 * _MIN_STEP * max(abs(x), 1.0)), span)
 
     c2, c3, c4, c5 = _C[1:5].tolist()
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -135,16 +127,16 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
     next_sample = 1
     n_steps = n_rejected = 0
     halt = None
-    underflow = False
-    end_tol = 1e-14 * max(abs(x_end), 1.0)
     blocked_by = None   # message of the halt exception we are backing off from
-    while x < x_end - end_tol:
-        target = samples[next_sample] if next_sample < n_samples else x_end
+    while next_sample < n_samples:
+        target = samples[next_sample]
         hit = h >= target - x
         h_try = target - x if hit else h
         if h_try < _MIN_STEP * max(abs(x), 1.0):
-            underflow = blocked_by is None
-            halt = f"step size underflow at x = {x:.9g}" if underflow else blocked_by
+            halt = f"step size underflow at x = {x:.9g}" if blocked_by is None else blocked_by
+            break
+        if n_steps + n_rejected >= _MAX_STEPS:
+            halt = f"step limit of {_MAX_STEPS} attempts reached at x = {x:.9g}"
             break
         # ``stage`` counts the calls of f made so far in this attempt
         try:
@@ -188,10 +180,9 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
             blocked_by = None
             if hit:
                 x = target
-                if next_sample < n_samples:
-                    xs.append(target)
-                    ys[next_sample] = y
-                    next_sample += 1
+                xs.append(target)
+                ys[next_sample] = y
+                next_sample += 1
             else:
                 x += h_try
         else:
@@ -204,16 +195,8 @@ def integrate_adaptive(f, y0, x_end: float, *, x0: float = 0.0,
             factor = 0.2
         h = h_try * min(5.0, max(0.2, factor))
 
-    if halt is not None and x > xs[-1] + end_tol:
+    if x > xs[-1]:
         xs.append(x)          # last point actually reached before the halt
         ys[len(xs) - 1] = y
-    result = OdeResult(np.array(xs), ys[:len(xs)], halt_reason=halt,
-                       n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
-    if underflow:
-        raise StepUnderflowError(halt, partial=result)
-    return result
-
-
-def _returning_lists(f):
-    """``f`` with each return converted to a list of Python floats."""
-    return lambda x, y: np.asarray(f(x, y), dtype=float).tolist()
+    return OdeResult(np.array(xs), ys[:len(xs)], halt_reason=halt,
+                     n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)

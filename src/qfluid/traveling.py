@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, SonicSingularityError, StepUnderflowError
+from .errors import ConfigError, SonicSingularityError
 from .ode import OdeResult, integrate_adaptive
 from .params import PlasmaParams, nondimensional
 
@@ -229,9 +229,10 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     """Integrate the wave-frame system over xi in [initial.xi, xi_max].
 
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
-    singularity, or a step size underflow (as next to the singular set),
-    the partial trajectory is returned with the halt reason.  Each rhs
-    evaluation calls the module's ``traveling_rhs`` by name.
+    singularity, a step size underflow (as next to the singular set) or
+    the integrator's step limit, the partial trajectory is returned with
+    the halt reason.  Each rhs evaluation calls the module's
+    ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
     1 <= n_samples <= 2**20 (and, from the integrator, 0 < tol < inf).
     """
@@ -243,13 +244,8 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     y0 = initial.vector()
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
     atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
-    try:
-        res: OdeResult = integrate_adaptive(
-            lambda xi, y: traveling_rhs(y, cfg),
-            y0, xi_max, x0=initial.xi, rtol=tol, atol=atol,
-            sample_points=samples, halt_on=(SonicSingularityError,))
-    except StepUnderflowError as exc:
-        res = exc.partial
+    res: OdeResult = integrate_adaptive(lambda xi, y: traveling_rhs(y, cfg), y0, samples,
+                                        rtol=tol, atol=atol, halt_on=(SonicSingularityError,))
     u = res.y[:, 0]
     n = cfg.params.n0 * cfg.u0 / (u - cfg.v)
     return Trajectory(xi=res.x, u=u, p=res.y[:, 1], Q=res.y[:, 2],
@@ -285,12 +281,10 @@ def classify_equilibrium(cfg: WaveFrameConfig, p0: float | None = None) -> str:
     return "center-like" if float(np.max(eigs.real)) < _STABLE_TOL * rate_scale else "unstable"
 
 
-def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
-                        tol: float = 1e-6) -> float:
-    """Bisect the quantum parameter for loss of equilibrium stability.
+def stability_threshold(h_lo: float, h_hi: float, tol: float = 1e-6) -> float:
+    """Bisect H for loss of stability of the ``wave_frame_config(H)`` equilibrium.
 
-    ``config_for(H)`` must build a WaveFrameConfig for a given H; the
-    bracket must classify differently at its ends.  A singular Jacobian
+    The bracket must classify differently at its ends.  A singular Jacobian
     evaluation (the sonic point reaches the equilibrium at the threshold)
     counts as the unstable side.  Raises ``ConfigError`` unless
     -inf < h_lo < h_hi < inf and 0 < tol < inf; the bisection also ends
@@ -303,7 +297,7 @@ def stability_threshold(h_lo: float, h_hi: float, config_for=wave_frame_config,
 
     def is_unstable(H: float) -> bool:
         try:
-            return classify_equilibrium(config_for(H)) == "unstable"
+            return classify_equilibrium(wave_frame_config(H)) == "unstable"
         except SonicSingularityError:
             return True
 

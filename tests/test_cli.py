@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import shlex
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfluid import dispersion, fluid1d
+from qfluid import dispersion, fluid1d, ode
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
@@ -434,6 +435,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
     ["tw", "threshold", "--h-lo", "3", "--h-hi", "0.5"],
     ["tw", "run", "--samples", "100000000000"],
+    ["fluid", "--ic", "perturb", "--mode", "0", "--periods", "1", "--snapshot", "s.csv"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2
@@ -451,6 +453,19 @@ def test_wave_frame_step_underflow_writes_a_partial_trajectory(tmp_path):
     assert any(line.startswith("# halted: step size underflow") for line in lines)
     _, cols = read_csv(tmp_path / "tw.csv")
     assert len(cols["xi"]) >= 2
+
+
+def test_wave_frame_step_limit_writes_a_partial_trajectory(tmp_path, monkeypatch):
+    # a span too long to finish (--xi-max 1e300) halts at the integrator's
+    # step cap, here lowered so the test is quick
+    monkeypatch.setattr(ode, "_MAX_STEPS", 200)
+    assert run(tmp_path, ["tw", "run", "--xi-max", "1e300", "-o", "tw.csv"]) == 0
+    text = (tmp_path / "tw.csv").read_text()
+    accepted, rejected = re.search(r"# steps: accepted=(\d+), rejected=(\d+)", text).groups()
+    assert int(accepted) + int(rejected) == 200
+    assert "\n# halted: step limit of 200 attempts reached at x = " in text
+    _, cols = read_csv(tmp_path / "tw.csv")
+    assert len(cols["xi"]) == 2 and 0.0 < cols["xi"][-1] < 100.0
 
 
 @pytest.mark.parametrize("argv", [

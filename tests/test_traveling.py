@@ -450,10 +450,11 @@ def test_threshold_requires_finite_ordered_bracket(h_lo, h_hi):
 
 
 def test_threshold_invariant_under_rescaled_reference_velocity():
-    h_default = stability_threshold(1.5, 2.5, tol=1e-6)
-    h_scaled = stability_threshold(
-        1.5, 2.5, config_for=lambda H: wave_frame_config(H, u0=3.0), tol=1e-6)
-    assert h_scaled == pytest.approx(h_default, abs=2e-6)
+    # the bisection runs at u0 = 1; the classification switches at the same
+    # H for any reference velocity
+    for u0 in (0.2, 3.0):
+        assert classify_equilibrium(wave_frame_config(2.0 - 1e-6, u0=u0)) == "center-like"
+        assert classify_equilibrium(wave_frame_config(2.0 + 1e-6, u0=u0)) == "unstable"
 
 
 def test_sample_count_is_capped_before_allocation():
