@@ -171,8 +171,9 @@ def _cmd_tw_threshold(args, command: str) -> None:
 
 def _cmd_wigner(args, command: str) -> None:
     times = _float_list(args.times, "--times")
-    if not (0.0 < args.x_max < np.inf and 0.0 < args.v_max < np.inf):
-        raise ConfigError("--x-max and --v-max must be finite and positive")
+    half_max = sys.float_info.max / 2  # the grids span [-max, max]
+    if not (0.0 < args.x_max <= half_max and 0.0 < args.v_max <= half_max):
+        raise ConfigError(f"--x-max and --v-max must be positive and at most {half_max:.6g}")
     if args.nx < 1 or args.nv < 1:
         raise ConfigError("--nx and --nv must be at least 1")
     x_bar = np.linspace(-args.x_max, args.x_max, args.nx)

@@ -23,9 +23,16 @@ and a numerical transform
     f(x, v) = (1 / 2 pi) int ds exp(i v s) psi*(x + s/2) psi(x - s/2)
 
 evaluated by direct quadrature on a symmetric s grid with arbitrary output
-velocities.  The integrand G(x, s) = psi*(x + s/2) psi(x - s/2) is
-Hermitian, G(x, -s) = conj G(x, s), which is why f is real; the sum is
-therefore folded onto s >= 0,
+velocities.  For an analytic amplitude the grid is sized from the data:
+it spans |s| <= hi - lo, the width of the support [lo, hi] on which |psi|
+is above 1e-13 of its peak, and its spacing resolves the integrand's band
+in s, at most k_c + |v| with k_c the largest wavenumber at which |fft(psi)|
+is above 1e-13 of its peak; the trapezoid rule on a decaying, band-limited
+integrand is exact to rounding once 2 pi / ds exceeds that band.
+
+The integrand G(x, s) = psi*(x + s/2) psi(x - s/2) is Hermitian,
+G(x, -s) = conj G(x, s), which is why f is real; the sum is therefore
+folded onto s >= 0,
 
     f = (ds / 2 pi) [G(x, 0) + 2 sum_{s > 0} (cos(v s) Re G - sin(v s) Im G)],
 
@@ -52,7 +59,6 @@ __all__ = [
     "gaussian_packet",
     "evolve_free_gaussian",
     "wigner_transform",
-    "position_variance",
 ]
 
 _NORM_TOL = 1e-8
@@ -75,12 +81,6 @@ def gaussian_packet(x, t: float, sigma: float = 1.0) -> np.ndarray:
     t_bar = t / sigma**2
     z = 1.0 + 1j * t_bar
     return (np.pi * sigma**2) ** (-0.25) / np.sqrt(z) * np.exp(-(x**2) / (2.0 * sigma**2 * z))
-
-
-def position_variance(t: float, sigma: float = 1.0) -> float:
-    """Packet position variance (sigma^2/2)(1 + t_bar^2)."""
-    t_bar = t / sigma**2
-    return 0.5 * sigma**2 * (1.0 + t_bar**2)
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,16 @@ class WignerTable:
 
 
 def _coherence_width(psi_grid: WavefunctionGrid) -> float:
-    """Half-width in s beyond which |psi*(x+s/2) psi(x-s/2)| is negligible."""
+    """Half-width in s beyond which |psi*(x+s/2) psi(x-s/2)| is negligible.
+
+    That is hi - lo, where [lo, hi] holds |psi| above 1e-13 of its peak:
+    beyond it x + s/2 or x - s/2 falls outside [lo, hi].
+    """
     amp = np.abs(psi_grid.psi)
     peak = float(np.max(amp))
     above = np.nonzero(amp > 1e-13 * peak)[0]
     lo, hi = psi_grid.x[above[0]], psi_grid.x[above[-1]]
-    return 2.0 * float(hi - lo)
+    return float(hi - lo)
 
 
 def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
@@ -161,9 +165,10 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
     """Numerical phase-space transform of a wavefunction.
 
     With an analytic amplitude attached the integrand is evaluated on a
-    dedicated s grid sized from the packet's coherence width and the
-    output positions may be arbitrary; ``ConfigError`` is raised before
-    any allocation when that grid's workspace would exceed 256 MiB.  For
+    dedicated s grid that spans the packet's support width and is spaced
+    by its bandwidth, and the output positions may be arbitrary;
+    ``ConfigError`` is raised before any allocation when that grid's
+    workspace would exceed 256 MiB.  For
     purely tabulated data the products use even lattice shifts
     (x +- j dx on-grid), the output positions are the grid points, and the
     requested velocities must stay below the lattice Nyquist limit
@@ -179,9 +184,16 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
         if x.size == 0:
             raise ConfigError("transform needs at least one position")
         s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
-        # resolve the fastest kernel oscillation with ~8 points per cycle
+        # k_c: the largest |k| at which |fft(psi)| is above 1e-13 of its peak
+        spectrum = np.abs(np.fft.fft(wfg.psi))
+        k = 2.0 * math.pi * np.fft.fftfreq(wfg.psi.size, wfg.dx)
+        k_c = float(np.max(np.abs(k[spectrum > 1e-13 * np.max(spectrum)])))
+        # resolve the fastest kernel oscillation with ~8 points per cycle, and
+        # the integrand's band in s (at most k_c + |v|) with a margin of pi:
+        # ds = min(0.8 / max(|v|, 1 / s_half), 2 / (k_c + |v|)), as one max
+        # so that k_c = |v| = 0 does not divide by zero
         v_max = float(np.max(np.abs(v)))
-        ds = min(wfg.dx, 0.8 / max(v_max, 1.0 / s_half))
+        ds = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
         nodes = 2.0 * s_half / ds
         # 16 bytes per folded node and output point of G and of cos/sin(phase)
         workspace_mib = 8.0 * nodes * (x.size + v.size) / 2**20

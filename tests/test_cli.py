@@ -179,6 +179,43 @@ def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
             assert not list(Path(tmp).iterdir())
 
 
+# option -> (values of a small run; values that should be refused or fail
+# cleanly: 0, negatives, nan, inf, 1e308 and an empty list)
+WIGNER_OPTIONS = {
+    "--times": (["0", "6", "0,2", "1.5,0"], ["", "-1", "0,-2", "nan", "inf", "1e308"]),
+    "--x-max": ([None, "1", "4"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--v-max": ([None, "0.5", "4"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--nx": (["1", "4", "16"], ["0", "-3", "nan", "1e308"]),
+    "--nv": (["1", "4", "16"], ["0", "-3", "nan", "1e308"]),
+    "--npsi": (["64", "128"], ["0", "1", "-4", "16", "nan", "1e308"]),
+}
+
+
+@st.composite
+def wigner_argv(draw):
+    """A ``qfluid wigner`` argv with up to three options set to a spoiling value."""
+    spoiled = draw(st.sets(st.sampled_from(sorted(WIGNER_OPTIONS)), max_size=3))
+    argv = ["wigner"]
+    for name, (good, bad) in WIGNER_OPTIONS.items():
+        value = draw(st.sampled_from(bad if name in spoiled else good))
+        if value is not None:
+            argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=40, deadline=2_000)
+@given(argv=wigner_argv())
+def test_wigner_argv_fuzz_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(Path(tmp), argv + ["-o", "out.csv"])
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not list(Path(tmp).iterdir())
+
+
 def test_unfiltered_fluid_failure_names_the_filter(tmp_path, capsys):
     # without the filter the companion branch grows from rounding noise at
     # any dt, so the message must point at --no-stabilize, not at dt alone
@@ -411,8 +448,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["wigner", "--v-max", "1000", "--times", "6"],
     ["wigner", "--times", "0,-1", "--nx", "8", "--nv", "8"],
     ["wigner", "--times", "0,6", "--v-max", "1000"],
-    ["wigner", "--times", "0,6", "--v-max", "40000", "--nx", "1", "--nv", "1"],
+    ["wigner", "--times", "0,6", "--v-max", "80000", "--nx", "1", "--nv", "1"],
     ["wigner", "--times", "1e200", "--nx", "8", "--nv", "8"],
+    ["wigner", "--x-max", "1e308", "--nx", "8", "--nv", "8"],
+    ["wigner", "--v-max", "1e308", "--nx", "8", "--nv", "8"],
     ["tw", "run", "--v", "nan"],
     ["tw", "run", "--u0", "nan"],
     ["tw", "run", "--p0-scale", "nan"],

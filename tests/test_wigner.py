@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from qfluid import moments, wigner
 from qfluid.errors import AliasingError, ConfigError
 from qfluid.wigner import (WavefunctionGrid, analytic_wigner,
-                           evolve_free_gaussian, gaussian_packet,
-                           position_variance, wigner_transform)
+                           evolve_free_gaussian, gaussian_packet, wigner_transform)
 
 finite = st.floats(-20.0, 20.0)
 
@@ -54,7 +54,8 @@ def test_packet_variance_growth():
         wfg = evolve_free_gaussian(sigma, t, x_max=80.0, n_points=4096)
         dens = np.abs(wfg.psi) ** 2
         var = np.sum(wfg.x**2 * dens) * wfg.dx
-        assert var == pytest.approx(position_variance(t, sigma), rel=1e-10)
+        t_bar = t / sigma**2
+        assert var == pytest.approx(0.5 * sigma**2 * (1.0 + t_bar**2), rel=1e-10)
 
 
 def test_narrow_grid_rejected():
@@ -146,6 +147,49 @@ def test_hermitian_fold_on_boosted_packet():
         assert np.max(np.abs(np.pi * table.f - expected)) < 1e-6
         reference = _unfolded_reference(wfg, v, x)
         assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+
+
+def test_boosted_packet_at_t6_matches_dense_reference():
+    # the s nodes are spaced by psi's bandwidth k_c + |v|, not by the grid
+    # step; the reference keeps ds <= dx.  The packet moves at k0 and its
+    # phase chirps, so G is complex and far from s = 0 at every x
+    k0, t = 1.5, 6.0
+
+    def boosted(xx):
+        return np.exp(1j * k0 * xx) * gaussian_packet(xx - k0 * t, t)
+
+    half_width = 8.0 * math.sqrt(1.0 + t**2)   # the CLI's grid rule
+    x_grid = k0 * t + np.linspace(-half_width, half_width, 1024)
+    wfg = WavefunctionGrid(x=x_grid, psi=boosted(x_grid), amplitude_fn=boosted)
+    v = np.linspace(k0 - 4.0, k0 + 4.0, 64)
+    x = k0 * t + np.linspace(-12.0, 12.0, 41)
+    table = wigner_transform(wfg, v=v, x=x)
+    reference = _unfolded_reference(wfg, v, x)
+    assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+    u = v[:, None] - k0
+    expected = np.exp(-(x[None, :] - k0 * t - u * t) ** 2 - u**2)
+    assert np.max(np.abs(np.pi * table.f - expected)) < 1e-9
+
+
+def test_packet_resolved_to_nyquist_keeps_nodes_below_grid_step(monkeypatch):
+    # sigma = 0.5 on 27 points: psi's spectrum is above 1e-13 of its peak
+    # up to the grid's Nyquist wavenumber, so the bandwidth rule must not
+    # coarsen the s nodes beyond the grid step.  |v| <= 2 keeps the kernel's
+    # own 0.8 / |v| bound above the grid step
+    wfg = evolve_free_gaussian(0.5, 0.0, x_max=4.0, n_points=27)
+    spectrum = np.abs(np.fft.fft(wfg.psi))
+    assert np.max(spectrum[13:15]) > 1e-13 * np.max(spectrum)
+    v = np.linspace(-2.0, 2.0, 33)
+    x = np.linspace(-1.5, 1.5, 31)
+    table = wigner_transform(wfg, v=v, x=x)
+    reference = _unfolded_reference(wfg, v, x)
+    assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+    # the workspace refusal reports the node count: 2 s_half / ds
+    monkeypatch.setattr(wigner, "_MAX_WORKSPACE_MIB", 0)
+    with pytest.raises(ConfigError, match="s nodes") as refused:
+        wigner_transform(wfg, v=v, x=x)
+    nodes = float(re.search(r"needs (\S+) s nodes", str(refused.value)).group(1))
+    assert nodes >= 2.0 * wigner._coherence_width(wfg) / wfg.dx
 
 
 def test_degenerate_transform_input_rejected():
