@@ -77,4 +77,9 @@ def anisotropic_dyad(n: float, T_perp: float, T_par: float,
     """Equilibrium pressure dyad n kB diag(T_perp, T_perp, T_par)."""
     if n < 0.0 or T_perp < 0.0 or T_par < 0.0:
         raise ConfigError("density and temperatures must be non-negative")
-    return n * params.kB * np.diag([T_perp, T_perp, T_par])
+    with np.errstate(over="ignore"):
+        dyad = n * params.kB * np.diag([T_perp, T_perp, T_par])
+    if not np.all(np.isfinite(dyad)):
+        raise ConfigError(f"pressure dyad n kB T overflows: n = {n!r}, "
+                          f"T_perp = {T_perp!r}, T_par = {T_par!r}")
+    return dyad

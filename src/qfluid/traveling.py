@@ -54,7 +54,6 @@ __all__ = [
     "TravelingState",
     "wave_frame_config",
     "traveling_rhs",
-    "equilibrium_state",
     "reference_oscillation_state",
     "integrate",
     "Trajectory",
@@ -167,11 +166,6 @@ def traveling_rhs(y, cfg: WaveFrameConfig) -> list[float]:
     b0 = e_m * psi
     return [b0 * ((w * w - d) / det), b0 * ((c - 3.0 * p * w) / det),
             b0 * ((3.0 * p * d - w * c) / det), psi, e_eps0 * (n - n0)]
-
-
-def equilibrium_state(cfg: WaveFrameConfig, p0: float) -> TravelingState:
-    """The fixed point u = u0 + v, p = p0, Q = 0, phi = psi = 0."""
-    return TravelingState(xi=0.0, u=cfg.u0 + cfg.v, p=p0, Q=0.0, phi=0.0, psi=0.0)
 
 
 def reference_oscillation_state(cfg: WaveFrameConfig,

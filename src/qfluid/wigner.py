@@ -116,16 +116,23 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float,
     """Exactly evolved Gaussian packet on a symmetric grid [-x_max, x_max].
 
     The grid must be wide enough that the boundary amplitude is below
-    1e-10 of the peak at the requested time; the packet standard
-    deviation grows like sigma sqrt(1 + t_bar^2) / sqrt(2).
+    1e-10 of the peak at the requested time, and fine enough that its step
+    is at most the packet width sigma sqrt(1 + t_bar^2); the packet
+    standard deviation grows like sigma sqrt(1 + t_bar^2) / sqrt(2).
     """
     if not 0.0 <= t < math.inf:
         raise ConfigError(f"time must be finite and non-negative, got {t!r}")
     if n_points < 2:
         raise ConfigError(f"wavefunction grid needs at least 2 points, got {n_points}")
-    if not (0.0 < sigma < math.inf and 0.0 < x_max < math.inf):
-        raise ConfigError(f"sigma and x_max must be finite and positive, "
-                          f"got sigma = {sigma!r}, x_max = {x_max!r}")
+    if not (0.0 < sigma < math.inf and 0.0 < x_max and x_max * x_max < math.inf):
+        raise ConfigError(f"sigma and x_max must be finite and positive, with x_max**2 "
+                          f"finite, got sigma = {sigma!r}, x_max = {x_max!r}")
+    # |psi| ~ exp(-x^2 / (2 width^2)); checked before psi is evaluated
+    width = sigma * math.hypot(1.0, t / sigma**2)
+    dx = 2.0 * x_max / (n_points - 1)
+    if dx > width:
+        raise ConfigError(f"grid step {dx:.3g} exceeds the packet width {width:.3g} "
+                          f"at t = {t:g}: use more points or a smaller x_max")
     x = np.linspace(-x_max, x_max, n_points)
     psi = gaussian_packet(x, t, sigma)
     peak = float(np.max(np.abs(psi)))

@@ -155,20 +155,21 @@ FLUID_OPTIONS = {
 
 
 @st.composite
-def fluid_argv(draw):
-    """A ``qfluid fluid`` argv with up to three options set to a spoiling value."""
-    spoiled = draw(st.sets(st.sampled_from(sorted(FLUID_OPTIONS)), max_size=3))
-    argv = ["fluid"]
-    for name, (good, bad) in FLUID_OPTIONS.items():
+def spoiled_argv(draw, command, options):
+    """A ``qfluid <command>`` argv with up to three options set to a spoiling
+    value; a value of True is a bare flag and None leaves the option out."""
+    spoiled = draw(st.sets(st.sampled_from(sorted(options)), max_size=3))
+    argv = command.split()
+    for name, (good, bad) in options.items():
         value = draw(st.sampled_from(bad if name in spoiled else good))
-        if value is not None:
+        if value is True:
+            argv.append(name)
+        elif value is not None:
             argv.append(f"{name}={value}")
     return argv
 
 
-@settings(max_examples=60, deadline=20_000)
-@given(argv=fluid_argv())
-def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
+def assert_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -177,6 +178,12 @@ def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
         assert "Traceback" not in err.getvalue()
         if code:
             assert not list(Path(tmp).iterdir())
+
+
+@settings(max_examples=60, deadline=20_000)
+@given(argv=spoiled_argv("fluid", FLUID_OPTIONS))
+def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
 
 
 # option -> (values of a small run; values that should be refused or fail
@@ -191,29 +198,50 @@ WIGNER_OPTIONS = {
 }
 
 
-@st.composite
-def wigner_argv(draw):
-    """A ``qfluid wigner`` argv with up to three options set to a spoiling value."""
-    spoiled = draw(st.sets(st.sampled_from(sorted(WIGNER_OPTIONS)), max_size=3))
-    argv = ["wigner"]
-    for name, (good, bad) in WIGNER_OPTIONS.items():
-        value = draw(st.sampled_from(bad if name in spoiled else good))
-        if value is not None:
-            argv.append(f"{name}={value}")
-    return argv
+@settings(max_examples=40, deadline=2_000)
+@given(argv=spoiled_argv("wigner", WIGNER_OPTIONS))
+def test_wigner_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
+
+
+# plasma parameters shared by the sweeps: good values, then 0 where it is
+# unphysical, negatives, nan, inf and 1e308
+PARAM_OPTIONS = {
+    "--n0": ([None, "1", "2.5"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--hbar": ([None, "0", "0.5"], ["-0.5", "nan", "inf", "1e308"]),
+    "--tpar": ([None, "0", "0.1"], ["-1", "nan", "inf", "1e308"]),
+    "--tperp": ([None, "0.1", "1"], ["-1", "nan", "inf", "1e308"]),
+}
+# k ranges: kmin = 5 above the default kmax = 2, or kmax below kmin, reverses one
+DISPERSION_OPTIONS = {
+    "--relation": ([None, "all", "bohm-gross", "adiabatic"], ["all"]),
+    "--kmin": ([None, "0.1", "1"], ["-1", "5", "nan", "inf", "1e308"]),
+    "--kmax": ([None, "3"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--n": (["4", "32"], ["0", "1", "-4", "nan", "1e308"]),
+    "--log": ([None, True], [True]),
+    "--gamma": ([None, "1.4"], ["0", "-1", "nan", "inf", "1e308"]),
+    **PARAM_OPTIONS,
+}
+RESPONSE_OPTIONS = {
+    "--kmin": ([None, "0.5"], ["0", "-1", "5", "nan", "inf", "1e308"]),
+    "--kmax": ([None, "3"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--n": (["4", "32"], ["0", "1", "-4", "nan", "1e308"]),
+    "--dphi": ([None, "0.5", "-2"], ["nan", "inf", "1e308"]),
+    "--p-iso": ([None, "0", "1"], ["-1", "nan", "inf", "1e308"]),
+    **PARAM_OPTIONS,
+}
 
 
 @settings(max_examples=40, deadline=2_000)
-@given(argv=wigner_argv())
-def test_wigner_argv_fuzz_exits_with_a_documented_code(argv):
-    with tempfile.TemporaryDirectory() as tmp:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(Path(tmp), argv + ["-o", "out.csv"])
-        assert code in {0, 2, 3, 4}
-        assert "Traceback" not in err.getvalue()
-        if code:
-            assert not list(Path(tmp).iterdir())
+@given(argv=spoiled_argv("dispersion", DISPERSION_OPTIONS))
+def test_dispersion_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
+
+
+@settings(max_examples=40, deadline=2_000)
+@given(argv=spoiled_argv("response", RESPONSE_OPTIONS))
+def test_response_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
 
 
 def test_unfiltered_fluid_failure_names_the_filter(tmp_path, capsys):
@@ -452,6 +480,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["wigner", "--times", "1e200", "--nx", "8", "--nv", "8"],
     ["wigner", "--x-max", "1e308", "--nx", "8", "--nv", "8"],
     ["wigner", "--v-max", "1e308", "--nx", "8", "--nv", "8"],
+    ["wigner", "--x-max", "1e160", "--nx", "4", "--nv", "4"],
+    ["wigner", "--npsi", "16", "--nx", "4", "--nv", "4"],
+    ["wigner", "--times", "1.3e154", "--nx", "4", "--nv", "4"],
     ["tw", "run", "--v", "nan"],
     ["tw", "run", "--u0", "nan"],
     ["tw", "run", "--p0-scale", "nan"],
@@ -471,6 +502,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["dispersion", "--kmax", "1e200", "--n", "4"],
     ["response", "--kmax", "1e200", "--n", "4"],
     ["response", "--p-iso", "1e308", "--n", "4"],
+    ["response", "--n0", "2.5", "--tpar", "1e308", "--n", "4"],
     ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
     ["tw", "threshold", "--h-lo", "3", "--h-hi", "0.5"],
     ["tw", "run", "--samples", "100000000000"],

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from qfluid.csvio import _CHUNK_ROWS, _formatted_once, read_csv, write_csv
+from qfluid import csvio
+from qfluid.csvio import _CHUNK_ROWS, _format_e16, read_csv, write_csv
 from qfluid.errors import ConfigError
 
 # every qfluid output file uses these bytes; any change here changes them all
@@ -86,14 +89,56 @@ def test_write_csv_bytes_match_reference_writer(tmp_path, n_rows):
     assert [p.name for p in tmp_path.iterdir()] == ["parity.csv"]
 
 
-def test_repeated_float_columns_take_the_formatted_once_path():
-    columns = dict(parity_columns(2 * _CHUNK_ROWS + 3))
-    for name in ("grid", "drawn", "f32", "f16"):
-        cells = _formatted_once(columns[name], "%.16e")
-        assert cells is not None
-        assert cells.tolist() == ["%.16e" % v for v in columns[name].tolist()]
-    assert _formatted_once(columns["distinct"], "%.16e") is None
-    assert _formatted_once(columns["grid"].astype(np.longdouble), "%.16e") is None
+def adversarial_values(n):
+    """Seeded float64 values where a formatter errs: random bit patterns
+    (subnormals, nans and extremes included), scaled normals, every power
+    of ten and its neighbours, exact rounding ties at the 17th digit
+    (odd m / 2^j with 18 significant digits), integers and specials."""
+    rng = np.random.default_rng(18)
+    powers = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    ties = [rng.integers(lo, hi, size=n // 32) * 2 + 1 for lo, hi in
+            ((10 ** (17 - j) * 2 ** (j - 1), min(10 ** (18 - j) * 2 ** (j - 1), 2 ** 52))
+             for j in range(2, 18))]
+    a = np.concatenate([
+        rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2**52, size=n // 8, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        *(m / 2.0 ** j for j, m in enumerate(ties, start=2)),
+        rng.integers(1, 2**53, size=n // 8).astype(np.float64),
+        [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ])
+    return np.concatenate([a, -a])
+
+
+def test_format_e16_matches_percent_formatting():
+    a = adversarial_values(40_000)
+    assert len(a) > 200_000
+    cells = np.concatenate([_format_e16(a), np.full((len(a), 1), ord("\n"), np.uint8)], axis=1)
+    assert cells[cells != 0].tobytes() == "".join("%.16e\n" % v for v in a.tolist()).encode()
+
+
+def test_bytes_unchanged_when_every_value_takes_the_exact_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvio, "_TIE_BAND", 1.0)
+    columns = parity_columns(_CHUNK_ROWS + 3)
+    path = tmp_path / "exact.csv"
+    write_csv(path, columns, command="qfluid parity")
+    assert path.read_bytes() == reference_bytes(columns, "qfluid parity")
+
+
+def test_powers_of_ten_are_the_nearest_longdouble():
+    if csvio._TIE_BAND >= 0.5:
+        pytest.skip("longdouble cannot hold the table; every value takes the exact path")
+    bound = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    for q, p in enumerate(csvio._tables()[0], start=csvio._POW10_MIN):
+        exact = Fraction(10) ** q
+        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= bound * exact, q
+
+
+def test_write_csv_rejects_a_nul_in_a_str_cell(tmp_path):
+    with pytest.raises(ValueError, match="'s'.*NUL"):
+        write_csv(tmp_path / "out.csv", [("x", np.zeros(2)), ("s", np.array(["a", "b\0c"]))])
+    assert not list(tmp_path.iterdir())
 
 
 def test_read_csv_parses_a_numeric_body_to_float64(tmp_path):

@@ -6,11 +6,15 @@ import pytest
 from qfluid.errors import ConfigError, SonicSingularityError
 from qfluid.params import nondimensional
 from qfluid import traveling
-from qfluid.traveling import (WaveFrameConfig, classify_equilibrium,
-                              equilibrium_eigenvalues,
-                              equilibrium_state, integrate,
+from qfluid.traveling import (TravelingState, WaveFrameConfig, classify_equilibrium,
+                              equilibrium_eigenvalues, integrate,
                               reference_oscillation_state, stability_threshold,
                               traveling_rhs, wave_frame_config)
+
+
+def equilibrium_state(cfg, p0):
+    """The fixed point u = u0 + v, p = p0, Q = 0, phi = psi = 0."""
+    return TravelingState(xi=0.0, u=cfg.u0 + cfg.v, p=p0, Q=0.0, phi=0.0, psi=0.0)
 
 
 def test_config_validation_and_quantum_parameter():

@@ -204,6 +204,10 @@ def test_degenerate_transform_input_rejected():
     for n in (0, 1):
         with pytest.raises(ConfigError, match="at least 2 points"):
             evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=n)
+    with pytest.raises(ConfigError, match="exceeds the packet width"):
+        evolve_free_gaussian(0.5, 0.0, x_max=4.0, n_points=9)
+    with pytest.raises(ConfigError, match=r"x_max\*\*2 finite"):
+        evolve_free_gaussian(1.0, 1e160, x_max=1e160, n_points=2**20)
 
 
 def test_tabulated_path_rejects_fast_velocities():
