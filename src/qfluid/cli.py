@@ -126,8 +126,11 @@ def _cmd_tw_run(args, command: str) -> None:
                                n_samples=args.samples)
     if len(traj.xi) == 1:
         raise SonicSingularityError(f"no step from the launch state: {traj.halt_reason}")
+    momentum_drift, energy_drift = traj.flux_drifts()
     comments = (f"steps: accepted={traj.n_steps}, rejected={traj.n_rejected}, "
-                f"rhs_calls={traj.n_rhs}",)
+                f"rhs_calls={traj.n_rhs}",
+                f"invariants: momentum_flux_drift={momentum_drift:.3e}, "
+                f"energy_flux_drift={energy_drift:.3e}")
     if not traj.completed:
         comments += (f"halted: {traj.halt_reason}",)
     write_csv(args.output, [("xi", traj.xi), ("n", traj.n), ("u", traj.u),

@@ -13,21 +13,26 @@ The pair is FSAL (first same as last): the seventh stage is f at the
 accepted point and becomes the first stage of the next step, so every
 step attempt costs six evaluations of f.
 
-The stages are computed on Python floats, not numpy arrays.  The
+The stages are computed on Python floats, not numpy arrays: the
 wave-frame system has five components, and at that size each numpy
-operation costs its call overhead, not its arithmetic: a step spent more
-time in the driver's array temporaries than in the six rhs calls.  So the
-tableau is unpacked into scalars once per call, each stage is one
-comprehension over the components with its coefficients written out, and
-the error norm is summed from the error weights (5th- minus 4th-order) in
-one more pass, with no 4th-order solution formed.  ``f`` receives the
-state as the list of Python floats the driver steps, is called directly,
+operation costs its call overhead, not its arithmetic.  A loop over the
+components is no better: a list comprehension over ``zip(y, k1, ...)``
+spends more than half of each stage on its frame, the zip and the
+per-element unpacking.  So a step attempt is one function whose
+source is written out per component, every tableau coefficient a
+literal, generated by ``_attempt`` from ``_C``, ``_A`` and ``_B4`` once
+per state dimension and compiled with ``exec`` (as
+``collections.namedtuple`` builds its classes; the source holds only
+float literals and the dimension).  The error norm is summed from the
+error weights (5th- minus 4th-order), with no 4th-order solution formed.
+``f`` receives the state as a list of Python floats, is called directly,
 with no wrapper per call, and returns a list of Python floats, so a
 right-hand side written on floats makes no ndarray at all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,10 +56,60 @@ _A = np.array([
 _B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40])
 _ORDER = 5.0
 _MIN_STEP = 16.0 * sys.float_info.epsilon   # in units of max(|x|, 1)
-# a step attempt costs about 30 us, so the cap halts a run after about two
-# minutes; it is above the 2**20 samples ``traveling`` allows, each of
-# which costs at least one attempt
+# a wave-frame step attempt costs about 20 us, so the cap halts a run after
+# about a minute and a half; it is above the 2**20 samples ``traveling``
+# allows, each of which costs at least one attempt
 _MAX_STEPS = 2**22
+
+
+class _Blocked(Exception):
+    """args (calls, exc): f raised ``exc``, one of ``halt_on``, at call
+    ``calls`` of a step attempt."""
+
+
+@functools.cache
+def _attempt(dim: int):
+    """The step attempt ``attempt(f, x, h, y, k1, atol, rtol, halt_on)`` for
+    a ``dim``-component state: returns (y5, k7, sum of the squared error
+    ratios), raises ``_Blocked`` when f raises one of ``halt_on`` and
+    ``ConfigError`` when f returns other than ``dim`` components.
+
+    Each component's expression is written out with the tableau's float
+    literals, in the operation order of a loop over the components, and
+    skips the tableau's two zero weights (a72 and e2).
+    """
+    names = "pqrstuw"    # components of k1 ... k7; v is y and z is y5
+    # weights[j] combines k1 ... kj into stage j + 1; weights[7] is the error
+    weights = [_A[j, :j] for j in range(7)] + [_A[6] - _B4]
+
+    def combination(j, i):
+        return " + ".join(f"{float(c)!r} * {k}{i}" for c, k in zip(weights[j], names) if c)
+
+    def unpack(name):
+        return ", ".join(f"{name}{i}" for i in range(dim)) + ","
+
+    lines = ["def attempt(f, x, h, y, k1, atol, rtol, halt_on):",
+             f"    {unpack('v')} = y", f"    {unpack('p')} = k1"]
+    for j in range(1, 7):   # stage j + 1 is call j of the attempt
+        if j < 6:
+            arg = "[" + ", ".join(f"v{i} + h * ({combination(j, i)})" for i in range(dim)) + "]"
+        else:
+            lines += [f"    z{i} = v{i} + h * ({combination(6, i)})" for i in range(dim)]
+            lines.append(f"    y5 = [{', '.join(f'z{i}' for i in range(dim))}]")
+            arg = "y5"
+        xj = "x + h" if _C[j] == 1.0 else f"x + {float(_C[j])!r} * h"
+        lines += ["    try:", f"        k = f({xj}, {arg})",
+                  "    except halt_on as exc:", f"        raise _Blocked({j}, exc) from None",
+                  "    try:", f"        {unpack(names[j])} = k",
+                  "    except ValueError:",
+                  "        raise ConfigError(f'f returned {len(k)} components for a "
+                  f"{dim}-component state') from None"]
+    lines += [f"    d{i} = h * ({combination(7, i)}) / (atol + rtol * max(abs(v{i}), abs(z{i})))"
+              for i in range(dim)]
+    lines.append(f"    return y5, k, {' + '.join(f'd{i} * d{i}' for i in range(dim))}")
+    namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError}
+    exec("\n".join(lines), namespace)
+    return namespace["attempt"]
 
 
 @dataclass
@@ -84,7 +139,8 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     error estimate that is not finite included) shrinks the step below
     the representable limit, or after ``_MAX_STEPS`` step attempts.
     Raises ``ConfigError`` unless ``samples`` holds at least two finite,
-    strictly increasing points, 0 < rtol < inf and 0 <= atol < inf.
+    strictly increasing points, 0 < rtol < inf and 0 <= atol < inf, and
+    when any call of ``f`` returns another number of components.
     """
     samples = np.asarray(samples, dtype=float)
     if not (samples.ndim == 1 and len(samples) >= 2 and np.all(np.isfinite(samples))
@@ -118,12 +174,7 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     # floor the guess: a zero initial state must not stall the controller
     h = min(max(h, 1e-8 * span, 64.0 * _MIN_STEP * max(abs(x), 1.0)), span)
 
-    c2, c3, c4, c5 = _C[1:5].tolist()
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = (_A[i, :i].tolist() for i in range(1, 6))
-    a71, _, a73, a74, a75, a76 = _A[6, :6].tolist()   # the 5th-order weights
-    e1, _, e3, e4, e5, e6, e7 = (_A[6] - _B4).tolist()
-
+    attempt = _attempt(dim)
     next_sample = 1
     n_steps = n_rejected = 0
     halt = None
@@ -138,28 +189,11 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
         if n_steps + n_rejected >= _MAX_STEPS:
             halt = f"step limit of {_MAX_STEPS} attempts reached at x = {x:.9g}"
             break
-        # ``stage`` counts the calls of f made so far in this attempt
         try:
-            stage = 1
-            k2 = f(x + c2 * h_try, [v + h_try * (a21 * p) for v, p in zip(y, k1)])
-            stage = 2
-            k3 = f(x + c3 * h_try, [v + h_try * (a31 * p + a32 * q)
-                                    for v, p, q in zip(y, k1, k2)])
-            stage = 3
-            k4 = f(x + c4 * h_try, [v + h_try * (a41 * p + a42 * q + a43 * r)
-                                    for v, p, q, r in zip(y, k1, k2, k3)])
-            stage = 4
-            k5 = f(x + c5 * h_try, [v + h_try * (a51 * p + a52 * q + a53 * r + a54 * s)
-                                    for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            stage = 5
-            k6 = f(x + h_try, [v + h_try * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * t)
-                               for v, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)])
-            y5 = [v + h_try * (a71 * p + a73 * r + a74 * s + a75 * t + a76 * u)
-                  for v, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
-            stage = 6
-            k7 = f(x + h_try, y5)
-        except halt_on as exc:
-            n_rhs += stage
+            y5, k7, sum_sq = attempt(f, x, h_try, y, k1, atol, rtol, halt_on)
+        except _Blocked as blocked:
+            calls, exc = blocked.args
+            n_rhs += calls
             blocked_by = str(exc)
             h = 0.5 * h_try
             if h < _MIN_STEP * max(abs(x), 1.0):
@@ -168,11 +202,7 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
             continue
         n_rhs += 6
         # RMS of the 5th- minus 4th-order difference over atol + rtol max(|y|, |y5|)
-        err = math.sqrt(sum(
-            d * d for d in (
-                h_try * (e1 * p + e3 * r + e4 * s + e5 * t + e6 * u + e7 * w)
-                / (atol + rtol * max(abs(v), abs(v5)))
-                for v, v5, p, r, s, t, u, w in zip(y, y5, k1, k3, k4, k5, k6, k7))) / dim)
+        err = math.sqrt(sum_sq / dim)
         if err <= 1.0:
             n_steps += 1
             y = y5

@@ -65,9 +65,9 @@ __all__ = [
 _DET_RTOL = 1e-12
 _EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
 _STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
-# every sample interval costs at least one accepted step (~25 us), so
-# 2**20 samples is already a run of half a minute; the cap rejects a
-# huge count before its sample arrays are allocated
+# every sample interval costs at least one accepted step (~20 us), so
+# 2**20 samples is already a run of about 20 s; the cap rejects a huge
+# count before its sample arrays are allocated
 _MAX_SAMPLES = 2**20
 
 
@@ -174,17 +174,22 @@ def reference_oscillation_state(cfg: WaveFrameConfig,
     """Density-dip launch state for the oscillation runs.
 
     n(0) = density_ratio * n0 (so u(0) - v = u0 / density_ratio),
-    p(0) = p0_scale * m n0 u0^2, Q(0) = phi(0) = phi'(0) = 0.
+    p(0) = p0_scale * m n0 u0^2, Q(0) = phi(0) = phi'(0) = 0.  Raises
+    ``ConfigError`` unless density_ratio > 0 and u(0) is finite and, in
+    floating point, not v: an infinite ratio, or a u0 / ratio lost next
+    to v, would launch at the sonic point with an infinite density.
     """
-    if not (0.0 < density_ratio and math.isfinite(cfg.u0 / density_ratio)):
-        raise ConfigError(f"density ratio must be positive with u0 / ratio finite, "
-                          f"got {density_ratio!r}")
+    u = cfg.v + cfg.u0 / density_ratio if density_ratio > 0.0 else math.nan
+    if not (math.isfinite(u) and u != cfg.v):
+        raise ConfigError(f"density ratio must be positive with u(0) = v + u0 / ratio "
+                          f"finite and distinct from v, got ratio {density_ratio!r} "
+                          f"at v = {cfg.v!r}")
     if not math.isfinite(p0_scale):
         raise ConfigError(f"pressure scale must be finite, got {p0_scale!r}")
     par = cfg.params
     return TravelingState(
         xi=0.0,
-        u=cfg.v + cfg.u0 / density_ratio,
+        u=u,
         p=p0_scale * par.m * par.n0 * cfg.u0**2,
         Q=0.0, phi=0.0, psi=0.0)
 
@@ -216,6 +221,34 @@ class Trajectory:
     def E(self) -> np.ndarray:
         """Electric field E = -phi'."""
         return -self.psi
+
+    def flux_drifts(self) -> tuple[float, float]:
+        """Drift of the momentum and energy flux integrals over the samples.
+
+        With n (u - v) = n0 u0 and eps0 psi' = e (n - n0) the momentum and
+        energy equations integrate once, to
+
+            I1 = m n0 u0 u + p - e n0 phi - (eps0/2) psi^2,
+            I2 = (1/2) m n0 u0 u^2 + (1/2) p (u - v) + p u + (1/2) Q
+                 - e n0 u0 phi - v (e n0 phi + (eps0/2) psi^2).
+
+        Neither is built into the solver, so each drift (max - min of the
+        integral, over the largest magnitude any of its terms reaches)
+        measures the stepping error.  Non-finite samples, or terms that are
+        all zero, give nan or inf.
+        """
+        par, v = self.cfg.params, self.cfg.v
+        mass_flux = par.m * par.n0 * self.cfg.u0
+        with np.errstate(over="ignore", invalid="ignore"):
+            charge_phi = par.e * par.n0 * self.phi
+            field = 0.5 * par.eps0 * self.psi * self.psi
+            momentum = [mass_flux * self.u, self.p, -charge_phi, -field]
+            energy = [0.5 * mass_flux * self.u * self.u, 0.5 * self.p * (self.u - v),
+                      self.p * self.u, 0.5 * self.Q, -par.e * par.n0 * self.cfg.u0 * self.phi,
+                      -v * (charge_phi + field)]
+            drifts = [np.ptp(np.sum(terms, axis=0)) / max(np.max(np.abs(term)) for term in terms)
+                      for terms in (momentum, energy)]
+        return float(drifts[0]), float(drifts[1])
 
 
 def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,

@@ -244,6 +244,52 @@ def test_response_argv_fuzz_exits_with_a_documented_code(argv):
     assert_documented_exit(argv)
 
 
+# wave-frame runs: --xi-max <= 5 and --samples <= 64 keep each example short;
+# --u0 stays O(1) among the good values, since the wavelength scales with it.
+# --tol keeps its default among the good values: a looser one makes a run
+# that reaches the singular set creep along it to the step cap (about 85 s),
+# which test_traveling.py's strict xfail records
+TW_RUN_OPTIONS = {
+    "--H": ([None, "0", "1", "1.8", "2.5"], ["-1", "nan", "inf", "1e308"]),
+    "--u0": ([None, "1", "-1.5"], ["0", "1e-200", "nan", "inf", "1e308"]),
+    "--v": ([None, "0.2", "-0.7"], ["nan", "inf", "1e308", "-1e308"]),
+    "--density-ratio": ([None, "0.7", "0.95"], ["0", "-1", "1e-300", "nan", "inf", "1e308"]),
+    "--p0-scale": ([None, "0", "0.5"], ["-1", "1e200", "nan", "inf", "1e308"]),
+    "--xi-max": (["1", "5"], ["0", "-1", "nan", "inf"]),
+    "--tol": ([None], ["0", "-1", "nan", "inf", "1e308"]),
+    "--samples": (["16", "64"], ["0", "-4", "2000000", "nan"]),
+}
+TW_STABILITY_OPTIONS = {
+    "--H": ([None, "1.5", "0,1,3", "2.1,0.5"], ["", "1,x", "-1", "nan", "inf", "1e308"]),
+    "--u0": ([None, "1", "2"], ["0", "1e-200", "nan", "inf", "1e308"]),
+    "--p0": ([None, "0", "0.5"], ["-1", "nan", "inf", "1e308"]),
+}
+# h-lo = 3 above the default h-hi, or h-hi = 1.5 below h-lo = 1.8, spoils the bracket
+TW_THRESHOLD_OPTIONS = {
+    "--h-lo": ([None, "0.5", "1.8"], ["3", "-1", "-inf", "nan", "inf", "1e308"]),
+    "--h-hi": ([None, "2.5", "3"], ["1.5", "-1", "nan", "inf", "1e308"]),
+    "--tol": ([None, "1e-3"], ["0", "-1", "nan", "inf", "1e308"]),
+}
+
+
+@settings(max_examples=25, deadline=2_000)
+@given(argv=spoiled_argv("tw run", TW_RUN_OPTIONS))
+def test_tw_run_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
+
+
+@settings(max_examples=25, deadline=2_000)
+@given(argv=spoiled_argv("tw stability", TW_STABILITY_OPTIONS))
+def test_tw_stability_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
+
+
+@settings(max_examples=25, deadline=2_000)
+@given(argv=spoiled_argv("tw threshold", TW_THRESHOLD_OPTIONS))
+def test_tw_threshold_argv_fuzz_exits_with_a_documented_code(argv):
+    assert_documented_exit(argv)
+
+
 def test_unfiltered_fluid_failure_names_the_filter(tmp_path, capsys):
     # without the filter the companion branch grows from rounding noise at
     # any dt, so the message must point at --no-stabilize, not at dt alone
@@ -279,7 +325,20 @@ def test_tw_run_header_reports_its_steps(tmp_path):
     line = (f"# steps: accepted={traj.n_steps}, rejected={traj.n_rejected}, "
             f"rhs_calls={traj.n_rhs}")
     assert line in first.decode().splitlines()
+    momentum_drift, energy_drift = traj.flux_drifts()
+    line = (f"# invariants: momentum_flux_drift={momentum_drift:.3e}, "
+            f"energy_flux_drift={energy_drift:.3e}")
+    assert line in first.decode().splitlines()
     assert traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
+
+
+def test_tw_run_flux_drift_that_overflows_reads_nan(tmp_path):
+    # u ~ 1e118 passes the launch checks, but m n0 u0 u^2 overflows
+    argv = ["tw", "run", "--H", "0", "--p0-scale", "0", "--v", "1e118", "--u0", "1e102",
+            "--xi-max", "1", "--samples", "8", "-o", "tw.csv"]
+    assert run(tmp_path, argv) == 0
+    lines = (tmp_path / "tw.csv").read_text().splitlines()
+    assert "# invariants: momentum_flux_drift=0.000e+00, energy_flux_drift=nan" in lines
 
 
 def test_tw_stability_table(tmp_path):

@@ -159,3 +159,115 @@ def test_step_limit_halts_with_the_partial_trajectory(monkeypatch):
     assert float(res.halt_reason.rsplit(" ", 1)[1]) == pytest.approx(res.x[-1], rel=1e-8)
     assert 0.0 < res.x[-1] < 25.0
     assert np.array_equal(res.x[:-1], np.linspace(0.0, 100.0, 5)[:len(res.x) - 1])
+
+
+def test_short_return_at_a_middle_stage_rejected():
+    # zip would truncate the stage and numpy would broadcast the short row
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        return [-y[0]] if calls == 4 else [-y[0], -y[1]]
+
+    with pytest.raises(ConfigError, match="f returned 1 components for a 2-component state"):
+        integrate_adaptive(f, np.array([1.0, 2.0]), [0.0, 1.0])
+
+
+def test_long_return_at_the_fsal_stage_rejected_not_halted_on():
+    # a ConfigError is a ValueError, yet a wrong length is no halt
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        return [-y[0], -y[1], 0.0] if calls == 7 else [-y[0], -y[1]]
+
+    with pytest.raises(ConfigError, match="f returned 3 components for a 2-component state"):
+        integrate_adaptive(f, np.array([1.0, 2.0]), [0.0, 1.0], halt_on=(ValueError,))
+
+
+def test_value_error_raised_by_f_propagates():
+    calls = 0
+
+    def f(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise ValueError("f's own failure")
+        return [-y[0], -y[1]]
+
+    with pytest.raises(ValueError, match="f's own failure") as info:
+        integrate_adaptive(f, np.array([1.0, 2.0]), [0.0, 1.0])
+    assert type(info.value) is ValueError
+
+
+def reference_attempt(f, x, h, y, k1, atol, rtol):
+    """One step attempt as a comprehension per stage over zip(y, k1, ...),
+    with the tableau unpacked into scalars, as integrate_adaptive computed it
+    before its stages were written out per component."""
+    c2, c3, c4, c5 = ode._C[1:5].tolist()
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = (ode._A[i, :i].tolist() for i in range(1, 6))
+    a71, _, a73, a74, a75, a76 = ode._A[6, :6].tolist()
+    e1, _, e3, e4, e5, e6, e7 = (ode._A[6] - ode._B4).tolist()
+    k2 = f(x + c2 * h, [v + h * (a21 * p) for v, p in zip(y, k1)])
+    k3 = f(x + c3 * h, [v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)])
+    k4 = f(x + c4 * h, [v + h * (a41 * p + a42 * q + a43 * r)
+                        for v, p, q, r in zip(y, k1, k2, k3)])
+    k5 = f(x + c5 * h, [v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                        for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = f(x + h, [v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * t)
+                   for v, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [v + h * (a71 * p + a73 * r + a74 * s + a75 * t + a76 * u)
+          for v, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(x + h, y5)
+    sum_sq = 0   # left to right from int 0, as sum() adds up to Python 3.11
+    for d in (h * (e1 * p + e3 * r + e4 * s + e5 * t + e6 * u + e7 * w)
+              / (atol + rtol * max(abs(v), abs(v5)))
+              for v, v5, p, r, s, t, u, w in zip(y, y5, k1, k3, k4, k5, k6, k7)):
+        sum_sq += d * d
+    return y5, k7, sum_sq
+
+
+def coupled(x, y):
+    # nonlinear and mixing every component with the next, for any dimension
+    return [math.sin(x + v) * y[(i + 1) % len(y)] - 0.5 * v for i, v in enumerate(y)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 7])
+def test_attempt_is_bitwise_the_comprehension_arithmetic(dim):
+    rng = np.random.default_rng(dim)
+    attempt = ode._attempt(dim)
+    for _ in range(50):
+        x, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 0.0)
+        y, k1 = rng.normal(size=dim).tolist(), rng.normal(size=dim).tolist()
+        atol, rtol = 10.0 ** rng.uniform(-14.0, -6.0), 10.0 ** rng.uniform(-12.0, -3.0)
+        got = attempt(coupled, x, h, y, k1, atol, rtol, ())
+        want = reference_attempt(coupled, x, h, y, k1, atol, rtol)
+        assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+        assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+        assert got[2].hex() == want[2].hex()
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
+    def raising_at(call):
+        calls = 0
+
+        def f(x, y):
+            nonlocal calls
+            calls += 1
+            if calls == call:
+                raise Boom(f"call {call}")
+            return [y[1], -y[0]]
+        return f
+
+    with pytest.raises(ode._Blocked) as info:
+        ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, (Boom,))
+    assert info.value.args[0] == j and str(info.value.args[1]) == f"call {j}"
+    # call 1 is the initial k1; call 1 + j is call j of the first attempt
+    res = integrate_adaptive(raising_at(1 + j), np.array([1.0, 0.0]), [0.0, 1.0],
+                             halt_on=(Boom,))
+    assert res.completed
+    assert res.n_rhs == 1 + j + 6 * (res.n_steps + res.n_rejected)
