@@ -174,22 +174,17 @@ def reference_oscillation_state(cfg: WaveFrameConfig,
     """Density-dip launch state for the oscillation runs.
 
     n(0) = density_ratio * n0 (so u(0) - v = u0 / density_ratio),
-    p(0) = p0_scale * m n0 u0^2, Q(0) = phi(0) = phi'(0) = 0.  Raises
-    ``ConfigError`` unless density_ratio > 0 and u(0) is finite and, in
-    floating point, not v: an infinite ratio, or a u0 / ratio lost next
-    to v, would launch at the sonic point with an infinite density.
+    p(0) = p0_scale * m n0 u0^2, Q(0) = phi(0) = phi'(0) = 0.
     """
-    u = cfg.v + cfg.u0 / density_ratio if density_ratio > 0.0 else math.nan
-    if not (math.isfinite(u) and u != cfg.v):
-        raise ConfigError(f"density ratio must be positive with u(0) = v + u0 / ratio "
-                          f"finite and distinct from v, got ratio {density_ratio!r} "
-                          f"at v = {cfg.v!r}")
+    if not (0.0 < density_ratio and math.isfinite(cfg.u0 / density_ratio)):
+        raise ConfigError(f"density ratio must be positive with u0 / ratio finite, "
+                          f"got {density_ratio!r}")
     if not math.isfinite(p0_scale):
         raise ConfigError(f"pressure scale must be finite, got {p0_scale!r}")
     par = cfg.params
     return TravelingState(
         xi=0.0,
-        u=u,
+        u=cfg.v + cfg.u0 / density_ratio,
         p=p0_scale * par.m * par.n0 * cfg.u0**2,
         Q=0.0, phi=0.0, psi=0.0)
 
@@ -258,7 +253,8 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
     singularity, a step size underflow (as next to the singular set) or
     the integrator's step limit, the partial trajectory is returned with
-    the halt reason.  Each rhs evaluation calls the module's
+    the halt reason (a launch on the sonic point u = v gives one sample,
+    of infinite density).  Each rhs evaluation calls the module's
     ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
     1 <= n_samples <= 2**20 (and, from the integrator, 0 < tol < inf).
@@ -274,7 +270,10 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     res: OdeResult = integrate_adaptive(lambda xi, y: traveling_rhs(y, cfg), y0, samples,
                                         rtol=tol, atol=atol, halt_on=(SonicSingularityError,))
     u = res.y[:, 0]
-    n = cfg.params.n0 * cfg.u0 / (u - cfg.v)
+    # traveling_rhs accepted every sample but a launch the run halted at,
+    # which may lie on the sonic point u = v: its density is infinite
+    with np.errstate(divide="ignore", over="ignore"):
+        n = cfg.params.n0 * cfg.u0 / (u - cfg.v)
     return Trajectory(xi=res.x, u=u, p=res.y[:, 1], Q=res.y[:, 2],
                       phi=res.y[:, 3], psi=res.y[:, 4], n=n,
                       halt_reason=res.halt_reason, cfg=cfg,

@@ -601,9 +601,12 @@ def test_wave_frame_step_limit_writes_a_partial_trajectory(tmp_path, monkeypatch
 @pytest.mark.parametrize("argv", [
     ["tw", "run", "--p0-scale", "1e200"],
     ["tw", "run", "--density-ratio", "1e-300"],
+    ["tw", "run", "--density-ratio", "inf"],
+    ["tw", "run", "--v", "1e308"],
 ], ids=" ".join)
 def test_singular_launch_state_exits_3_without_traceback(tmp_path, capsys, argv):
-    # the derivative matrix's norm cubed overflows: singular at the launch point
+    # singular at the launch point: the derivative matrix's norm cubed
+    # overflows, or u0 / ratio is lost next to v, a launch at u = v
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 3
     err = capsys.readouterr().err
     assert "no step from the launch state" in err

@@ -271,3 +271,12 @@ def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
                              halt_on=(Boom,))
     assert res.completed
     assert res.n_rhs == 1 + j + 6 * (res.n_steps + res.n_rejected)
+
+
+def test_large_system_compiles_and_integrates():
+    # a 3000-term sum written as one expression nests too deep for CPython's
+    # compiler (RecursionError from 2993 terms on 3.11)
+    dim = 3000
+    res = integrate_adaptive(lambda x, y: [-v for v in y], np.ones(dim), [0.0, 1.0])
+    assert res.completed
+    assert np.allclose(res.y[-1], math.exp(-1.0), rtol=1e-8)

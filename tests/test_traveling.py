@@ -185,7 +185,8 @@ def test_momentum_and_energy_fluxes_are_first_integrals(H, v):
     cfg = wave_frame_config(H=H, v=v)
     t = integrate(reference_oscillation_state(cfg), cfg, xi_max=60.0, tol=1e-9)
     assert t.completed
-    assert max(t.flux_drifts()) < 1e-9
+    momentum, energy = t.flux_drifts()
+    assert momentum < 1e-9 and energy < 1e-9
 
 
 @pytest.mark.parametrize("H, v", FLUX_CASES)
@@ -310,6 +311,15 @@ def test_sonic_singularity_returns_partial_trajectory():
     assert not traj.completed
     assert "singular" in traj.halt_reason or "sonic" in traj.halt_reason
     assert traj.xi[-1] < 50.0
+
+
+def test_launch_on_the_sonic_point_is_a_one_sample_halt():
+    # u = v: no density, so traveling_rhs refuses the launch state
+    cfg = wave_frame_config(H=1.0, v=0.3)
+    traj = integrate(TravelingState(xi=0.0, u=0.3, p=1.0, Q=0.0, phi=0.0, psi=0.0), cfg, 1.0)
+    assert traj.halt_reason.startswith("frame-relative velocity vanished")
+    assert traj.xi.tolist() == [0.0] and traj.n.tolist() == [math.inf]
+    assert traj.n_rhs == 1 and traj.n_steps == 0
 
 
 def test_step_underflow_next_to_the_singular_set_is_a_halt():
