@@ -31,8 +31,8 @@ set no time-step bound: ``auto_dt`` is the smaller of the advective
 bound 0.4 dx / max(|u| + |c - c0|), with c = sqrt(3 p/(m n)), and the
 plasma-period bound 0.4 / omega_p, and ``step`` raises
 ``CFLViolationError`` (CLI exit 3) for a dt above it.  ``evolve`` halves
-an automatic step that a steepening state outgrows, down to half the
-step the full sound speed would allow.
+an automatic step that a steepening state outgrows, for as long as the
+run stays within its 2**20-step cap.
 
 State layout: a state is one ``(4, N)`` array, ``FluidState1D.fields``,
 whose rows are (n, u, p, Q); ``rhs`` returns its derivative in the same
@@ -146,7 +146,7 @@ _MARGIN = 2.0
 _MEAN_TOL = 1e-8
 # a step costs at least ~0.2 ms (N = 8), so 2**20 steps is a run of about
 # four minutes; the cap rejects a run length over a step that could never
-# finish before the loop starts
+# finish before the loop starts, and is the only limit on halving the step
 _MAX_STEPS = 2**20
 
 
@@ -354,23 +354,13 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
-def _remainder_speed(state: FluidState1D, params: PlasmaParams, c0: float) -> float:
-    """max(|u| + |c - c0|) with c = sqrt(3 p / (m n))."""
+def _remainder_speed(state: FluidState1D, params: PlasmaParams) -> float:
+    """max(|u| + |c - c0|) with c = sqrt(3 p / (m n)) and c0 = sqrt(3 p0 / (m n0)),
+    p0 = n0 kB T0_par."""
+    p0 = params.n0 * params.kB * params.T0_par
+    c0 = math.sqrt(3.0 * p0 / (params.m * params.n0))
     c = np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))
     return float(np.max(np.abs(state.u) + np.abs(c - c0)))
-
-
-def _uniform_sound_speed(params: PlasmaParams) -> float:
-    """c0 = sqrt(3 p0 / (m n0)) with p0 = n0 kB T0_par."""
-    p0 = params.n0 * params.kB * params.T0_par
-    return math.sqrt(3.0 * p0 / (params.m * params.n0))
-
-
-def _dt_limit(state: FluidState1D, params: PlasmaParams, c0: float) -> float:
-    """min(0.4 dx / max(|u| + |c - c0|), 0.4 / omega_p) with c = sqrt(3 p / (m n))."""
-    speed = _remainder_speed(state, params, c0)
-    dt_adv = _SAFETY * state.grid.dx / speed if speed > 0 else math.inf
-    return min(dt_adv, _SAFETY / params.omega_p)
 
 
 def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
@@ -384,7 +374,9 @@ def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
     of c from c0, the speeds of the nonlinear remainder, do.  At
     T0_par = 0 this is the full speed |u| + c.
     """
-    return _dt_limit(state, params, _uniform_sound_speed(params))
+    speed = _remainder_speed(state, params)
+    dt_adv = _SAFETY * state.grid.dx / speed if speed > 0 else math.inf
+    return min(dt_adv, _SAFETY / params.omega_p)
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
@@ -443,7 +435,8 @@ class FluidRun:
     ``dt_bound`` names what set the initial step: ``"advective"`` or
     ``"plasma"`` (the smaller bound of ``auto_dt`` at the initial state)
     or ``"user"`` (``dt`` was given).  ``n_halvings`` counts the times an
-    automatic step was halved because the state outgrew its bound,
+    automatic step was halved because the state outgrew its bound (each
+    halving doubles the steps left, and the total stays within 2**20),
     ``n_steps`` the steps taken and ``dt`` the final step.
     """
 
@@ -480,14 +473,14 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     wave, so when ``step`` rejects it (``CFLViolationError``, raised
     before any work) the step is halved and the steps left and the
     sample stride are doubled: the samples stay uniform and the run ends
-    at t_end.  The step is never halved below half of 0.75 times the
-    full-speed bound 0.4 dx / max(|u| + c) (``auto_dt`` with c0 = 0) at
-    the initial state, rounded the same way.  A given ``dt`` is never
-    halved.  Past the floor, or at once for a given ``dt``, a rejection
-    after the first step raises ``CFLViolationError`` naming t and the
-    growth of max(|u| + |c - c0|) since the start: the wave is steepening
-    or growing, so no step size is suggested.  A given ``dt`` rejected at
-    the first step keeps ``step``'s error, with its suggested dt.
+    at t_end.  The step halves while the run's total, the steps taken
+    plus twice the steps left, stays within 2**20; nothing else limits
+    it.  A given ``dt`` is never halved.  Past the cap, or at once for a
+    given ``dt``, a rejection after the first step raises
+    ``CFLViolationError`` naming t and the growth of max(|u| + |c - c0|)
+    since the start: the wave is steepening or growing, so no step size
+    is suggested.  A given ``dt`` rejected at the first step keeps
+    ``step``'s error, with its suggested dt.
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
     sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
@@ -514,10 +507,9 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
         dt_bound = "plasma" if limit == _SAFETY / params.omega_p else "advective"
         # stay below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
-        dt = 0.75 * limit
-        floor = 0.5 * t_end / _step_count(t_end, 0.75 * _dt_limit(state, params, 0.0))
+        dt, cap = 0.75 * limit, _MAX_STEPS
     else:
-        dt_bound, floor = "user", math.inf
+        dt_bound, cap = "user", 0  # a given dt never halves
     left = _step_count(t_end, dt)
     if left > _MAX_STEPS:
         raise ConfigError(f"a run of length {t_end!r} at dt = {dt!r} needs more than "
@@ -541,16 +533,15 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
         try:
             state = step(state, dt, params, damping=damping)
         except CFLViolationError as exc:
-            if 0.5 * dt < floor:
+            if taken + 2 * left > cap:
                 if not taken:
                     raise
-                c0 = _uniform_sound_speed(params)
                 raise CFLViolationError(
                     f"dt = {dt:.6g} exceeds stability bound {exc.suggested_dt:.6g} "
                     f"at t = {state.t:.6g}: max(|u| + |c - c0|) grew from "
-                    f"{_remainder_speed(initial, params, c0):.6g} at t = {initial.t:.6g} "
-                    f"to {_remainder_speed(state, params, c0):.6g}; the wave is steepening or "
-                    f"growing, which a smaller dt does not cure", suggested_dt=None) from None
+                    f"{_remainder_speed(initial, params):.6g} at t = {initial.t:.6g} "
+                    f"to {_remainder_speed(state, params):.6g}; the wave is steepening or growing",
+                    suggested_dt=None) from None
             dt, left, stride, since = 0.5 * dt, 2 * left, 2 * stride, 2 * since
             halvings += 1
             continue

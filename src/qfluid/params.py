@@ -73,13 +73,14 @@ class PlasmaParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"parameter {name!r} must be finite and non-negative, got {value!r}")
-        if not math.isfinite(self.omega_p):
-            raise ConfigError("derived plasma frequency is not finite")
+        # m eps0 can underflow to 0, and e^2 n0 / (m eps0) to 0 or inf
+        if not (self.m * self.eps0 > 0.0 and 0.0 < self.omega_p < math.inf):
+            raise ConfigError("derived plasma frequency is not finite and positive")
 
     @property
     def omega_p(self) -> float:
         """Plasma frequency sqrt(e^2 n0 / (m eps0)) [rad/s]."""
-        return math.sqrt(self.e**2 * self.n0 / (self.m * self.eps0))
+        return math.sqrt(self.e * self.e * self.n0 / (self.m * self.eps0))
 
     @property
     def vt2_par(self) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -8,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfluid import dispersion, fluid1d, ode
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
-from qfluid.params import nondimensional
+from qfluid.params import PlasmaParams, nondimensional
 from qfluid.traveling import integrate, reference_oscillation_state, wave_frame_config
 from qfluid.wigner import analytic_wigner
 
@@ -111,11 +112,11 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
 
 
 def test_fluid_steepening_failure_names_its_cause(tmp_path, capsys):
-    # a steepening wave outgrows any fixed step, so the message names the
-    # cause instead of a dt
+    # the step halves to follow a steepening wave until its velocity gradient
+    # passes the steepening limit, so the message names that cause, not a dt
     assert run(tmp_path, ["fluid", "--amplitude", "0.5", "-o", "x.csv"]) == 3
     err = capsys.readouterr().err
-    assert "steepen" in err and "at t = " in err and "max(|u| + |c - c0|) grew" in err
+    assert "velocity gradient exceeded 100.0 omega_p" in err and "at t = " in err
     assert "suggested dt" not in err
     assert not list(tmp_path.iterdir())
 
@@ -492,6 +493,54 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code = run(tmp_path, ["dispersion", "--config", str(cfg), "-o", "x.csv"])
     assert code == 2
     assert "velocity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dispersion", "response", "fluid", "moments"])
+def test_config_whose_plasma_frequency_overflows_exits_2(tmp_path, capsys, command):
+    # e^2 overflows a float: a config error, not an OverflowError traceback
+    (tmp_path / "big.cfg").write_text("preset = nondim\ne = 1e200\n")
+    argv = [command, "--config", "big.cfg", "-o", "x.csv"]
+    if command == "moments":
+        write_distribution(tmp_path)
+        argv += ["--input", "dist.csv"]
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert run(tmp_path, argv) == 2
+    err = capsys.readouterr().err
+    assert "derived plasma frequency is not finite" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+# config key -> (values of a valid file; spoiling values: 0, a negative, nan,
+# inf, tiny and huge magnitudes, nothing and text); None leaves the key out
+CONFIG_SPOILERS = ["0", "-1", "nan", "inf", "1e-200", "1e200", "1e308", "", "fast"]
+CONFIG_KEYS = {
+    "preset": (["nondim"], [None, "si-electron", "cgs", ""]),
+    **{f.name: ([None, "1", "0.5"], CONFIG_SPOILERS) for f in dataclasses.fields(PlasmaParams)},
+}
+# lines that are not a known key=value: an unknown key, no '=', bytes that
+# are not UTF-8, a comment
+CONFIG_JUNK = [b"charge = 2", b"just some words", b"hbar \xff= 1", b"\xfe\xff",
+               b"# comment = 1"]
+
+
+@st.composite
+def config_file(draw):
+    """Config file bytes with up to three keys spoiled and maybe one junk line."""
+    spoiled = draw(st.sets(st.sampled_from(sorted(CONFIG_KEYS)), max_size=3))
+    lines = [f"{key} = {value}".encode() for key, (good, bad) in CONFIG_KEYS.items()
+             if (value := draw(st.sampled_from(bad if key in spoiled else good))) is not None]
+    lines += draw(st.lists(st.sampled_from(CONFIG_JUNK), max_size=1))
+    return b"\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=40, deadline=2_000)
+@given(text=config_file())
+@example(text=b"preset = nondim\ne = 1e200")
+def test_config_file_fuzz_exits_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plasma.cfg"
+        path.write_bytes(text)
+        assert_documented_exit(["dispersion", "--config", str(path)])
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):

@@ -472,18 +472,72 @@ def test_evolve_halves_its_step_when_the_state_outgrows_the_bound():
         evolve(state, p, t_end=2.0, dt=0.75 * auto_dt(state, p), damping=damping)
 
 
-def test_evolve_never_halves_below_half_the_full_speed_step():
-    # cold: c0 = 0, so the automatic step is the full-speed one and one halving
-    # is allowed; the oscillation's flow soon needs less than that
+def test_evolve_halves_only_within_the_step_cap():
+    # the first rejection comes after 35 steps; with 2**19 + 1000 steps left,
+    # a halved step would take the run past 2**20 steps, so it stops there
     g = grid(64)
-    cold = nondimensional(hbar=0.0, T0_par=0.0)
-    state = perturbed_state(g, cold, mode=1, amplitude=0.3)
+    state = perturbed_state(g, WARM, mode=1, amplitude=0.5, fields=("n", "u"))
+    dt = 0.75 * auto_dt(state, WARM)
+    t_end = dt * (2**19 + 1000)
     with pytest.raises(CFLViolationError) as err:
-        evolve(state, cold, t_end=5.0, damping=SpectralDamping.tailored(g, cold))
-    n_today = math.ceil(5.0 / (0.75 * 0.4 / cold.omega_p))
-    assert f"dt = {0.5 * 5.0 / n_today:.6g} exceeds" in str(err.value)
-    # past the floor the wave has outgrown any step: no step size is suggested
-    assert "steepening" in str(err.value) and err.value.suggested_dt is None
+        evolve(state, WARM, t_end, damping=SpectralDamping.tailored(g, WARM))
+    message = str(err.value)
+    assert f"dt = {t_end / math.ceil(t_end / dt - 1e-12):.6g} exceeds" in message
+    assert "at t = " in message and "max(|u| + |c - c0|) grew from" in message
+    # the wave has outgrown the step: no step size is suggested
+    assert "steepening" in message and err.value.suggested_dt is None
+
+
+# Dawson's cold plasma oscillation (Phys. Rev. 113, 383, 1959): at hbar = 0
+# and T0_par = 0, p and Q stay 0 and the fluid element at xi moves as
+# x = xi + delta(xi) cos(omega_p t), so while |delta'| < 1
+#     u = -omega_p delta(xi) sin(omega_p t),  n = n0 / (1 + delta'(xi) cos(omega_p t)),
+# an exactly periodic nonlinear solution at any amplitude.
+COLD = nondimensional(hbar=0.0, T0_par=0.0)
+DAWSON_AMPLITUDE = 0.3
+DAWSON_END = 5.125 * 2.0 * math.pi / COLD.omega_p
+
+
+def dawson_fields(g, t, a=DAWSON_AMPLITUDE):
+    """Exact (n, u, p, Q) on the grid for delta = a sin(xi), with xi(x) by Newton."""
+    c, s = math.cos(COLD.omega_p * t), math.sin(COLD.omega_p * t)
+    xi = g.x.copy()
+    for _ in range(30):
+        xi -= (xi + a * np.sin(xi) * c - g.x) / (1.0 + a * np.cos(xi) * c)
+    assert np.max(np.abs(xi + a * np.sin(xi) * c - g.x)) < 1e-13
+    zero = np.zeros_like(xi)
+    return np.array([COLD.n0 / (1.0 + a * np.cos(xi) * c),
+                     -COLD.omega_p * a * np.sin(xi) * s, zero, zero])
+
+
+def dawson_run(n_points, dt=None):
+    """Run from Dawson's initial state; return the run and the error in n and
+    u at the end as a share of the amplitude."""
+    g = grid(n_points)
+    run = evolve(FluidState1D(g, dawson_fields(g, 0.0)), COLD, DAWSON_END, dt=dt)
+    error = np.max(np.abs(run.final.fields[:2] - dawson_fields(g, DAWSON_END)[:2]))
+    return run, error / DAWSON_AMPLITUDE
+
+
+def test_dawson_oscillation_converges_at_fourth_order_at_a_given_dt():
+    # measured: 1.1e-8 at dt = 0.05 and 3.5e-10 at dt = 0.025
+    _, coarse = dawson_run(128, dt=0.05)
+    _, fine = dawson_run(128, dt=0.025)
+    assert coarse < 5e-8 and fine < 2e-9
+    assert coarse / fine > 12.0
+
+
+def test_dawson_oscillation_at_the_automatic_step():
+    # the oscillation starts at rest and its flow soon outgrows the first
+    # step; halving keeps up with it (measured: 422 steps, 2 halvings,
+    # error 2.0e-6, omega off by 3.0e-6)
+    run, error = dawson_run(64)
+    assert run.final.t == pytest.approx(DAWSON_END, rel=1e-12)
+    assert run.n_halvings >= 1
+    assert error < 1e-5
+    assert measure_frequency(run.t, run.mode["u"].imag) == pytest.approx(COLD.omega_p,
+                                                                          rel=2e-5)
+    assert not run.final.p.any() and not run.final.Q.any()
 
 
 def test_automatic_step_accuracy_on_a_nonlinear_warm_eigenmode():

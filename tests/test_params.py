@@ -57,6 +57,9 @@ def test_params_are_immutable():
     dict(n0=-1.0), dict(n0=0.0), dict(m=0.0), dict(e=-2.0),
     dict(eps0=0.0), dict(T0_par=-0.1), dict(hbar=-1.0),
     dict(n0=float("nan")), dict(m=float("inf")),
+    # omega_p out of range: e^2 overflows; m eps0 overflows (omega_p = 0)
+    # or underflows to 0
+    dict(e=1e200), dict(m=1e200, eps0=1e200), dict(m=1e-200, eps0=1e-200),
 ])
 def test_invalid_parameters_rejected(bad):
     base = dict(n0=1.0, m=1.0, e=1.0, eps0=1.0, hbar=1.0)
