@@ -174,6 +174,13 @@ def _cmd_tw_threshold(args, command: str) -> None:
 
 def _cmd_wigner(args, command: str) -> None:
     times = _float_list(args.times, "--times")
+    paths = [args.output] if len(times) == 1 else [
+        _suffixed(args.output, f"_t{t_bar:g}") for t_bar in times]
+    first_time = {}
+    for t_bar, path in zip(times, paths):
+        if path in first_time:
+            raise ConfigError(f"--times {first_time[path]!r} and {t_bar!r} would both write {path}")
+        first_time[path] = t_bar
     half_max = sys.float_info.max / 2  # the grids span [-max, max]
     if not (0.0 < args.x_max <= half_max and 0.0 < args.v_max <= half_max):
         raise ConfigError(f"--x-max and --v-max must be positive and at most {half_max:.6g}")
@@ -190,8 +197,7 @@ def _cmd_wigner(args, command: str) -> None:
         wfg = wigner.evolve_free_gaussian(1.0, t_bar, half_width, n_points=args.npsi)
         panels.append(np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f)
     X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
-    for t_bar, f_bar in zip(times, panels):
-        path = args.output if len(times) == 1 else _suffixed(args.output, f"_t{t_bar:g}")
+    for t_bar, path, f_bar in zip(times, paths, panels):
         write_csv(path, [("x_bar", X.ravel()), ("v_bar", V.ravel()),
                          ("f_bar", f_bar.T.ravel())],
                   command=command, extra_comments=(f"t_bar={t_bar!r}, rows: x outer, v inner",))

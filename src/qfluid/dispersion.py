@@ -53,7 +53,7 @@ def _tau_eta(k, params: PlasmaParams):
     """Dimensionless thermal and quantum strengths at wavenumber k."""
     k = np.asarray(k, dtype=float)
     wp = params.omega_p
-    tau = 12.0 * params.vt2_par * k**2 / wp**2
+    tau = 12.0 * params.vt2_par * k**2 / (wp * wp)
     eta = (params.hbar * k**2 / (params.m * wp)) ** 2
     return tau, eta, wp
 
@@ -65,14 +65,14 @@ def general_omega_sq(k, params: PlasmaParams):
     T0_perp.  Returns omega^2; callers take the positive root.
     """
     tau, eta, wp = _tau_eta(k, params)
-    return 0.5 * wp**2 * (1.0 + np.sqrt(1.0 + tau + eta))
+    return 0.5 * (wp * wp) * (1.0 + np.sqrt(1.0 + tau + eta))
 
 
 def quantum_langmuir_omega_sq(k, params: PlasmaParams):
     """Long-wavelength limit: wp^2 + 3 (kB T0_par/m) k^2 + hbar^2 k^4 / (4 m^2)."""
     k = np.asarray(k, dtype=float)
     wp = params.omega_p
-    return wp**2 + 3.0 * params.vt2_par * k**2 + (params.hbar * k**2 / (2.0 * params.m)) ** 2
+    return wp * wp + 3.0 * params.vt2_par * k**2 + (params.hbar * k**2 / (2.0 * params.m)) ** 2
 
 
 def adiabatic_omega_sq(k, params: PlasmaParams, gamma: float):
@@ -80,7 +80,8 @@ def adiabatic_omega_sq(k, params: PlasmaParams, gamma: float):
     if not 0.0 < gamma < np.inf:
         raise ConfigError(f"adiabatic exponent must be positive and finite, got {gamma}")
     k = np.asarray(k, dtype=float)
-    return params.omega_p**2 + gamma * params.vt2_par * k**2
+    wp = params.omega_p
+    return wp * wp + gamma * params.vt2_par * k**2
 
 
 def bohm_gross_omega_sq(k, params: PlasmaParams):
@@ -96,8 +97,9 @@ def temperature_closure_omega_sq(k, params: PlasmaParams):
     the classical nor the zero-temperature limits of the hierarchy.
     """
     k = np.asarray(k, dtype=float)
-    return (params.omega_p**2 + (5.0 / 3.0) * params.vt2_par * k**2
-            + (params.hbar * k**2) ** 2 / (12.0 * params.m**2))
+    wp = params.omega_p
+    return (wp * wp + (5.0 / 3.0) * params.vt2_par * k**2
+            + (params.hbar * k**2) ** 2 / (12.0 * (params.m * params.m)))
 
 
 def companion_growth_rate(k, params: PlasmaParams):
@@ -109,7 +111,7 @@ def companion_growth_rate(k, params: PlasmaParams):
     increasing with k (~ sqrt(k) thermally, ~ k with the quantum term).
     """
     tau, eta, wp = _tau_eta(k, params)
-    minus_branch = 0.5 * wp**2 * (1.0 - np.sqrt(1.0 + tau + eta))
+    minus_branch = 0.5 * (wp * wp) * (1.0 - np.sqrt(1.0 + tau + eta))
     return np.sqrt(np.maximum(-minus_branch, 0.0))
 
 

@@ -38,10 +38,6 @@ class SteepeningError(NumericalError):
     """Velocity gradient exceeded the smooth-wave threshold."""
 
 
-class AliasingError(NumericalError):
-    """Requested velocity grid exceeds what the sampled data can resolve."""
-
-
 class NoOscillationError(NumericalError):
     """A probe signal showed no measurable oscillation."""
 

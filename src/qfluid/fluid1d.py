@@ -227,7 +227,7 @@ def _linear_operator(grid: Grid1D, params: PlasmaParams) -> np.ndarray:
     L[1, 2] = -ik / (m * n0)
     L[2, 1] = -3.0 * p0 * ik
     L[2, 3] = -ik
-    L[3, 0] = -e_m * params.hbar**2 * n0 * e_eps * ik / (4.0 * m)
+    L[3, 0] = -e_m * (params.hbar * params.hbar) * n0 * e_eps * ik / (4.0 * m)
     L[3, 2] = 3.0 * p0 * ik / (m * n0)
     return L
 
@@ -253,7 +253,7 @@ def _nonlinear(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     p0 = n0 * params.kB * params.T0_par
     dn, dp = n - n0, p - p0
     # d3phi/dx3 = (e/eps0) dn/dx exactly, given the potential equation
-    quantum = params.e**2 * params.hbar**2 / (4.0 * m**2 * params.eps0)
+    quantum = (params.e * params.e) * (params.hbar * params.hbar) / (4.0 * (m * m) * params.eps0)
     terms = np.array([
         -(u * dn_dx + dn * du_dx),
         -u * du_dx + dp_dx * dn / (m * n * n0),              # -dp/dx (1/(m n) - 1/(m n0))
@@ -647,7 +647,7 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
 
     n1 = amplitude * params.n0
     u1 = om * n1 / (k * params.n0)
-    p1 = params.m * params.n0 * (om**2 - wp**2) * u1 / (om * k)
+    p1 = params.m * params.n0 * (om * om - wp * wp) * u1 / (om * k)
     Q1 = (om * p1 - 3.0 * p0 * k * u1) / k
 
     uniform = uniform_state(grid, params, p0).fields

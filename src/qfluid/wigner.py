@@ -23,7 +23,7 @@ and a numerical transform
     f(x, v) = (1 / 2 pi) int ds exp(i v s) psi*(x + s/2) psi(x - s/2)
 
 evaluated by direct quadrature on a symmetric s grid with arbitrary output
-velocities.  For an analytic amplitude the grid is sized from the data:
+positions and velocities.  The grid is sized from the data:
 it spans |s| <= hi - lo, the width of the support [lo, hi] on which |psi|
 is above 1e-13 of its peak, and its spacing resolves the integrand's band
 in s, at most k_c + |v| with k_c the largest wavenumber at which |fft(psi)|
@@ -37,20 +37,19 @@ folded onto s >= 0,
     f = (ds / 2 pi) [G(x, 0) + 2 sum_{s > 0} (cos(v s) Re G - sin(v s) Im G)],
 
 which evaluates G on half the nodes and replaces one complex matrix
-product by two real ones.  When the wavefunction carries its analytic
-amplitude the half-shifted samples are evaluated exactly; for tabulated
-data the products are formed on the grid itself with s restricted to even
-lattice shifts, which needs no interpolation.
+product by two real ones.  A wavefunction is defined by its amplitude
+function, so the half-shifted samples psi(x +- s/2) are evaluated exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError
+from .errors import ConfigError
 
 __all__ = [
     "WavefunctionGrid",
@@ -63,8 +62,9 @@ __all__ = [
 
 _NORM_TOL = 1e-8
 _BOUNDARY_DECAY = 1e-10
-# ceiling on the analytic transform's workspace: the folded G (complex,
-# (n_s/2) x len(x)) plus the cosine and sine of the phase (len(v) x n_s/2)
+# ceiling on the transform's workspace: the folded G (complex, (n_s/2) x
+# len(x)), the cosine and sine of the phase (len(v) x n_s/2 each) and the
+# three len(v) x len(x) products alive at once in the fold
 _MAX_WORKSPACE_MIB = 256
 
 
@@ -85,24 +85,30 @@ def gaussian_packet(x, t: float, sigma: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WavefunctionGrid:
-    """Complex amplitude sampled on a uniform position grid.
+    """An amplitude function and its samples on a uniform position grid.
 
-    ``amplitude_fn``, when present, evaluates the amplitude at arbitrary
-    positions (used for exact half-shifted samples in the transform).
-    The discrete norm sum |psi|^2 dx must equal 1 to within 1e-8.
+    ``psi = amplitude_fn(x)`` is evaluated once, here; the transform
+    evaluates ``amplitude_fn`` again at the half-shifted positions.  psi
+    must hold one finite number per grid point, and its discrete norm
+    sum |psi|^2 dx must equal 1 to within 1e-8.
     """
 
     x: np.ndarray
-    psi: np.ndarray
-    amplitude_fn: object = field(default=None, repr=False, compare=False)
+    amplitude_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    psi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.x.ndim != 1 or self.psi.shape != self.x.shape:
-            raise ConfigError("x and psi must be matching 1D arrays")
+        if self.x.ndim != 1 or self.x.size < 2:
+            raise ConfigError("position grid must be a 1D array of at least 2 points")
+        psi = np.asarray(self.amplitude_fn(self.x))
+        if psi.shape != self.x.shape or psi.dtype.kind not in "iufc" or not np.all(np.isfinite(psi)):
+            raise ConfigError(f"amplitude_fn(x) must give {self.x.size} finite numbers, "
+                              f"one per grid point; got shape {psi.shape}, dtype {psi.dtype}")
+        object.__setattr__(self, "psi", psi)
         dxs = np.diff(self.x)
         if not np.allclose(dxs, dxs[0], rtol=1e-12, atol=0.0):
             raise ConfigError("position grid must be uniform")
-        norm = float(np.sum(np.abs(self.psi) ** 2) * dxs[0])
+        norm = float(np.sum(np.abs(psi) ** 2) * dxs[0])
         if abs(norm - 1.0) > _NORM_TOL:
             raise ConfigError(f"wavefunction not normalized on the grid (sum = {norm:.10f})")
 
@@ -133,15 +139,12 @@ def evolve_free_gaussian(sigma: float, t: float, x_max: float,
     if dx > width:
         raise ConfigError(f"grid step {dx:.3g} exceeds the packet width {width:.3g} "
                           f"at t = {t:g}: use more points or a smaller x_max")
-    x = np.linspace(-x_max, x_max, n_points)
-    psi = gaussian_packet(x, t, sigma)
-    peak = float(np.max(np.abs(psi)))
-    edge = max(abs(psi[0]), abs(psi[-1]))
-    if edge > _BOUNDARY_DECAY * peak:
+    edge = math.exp(-0.5 * (x_max / width) * (x_max / width))  # |psi(+-x_max)| / |psi(0)|
+    if edge > _BOUNDARY_DECAY:
         raise ConfigError(
-            f"grid too narrow for t = {t:g}: boundary amplitude {edge / peak:.2e} "
+            f"grid too narrow for t = {t:g}: boundary amplitude {edge:.2e} "
             f"of peak exceeds {_BOUNDARY_DECAY:g}")
-    return WavefunctionGrid(x=x, psi=psi,
+    return WavefunctionGrid(x=np.linspace(-x_max, x_max, n_points),
                             amplitude_fn=lambda xx: gaussian_packet(xx, t, sigma))
 
 
@@ -167,71 +170,46 @@ def _coherence_width(psi_grid: WavefunctionGrid) -> float:
     return float(hi - lo)
 
 
-def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray,
-                     x: np.ndarray | None = None) -> WignerTable:
-    """Numerical phase-space transform of a wavefunction.
+def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> WignerTable:
+    """Numerical phase-space transform of a wavefunction at positions x, velocities v.
 
-    With an analytic amplitude attached the integrand is evaluated on a
-    dedicated s grid that spans the packet's support width and is spaced
-    by its bandwidth, and the output positions may be arbitrary;
-    ``ConfigError`` is raised before any allocation when that grid's
-    workspace would exceed 256 MiB.  For
-    purely tabulated data the products use even lattice shifts
-    (x +- j dx on-grid), the output positions are the grid points, and the
-    requested velocities must stay below the lattice Nyquist limit
-    pi / (2 dx).
+    The integrand is evaluated from ``wfg.amplitude_fn`` on a dedicated s
+    grid that spans the packet's support width and is spaced by its
+    bandwidth; ``ConfigError`` is raised before any allocation when that
+    grid's workspace would exceed 256 MiB.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ConfigError("transform needs at least one velocity")
-    if wfg.amplitude_fn is not None:
-        if x is None:
-            x = wfg.x
-        x = np.asarray(x, dtype=float)
-        if x.size == 0:
-            raise ConfigError("transform needs at least one position")
-        s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
-        # k_c: the largest |k| at which |fft(psi)| is above 1e-13 of its peak
-        spectrum = np.abs(np.fft.fft(wfg.psi))
-        k = 2.0 * math.pi * np.fft.fftfreq(wfg.psi.size, wfg.dx)
-        k_c = float(np.max(np.abs(k[spectrum > 1e-13 * np.max(spectrum)])))
-        # resolve the fastest kernel oscillation with ~8 points per cycle, and
-        # the integrand's band in s (at most k_c + |v|) with a margin of pi:
-        # ds = min(0.8 / max(|v|, 1 / s_half), 2 / (k_c + |v|)), as one max
-        # so that k_c = |v| = 0 does not divide by zero
-        v_max = float(np.max(np.abs(v)))
-        ds = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
-        nodes = 2.0 * s_half / ds
-        # 16 bytes per folded node and output point of G and of cos/sin(phase)
-        workspace_mib = 8.0 * nodes * (x.size + v.size) / 2**20
-        if not workspace_mib <= _MAX_WORKSPACE_MIB:
-            raise ConfigError(
-                f"transform for |v| up to {v_max:.4g} needs {nodes:.4g} s nodes "
-                f"and a {workspace_mib:.4g} MiB workspace, above the "
-                f"{_MAX_WORKSPACE_MIB} MiB limit; narrow the velocity range or the output grid")
-        n_s = int(nodes) | 1  # odd: symmetric grid including s = 0
-        s = np.linspace(-s_half, s_half, n_s)
-        ds = s[1] - s[0]
-        s = s[n_s // 2:]  # the centre node (s = 0 up to rounding) and the nodes above it
-        amp = wfg.amplitude_fn
-        G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
-    else:
-        if x is not None:
-            raise ConfigError("tabulated-data transform evaluates on the wavefunction grid only")
-        x = wfg.x
-        v_nyq = math.pi / (2.0 * wfg.dx)
-        if float(np.max(np.abs(v))) >= v_nyq:
-            raise AliasingError(
-                f"requested |v| up to {np.max(np.abs(v)):.4g} exceeds the lattice "
-                f"limit {v_nyq:.4g}; refine the position grid")
-        N = len(x)
-        shifts = np.arange((N - 1) // 2 + 1)
-        G = np.zeros((len(shifts), N), dtype=complex)
-        psi = wfg.psi
-        for j in shifts:
-            G[j, j:N - j] = np.conj(psi[2 * j:]) * psi[:N - 2 * j]  # s = 2 j dx
-        s = 2.0 * shifts * wfg.dx
-        ds = 2.0 * wfg.dx
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise ConfigError("transform needs at least one position")
+    s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
+    # k_c: the largest |k| at which |fft(psi)| is above 1e-13 of its peak
+    spectrum = np.abs(np.fft.fft(wfg.psi))
+    k = 2.0 * math.pi * np.fft.fftfreq(wfg.psi.size, wfg.dx)
+    k_c = float(np.max(np.abs(k[spectrum > 1e-13 * np.max(spectrum)])))
+    # resolve the fastest kernel oscillation with ~8 points per cycle, and
+    # the integrand's band in s (at most k_c + |v|) with a margin of pi:
+    # ds = min(0.8 / max(|v|, 1 / s_half), 2 / (k_c + |v|)), as one max
+    # so that k_c = |v| = 0 does not divide by zero
+    v_max = float(np.max(np.abs(v)))
+    ds = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
+    nodes = 2.0 * s_half / ds
+    # 16 bytes per folded node and output point of G and of cos/sin(phase),
+    # and 8 per (v, x) point of each of the fold's three products
+    workspace_mib = (8.0 * nodes * (x.size + v.size) + 24.0 * x.size * v.size) / 2**20
+    if not workspace_mib <= _MAX_WORKSPACE_MIB:
+        raise ConfigError(
+            f"transform for |v| up to {v_max:.4g} needs {nodes:.4g} s nodes "
+            f"and a {workspace_mib:.4g} MiB workspace, above the "
+            f"{_MAX_WORKSPACE_MIB} MiB limit; narrow the velocity range or the output grid")
+    n_s = int(nodes) | 1  # odd: symmetric grid including s = 0
+    s = np.linspace(-s_half, s_half, n_s)
+    ds = s[1] - s[0]
+    s = s[n_s // 2:]  # the centre node (s = 0 up to rounding) and the nodes above it
+    amp = wfg.amplitude_fn
+    G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
 
     # G(x, -s) = conj G(x, s): the s = 0 row counts once and each s > 0 row
     # twice, as 2 Re(e^{i phase} G)

@@ -536,11 +536,28 @@ def config_file(draw):
 @settings(max_examples=40, deadline=2_000)
 @given(text=config_file())
 @example(text=b"preset = nondim\ne = 1e200")
+@example(text=b"preset = nondim\nm = 1e200")
 def test_config_file_fuzz_exits_with_a_documented_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plasma.cfg"
         path.write_bytes(text)
-        assert_documented_exit(["dispersion", "--config", str(path)])
+        assert_documented_exit(["dispersion", "--relation", "all", "--config", str(path)])
+
+
+def test_heavy_particle_config_runs_the_fluid(tmp_path, capsys, recwarn):
+    # m^2 = 1e400 overflows a float: squared as m * m it is inf, and the
+    # quantum coefficient e^2 hbar^2 / (4 m^2 eps0) is 0, not an OverflowError
+    (tmp_path / "heavy.cfg").write_text("preset = nondim\nm = 1e200\n")
+    assert run(tmp_path, ["fluid", "--config", "heavy.cfg", "-o", "heavy.csv"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert (tmp_path / "heavy.csv").exists()
+
+
+def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
+    argv = ["wigner", "--times", "0.1234561,0.1234562", "--nx", "4", "--nv", "4", "-o", "w.csv"]
+    assert run(tmp_path, argv) == 2
+    assert "--times 0.1234561 and 0.1234562 would both write w_t0.123456.csv" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
@@ -591,6 +608,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["wigner", "--x-max", "1e160", "--nx", "4", "--nv", "4"],
     ["wigner", "--npsi", "16", "--nx", "4", "--nv", "4"],
     ["wigner", "--times", "1.3e154", "--nx", "4", "--nv", "4"],
+    ["wigner", "--times", "0.1234561,0.1234562", "--nx", "4", "--nv", "4"],
+    ["wigner", "--times", "2,2", "--nx", "4", "--nv", "4"],
+    ["wigner", "--times", "0", "--nx", "20000", "--nv", "20000"],
     ["tw", "run", "--v", "nan"],
     ["tw", "run", "--u0", "nan"],
     ["tw", "run", "--p0-scale", "nan"],

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfluid import moments, wigner
-from qfluid.errors import AliasingError, ConfigError
+from qfluid.errors import ConfigError
 from qfluid.wigner import (WavefunctionGrid, analytic_wigner,
                            evolve_free_gaussian, gaussian_packet, wigner_transform)
 
@@ -96,33 +96,13 @@ def test_velocity_marginal_time_independent():
     assert np.max(np.abs(margs[1] - margs[0])) < 1e-8
 
 
-def test_tabulated_path_matches_closed_form_at_t0():
-    x = np.linspace(-12, 12, 512)
-    psi = gaussian_packet(x, 0.0)
-    wfg = WavefunctionGrid(x=x, psi=psi)   # no analytic amplitude attached
-    v = np.linspace(-4, 4, 128)
-    table = wigner_transform(wfg, v=v)
-    expected = analytic_wigner(x[None, :], v[:, None], 0.0) / np.pi
-    assert np.max(np.abs(table.f - expected)) < 1e-7
-
-
-def _unfolded_reference(wfg, v, x=None):
+def _unfolded_reference(wfg, v, x):
     """The transform as one complex sum over the full symmetric s grid."""
-    if wfg.amplitude_fn is not None:
-        s_half = max(wigner._coherence_width(wfg), 8.0 * wfg.dx)
-        ds = min(wfg.dx, 0.8 / max(float(np.max(np.abs(v))), 1.0 / s_half))
-        s = np.linspace(-s_half, s_half, int(2.0 * s_half / ds) | 1)
-        amp = wfg.amplitude_fn
-        G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
-    else:
-        N = len(wfg.x)
-        j_max = (N - 1) // 2
-        shifts = np.arange(-j_max, j_max + 1)
-        G = np.zeros((len(shifts), N), dtype=complex)
-        for row, j in enumerate(shifts):
-            idx = np.arange(abs(j), N - abs(j))
-            G[row, idx] = np.conj(wfg.psi[idx + j]) * wfg.psi[idx - j]
-        s = 2.0 * shifts * wfg.dx
+    s_half = max(wigner._coherence_width(wfg), 8.0 * wfg.dx)
+    ds = min(wfg.dx, 0.8 / max(float(np.max(np.abs(v))), 1.0 / s_half))
+    s = np.linspace(-s_half, s_half, int(2.0 * s_half / ds) | 1)
+    amp = wfg.amplitude_fn
+    G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
     return (np.exp(1j * np.outer(v, s)) @ G).real * (s[1] - s[0]) / (2.0 * math.pi)
 
 
@@ -138,15 +118,12 @@ def test_hermitian_fold_on_boosted_packet():
     v = np.linspace(k0 - 4.0, k0 + 4.0, 64)
     x_grid = np.linspace(-14.0, 14.0, 512)
     x_out = np.linspace(-4.0, 4.0, 41)
-    analytic = WavefunctionGrid(x=x_grid, psi=boosted(x_grid), amplitude_fn=boosted)
-    x_tab = np.linspace(-12.0, 12.0, 512)
-    tabulated = WavefunctionGrid(x=x_tab, psi=boosted(x_tab))
-    for wfg, x in ((analytic, x_out), (tabulated, None)):
-        table = wigner_transform(wfg, v=v, x=x)
-        expected = np.exp(-table.x[None, :] ** 2 - (v[:, None] - k0) ** 2)
-        assert np.max(np.abs(np.pi * table.f - expected)) < 1e-6
-        reference = _unfolded_reference(wfg, v, x)
-        assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+    wfg = WavefunctionGrid(x=x_grid, amplitude_fn=boosted)
+    table = wigner_transform(wfg, v=v, x=x_out)
+    expected = np.exp(-x_out[None, :] ** 2 - (v[:, None] - k0) ** 2)
+    assert np.max(np.abs(np.pi * table.f - expected)) < 1e-6
+    reference = _unfolded_reference(wfg, v, x_out)
+    assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
 
 
 def test_boosted_packet_at_t6_matches_dense_reference():
@@ -160,7 +137,7 @@ def test_boosted_packet_at_t6_matches_dense_reference():
 
     half_width = 8.0 * math.sqrt(1.0 + t**2)   # the CLI's grid rule
     x_grid = k0 * t + np.linspace(-half_width, half_width, 1024)
-    wfg = WavefunctionGrid(x=x_grid, psi=boosted(x_grid), amplitude_fn=boosted)
+    wfg = WavefunctionGrid(x=x_grid, amplitude_fn=boosted)
     v = np.linspace(k0 - 4.0, k0 + 4.0, 64)
     x = k0 * t + np.linspace(-12.0, 12.0, 41)
     table = wigner_transform(wfg, v=v, x=x)
@@ -195,7 +172,7 @@ def test_packet_resolved_to_nyquist_keeps_nodes_below_grid_step(monkeypatch):
 def test_degenerate_transform_input_rejected():
     wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=256)
     with pytest.raises(ConfigError, match="velocity"):
-        wigner_transform(wfg, v=np.array([]))
+        wigner_transform(wfg, v=np.array([]), x=wfg.x)
     with pytest.raises(ConfigError, match="position"):
         wigner_transform(wfg, v=np.zeros(1), x=np.array([]))
     for t in (-1.0, np.nan, np.inf):
@@ -210,33 +187,44 @@ def test_degenerate_transform_input_rejected():
         evolve_free_gaussian(1.0, 1e160, x_max=1e160, n_points=2**20)
 
 
-def test_tabulated_path_rejects_fast_velocities():
-    x = np.linspace(-12, 12, 64)   # coarse: low lattice velocity limit
-    psi = gaussian_packet(x, 0.0)
-    # normalize on the coarse grid to pass construction
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
-    wfg = WavefunctionGrid(x=x, psi=psi)
-    with pytest.raises(AliasingError):
-        wigner_transform(wfg, v=np.linspace(-40, 40, 32))
-
-
-def test_tabulated_path_rejects_custom_positions():
-    x = np.linspace(-12, 12, 256)
-    psi = gaussian_packet(x, 0.0)
-    wfg = WavefunctionGrid(x=x, psi=psi)
-    with pytest.raises(ConfigError):
-        wigner_transform(wfg, v=np.linspace(-2, 2, 16), x=np.linspace(-1, 1, 8))
-
-
 def test_wavefunction_grid_validation():
     x = np.linspace(-5, 5, 64)
     with pytest.raises(ConfigError, match="not normalized"):
-        WavefunctionGrid(x=x, psi=np.ones(64, dtype=complex))
+        WavefunctionGrid(x=x, amplitude_fn=lambda xx: np.ones(xx.shape, dtype=complex))
     xs = x.copy()
     xs[3] += 0.01
-    psi = gaussian_packet(x, 0.0)
     with pytest.raises(ConfigError, match="uniform"):
-        WavefunctionGrid(x=xs, psi=psi)
+        WavefunctionGrid(x=xs, amplitude_fn=lambda xx: gaussian_packet(xx, 0.0))
+
+
+def test_wavefunction_grid_samples_its_amplitude_once(monkeypatch):
+    evaluations = []
+    monkeypatch.setattr(wigner, "gaussian_packet",
+                        lambda *a: evaluations.append(a) or gaussian_packet(*a))
+    evolve_free_gaussian(1.0, 2.0, x_max=30.0)
+    assert len(evaluations) == 1
+    x = np.linspace(-12, 12, 256)
+    calls = []
+
+    def packet(xx):
+        calls.append(xx)
+        return gaussian_packet(xx, 2.0)
+
+    wfg = WavefunctionGrid(x=x, amplitude_fn=packet)
+    assert len(calls) == 1 and calls[0] is x
+    assert wfg.psi.tobytes() == gaussian_packet(x, 2.0).tobytes()
+    assert wfg.psi.dtype == np.complex128
+    with pytest.raises(AttributeError):
+        wfg.psi = np.zeros_like(x)
+    with pytest.raises(TypeError):   # samples alone do not define a grid
+        WavefunctionGrid(x=x, psi=wfg.psi)
+    for bad in (lambda xx: 1.0 + 0j,                              # a scalar
+                lambda xx: gaussian_packet(xx[:-1], 0.0),         # one value short
+                lambda xx: gaussian_packet(xx, 0.0)[:, None],     # a column
+                lambda xx: np.where(xx == xx[5], np.nan, gaussian_packet(xx, 0.0)),
+                lambda xx: np.where(xx == xx[5], np.inf, gaussian_packet(xx, 0.0))):
+        with pytest.raises(ConfigError, match="finite numbers, one per grid point"):
+            WavefunctionGrid(x=x, amplitude_fn=bad)
 
 
 def test_numerical_shear_transport():
