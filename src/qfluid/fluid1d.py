@@ -36,21 +36,26 @@ run stays within its 2**20-step cap.
 
 State layout: a state is one ``(4, N)`` array, ``FluidState1D.fields``,
 whose rows are (n, u, p, Q); ``rhs`` returns its derivative in the same
-layout.  Every FFT is batched along the last axis: a step makes 12
-transforms (per stage an irfft of the four derivatives and an rfft of the
-products, per later stage an irfft of its fields, and an irfft of the new
-state).  A state carries its spectrum (``FluidState1D.spectrum``): the
-constructor computes it, except that ``step`` passes the one it already
-has for each stage state and the new state.  The next step, the probe
-record and the steepening check reuse it.  ``Grid1D.k`` and
-``Grid1D.dealias_mask`` are computed once per grid.
+layout.  A state also carries its spectrum and the rows' x derivatives
+(``FluidState1D.spectrum``, ``FluidState1D.derivatives``).  ``_nonlinear``
+is one kernel on stacked rows: the ten products of the departures from
+the uniform state and the derivatives, one constant matrix, one rfft.
+Every FFT is batched along the last axis, and a step makes 8: per later
+stage and for the new state one irfft of the stacked spectrum and its
+i k multiple, which returns fields and derivatives together, and per
+stage one rfft of the remainder.  The first stage and the steepening
+check in ``evolve`` read the state's arrays and make no transform.
+``Grid1D.k`` and ``Grid1D.dealias_mask`` are computed once per grid, and
+the kernel's coefficients once per (grid, params)
+(``_remainder_coefficients``).
 
 ``evolve`` rejects a run length, time step, sample interval, probe mode
 or steepening limit outside its domain and a run of more than 2**20
 steps, ``SpectralDamping.tailored`` a negative protected band,
-``eigenmode_state`` a mode whose predicted frequency is not finite and
-``Grid1D`` a length outside (0, inf), with ``ConfigError`` (CLI exit 2)
-before any step.
+``eigenmode_state`` a mode whose predicted frequency is not finite,
+``Grid1D`` a length outside (0, inf), and ``step`` and ``rhs`` parameters
+that make a coefficient of the remainder non-finite (m = 1e-200 squares
+to 0), with ``ConfigError`` (CLI exit 2) before any step.
 
 Stability note: the closure supports a non-oscillatory growing branch at
 every wavenumber with rate increasing with k (see
@@ -67,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,9 +150,10 @@ _SAFETY = 0.4
 _MARGIN = 2.0
 # relative tolerance on mean(n) = n0 in solve_poisson
 _MEAN_TOL = 1e-8
-# a step costs at least ~0.2 ms (N = 8), so 2**20 steps is a run of about
-# four minutes; the cap rejects a run length over a step that could never
-# finish before the loop starts, and is the only limit on halving the step
+# a step costs at least ~0.17 ms (N = 8, numpy 2.4, shared 2-vCPU VM), so
+# 2**20 steps is a run of about three minutes; the cap rejects a run length
+# over a step that could never finish before the loop starts, and is the
+# only limit on halving the step
 _MAX_STEPS = 2**20
 
 
@@ -157,15 +164,17 @@ class FluidState1D:
     ``fields`` is one ``(4, N)`` array with rows in ``FIELDS`` order, kept
     as given (not copied); ``n``, ``u``, ``p`` and ``Q`` are read-only
     views of its rows.  ``spectrum`` is its rfft along x, shape
-    (4, N/2 + 1), computed here unless the caller passes it, in which case
-    it must be the rfft of ``fields`` (``step`` passes the spectrum it
-    integrates).  Instances compare and hash by identity.
+    (4, N/2 + 1), and ``derivatives`` the (4, N) array of the rows' x
+    derivatives, irfft(i k spectrum).  The constructor computes each one
+    the caller leaves out; one that is passed must be that array (``step``
+    passes both for the new state).  Instances compare and hash by identity.
     """
 
     grid: Grid1D
     fields: np.ndarray = field(repr=False)
     t: float = 0.0
     spectrum: np.ndarray | None = field(default=None, repr=False)
+    derivatives: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.fields.shape != (len(FIELDS), self.grid.n_points):
@@ -173,6 +182,12 @@ class FluidState1D:
                               f"expected ({len(FIELDS)}, {self.grid.n_points})")
         if self.spectrum is None:
             object.__setattr__(self, "spectrum", np.fft.rfft(self.fields))
+        if self.derivatives is None:
+            # i k spectrum can overflow for a finite spectrum near the float
+            # limit; a step from the state then fails on non-finite fields
+            with np.errstate(over="ignore", invalid="ignore"):
+                derivatives = np.fft.irfft(1j * self.grid.k * self.spectrum, n=self.grid.n_points)
+            object.__setattr__(self, "derivatives", derivatives)
 
     n = property(lambda self: self.fields[0])
     u = property(lambda self: self.fields[1])
@@ -237,31 +252,80 @@ def _apply(op: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return (op * spec).sum(axis=1)
 
 
-def _nonlinear(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
-    """Spectrum of the nonlinear remainder, rhs - L y, dealiased by the 2/3 rule.
+# the products w_j D_l of w = (dn, u, dp, Q) and the rows' x derivatives D
+# that the nonlinear remainder is made of, as (j, l); the last two enter
+# over m n n0
+_PAIRS = ((1, 0), (1, 1), (1, 2), (1, 3), (0, 1), (2, 1), (3, 1), (0, 0), (0, 2), (2, 2))
 
-    With dn = n - n0 and dp = p - p0 every term below is at least
-    quadratic in the departure from the uniform state.  One irfft of the
-    four derivatives (from ``state.spectrum``) and one rfft of the four
-    products; ``state.check()`` runs first.
+
+class _Remainder(NamedTuple):
+    """Per-(grid, params) constants of ``_nonlinear`` (``_remainder_coefficients``)."""
+
+    left: np.ndarray         # j of each pair in _PAIRS
+    right: np.ndarray        # l of each pair
+    uniform: np.ndarray      # (10, N): row j of (n0, 0, p0, 0) for each pair
+    products: np.ndarray     # (4, 10): the rows of N from the pairs
+    m_n0: float
+    ik: np.ndarray           # (4, N/2 + 1): i k on every row
+    cut: int                 # first mode above the 2/3 rule
+
+
+@lru_cache(maxsize=1)
+def _remainder_coefficients(grid: Grid1D, params: PlasmaParams) -> _Remainder:
+    """The constants of ``_nonlinear``, built once per (grid, params).
+
+    Raises ``ConfigError`` when a coefficient is not finite (a parameter
+    scale whose products overflow or underflow, such as m^2 in the quantum
+    coefficient), so ``step`` and ``rhs`` refuse it before they form the
+    linear operator.
     """
-    state.check()
-    g = state.grid
-    n, u, p, Q = state.fields
-    dn_dx, du_dx, dp_dx, dQ_dx = np.fft.irfft(1j * g.k * state.spectrum, n=g.n_points)
     n0, m = params.n0, params.m
     p0 = n0 * params.kB * params.T0_par
-    dn, dp = n - n0, p - p0
-    # d3phi/dx3 = (e/eps0) dn/dx exactly, given the potential equation
-    quantum = (params.e * params.e) * (params.hbar * params.hbar) / (4.0 * (m * m) * params.eps0)
-    terms = np.array([
-        -(u * dn_dx + dn * du_dx),
-        -u * du_dx + dp_dx * dn / (m * n * n0),              # -dp/dx (1/(m n) - 1/(m n0))
-        -u * dp_dx - 3.0 * dp * du_dx,
-        (-u * dQ_dx + 3.0 * dp_dx * (dp * n0 - p0 * dn) / (m * n * n0)   # p/(m n) - p0/(m n0)
-         - quantum * dn * dn_dx - 4.0 * Q * du_dx),
-    ])
-    return g.dealias_mask * np.fft.rfft(terms)
+    m_n0 = m * n0
+    denominator = 4.0 * (m * m) * params.eps0
+    quantum = ((params.e * params.e) * (params.hbar * params.hbar) / denominator
+               if denominator > 0.0 else math.inf)
+    # the rows of N as coefficients of the pairs; the terms over m n n0 are
+    # -dp/dx (1/(m n) - 1/(m n0)) and (3 p/(m n) - 3 p0/(m n0)) dp/dx, and the
+    # quantum term uses d3phi/dx3 = (e/eps0) dn/dx, exact given the potential
+    rows = [
+        {(1, 0): -1.0, (0, 1): -1.0},                    # -(u dn/dx + dn du/dx)
+        {(1, 1): -1.0, (0, 2): 1.0},                     # -u du/dx + dn dp/dx / (m n n0)
+        {(1, 2): -1.0, (2, 1): -3.0},                    # -(u dp/dx + 3 dp du/dx)
+        {(1, 3): -1.0, (3, 1): -4.0, (0, 0): -quantum,   # -(u dQ/dx + 4 Q du/dx + quantum dn dn/dx)
+         (0, 2): -3.0 * p0, (2, 2): 3.0 * n0},           # + 3 (n0 dp - p0 dn) dp/dx / (m n n0)
+    ]
+    products = np.array([[row.get(pair, 0.0) for pair in _PAIRS] for row in rows])
+    if not (np.isfinite(products).all() and m_n0 > 0.0):
+        raise ConfigError(
+            f"parameters give a non-finite coefficient of the nonlinear terms: m n0 = {m_n0!r}, "
+            f"p0 = {p0!r}, e^2 hbar^2 / (4 m^2 eps0) = {quantum!r}")
+    left, right = np.array(_PAIRS).T
+    return _Remainder(
+        left=left, right=right,
+        uniform=np.repeat(np.array([n0, 0.0, p0, 0.0])[left, None], grid.n_points, axis=1),
+        products=products, m_n0=m_n0,
+        ik=np.repeat(1j * grid.k[None, :], len(FIELDS), axis=0),
+        cut=int(np.count_nonzero(grid.dealias_mask)))
+
+
+def _nonlinear(fields: np.ndarray, derivatives: np.ndarray, c: _Remainder,
+               scale: float = 1.0) -> np.ndarray:
+    """scale N(y): spectrum of the nonlinear remainder, rhs - L y, dealiased by the 2/3 rule.
+
+    Every term is a product w_j D_l of w = fields - (n0, 0, p0, 0) =
+    (dn, u, dp, Q) and the rows' x derivatives D (``_PAIRS``), two of them
+    over m n n0.  One constant (4, 10) matrix (``_remainder_coefficients``,
+    which writes the terms out) takes the ten products to the four rows;
+    one rfft of the four rows.
+    """
+    pairs = fields.take(c.left, axis=0)
+    pairs -= c.uniform
+    pairs *= derivatives.take(c.right, axis=0)
+    pairs[-2:] /= c.m_n0 * fields[0]
+    spec = np.fft.rfft((scale * c.products) @ pairs)
+    spec[:, c.cut:] = 0.0
+    return spec
 
 
 def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
@@ -271,9 +335,11 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     (``_linear_operator``) and the nonlinear remainder (``_nonlinear``),
     the same split that ``step`` integrates.  The potential is re-solved
     from the current density.  The result is dealiased by the 2/3 rule so
-    band-limited states stay band-limited.
+    band-limited states stay band-limited.  ``state.check()`` runs first.
     """
-    remainder = _nonlinear(state, params)
+    state.check()
+    remainder = _nonlinear(state.fields, state.derivatives,
+                           _remainder_coefficients(state.grid, params))
     linear = _apply(_linear_operator(state.grid, params), state.spectrum)
     return np.fft.irfft(linear + remainder, n=state.grid.n_points)
 
@@ -354,6 +420,26 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     return np.einsum("ijk,jlk->ilk", L, out) + a0 * eye
 
 
+def _physical(spec: np.ndarray, grid: Grid1D, c: _Remainder) -> np.ndarray:
+    """Fields and x derivatives of the spectrum ``spec``, stacked (2, 4, N), from one irfft."""
+    return np.fft.irfft(np.array((spec, spec * c.ik)), n=grid.n_points)
+
+
+def _guard(grid: Grid1D, fields: np.ndarray, t: float, spectrum: np.ndarray,
+           derivatives: np.ndarray) -> None:
+    """``FluidState1D.check`` of these arrays, run only when the cheap test,
+    min(n) > 0 and a finite sum of the fields, fails; the errors are the check's."""
+    if not (fields[0].min() > 0.0 and math.isfinite(fields.sum())):
+        FluidState1D(grid, fields, t, spectrum, derivatives).check()
+
+
+def _stage(spec: np.ndarray, t: float, scale: float, grid: Grid1D, c: _Remainder) -> np.ndarray:
+    """scale N at the stage state of spectrum ``spec``, after its guard."""
+    fields, derivatives = _physical(spec, grid, c)
+    _guard(grid, fields, t, spec, derivatives)
+    return _nonlinear(fields, derivatives, c, scale)
+
+
 def _remainder_speed(state: FluidState1D, params: PlasmaParams) -> float:
     """max(|u| + |c - c0|) with c = sqrt(3 p / (m n)) and c0 = sqrt(3 p0 / (m n0)),
     p0 = n0 kB T0_par."""
@@ -392,15 +478,19 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
         k4 = N(E (E y + dt k3))
         y' = E (E y + dt/6 (E k1 + 2 k2 + 2 k3)) + dt/6 k4,
 
-    so the linear part, filter included, is integrated exactly.  Twelve
-    FFT calls, each batched over the four rows: per stage one irfft of
-    the derivatives and one rfft of the products, per later stage one
-    irfft of its fields, and one irfft of the new state, which keeps its
-    spectrum (``FluidState1D.spectrum``) for the next step.  Each stage state
-    and the new state run ``FluidState1D.check``.
+    so the linear part, filter included, is integrated exactly.  Eight
+    FFT calls, each batched: per stage one rfft of the remainder, and per
+    later stage and for the new state one irfft of the (2, 4, N/2 + 1)
+    stack of the spectrum and its i k multiple, which gives the fields and
+    their derivatives at once.  The first stage reads the state's
+    ``fields`` and ``derivatives``, and the new state keeps its own for
+    the next step.  Each stage state and the new state pass a guard,
+    min(n) > 0 and a finite sum of the fields, and run
+    ``FluidState1D.check`` when it trips, so its errors are raised.
 
     Raises ``CFLViolationError`` (with a suggested dt) when the requested
-    step exceeds ``auto_dt`` for the current state.
+    step exceeds ``auto_dt`` for the current state, and ``ConfigError``
+    when a coefficient of N is not finite (``_remainder_coefficients``).
     """
     limit = auto_dt(state, params)
     if dt > limit * (1.0 + 1e-12):
@@ -408,23 +498,29 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
             f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
             f"suggested dt = {limit:.6g}", suggested_dt=limit)
 
-    g = state.grid
+    g, t = state.grid, state.t
+    c = _remainder_coefficients(g, params)
     E = _half_step_exponential(g, params, damping, dt)
+    h = 0.5 * dt
 
-    def remainder(spec, t):
-        return _nonlinear(FluidState1D(g, np.fft.irfft(spec, n=g.n_points), t, spec), params)
-
-    y = state.spectrum
-    k1 = _nonlinear(state, params)
-    Ey, Ek1 = _apply(E, y), _apply(E, k1)
-    k2 = remainder(Ey + (0.5 * dt) * Ek1, state.t + 0.5 * dt)
-    k3 = remainder(Ey + (0.5 * dt) * k2, state.t + 0.5 * dt)
-    k4 = remainder(_apply(E, Ey + dt * k3), state.t + dt)
-    spec = _apply(E, Ey + (dt / 6.0) * (Ek1 + 2.0 * (k2 + k3))) + (dt / 6.0) * k4
-
-    new = FluidState1D(g, np.fft.irfft(spec, n=g.n_points), state.t + dt, spec)
-    new.check()
-    return new
+    # each stage's N enters scaled, a_i = s_i k_i with s = (h, h, dt, dt/6)
+    _guard(g, state.fields, t, state.spectrum, state.derivatives)
+    a1 = _nonlinear(state.fields, state.derivatives, c, h)
+    Ey, Ea1 = _apply(E, state.spectrum), _apply(E, a1)
+    a2 = _stage(Ey + Ea1, t + h, h, g, c)
+    a3 = _stage(Ey + a2, t + h, dt, g, c)
+    a4 = _stage(_apply(E, Ey + a3), t + dt, dt / 6.0, g, c)
+    # E y + dt/6 (E k1 + 2 k2 + 2 k3) = E y + (E a1 + 2 a2 + a3) / 3
+    a2 += a2
+    a2 += Ea1
+    a2 += a3
+    a2 *= 1.0 / 3.0
+    a2 += Ey
+    spec = _apply(E, a2)
+    spec += a4
+    fields, derivatives = _physical(spec, g, c)
+    _guard(g, fields, t + dt, spec, derivatives)
+    return FluidState1D(g, fields, t + dt, spec, derivatives)
 
 
 @dataclass
@@ -522,9 +618,9 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
 
     def record(s: FluidState1D):
         times.append(s.t)
-        mass.append(float(np.mean(s.n)))
-        for name, c in zip(FIELDS, s.spectrum[:, probe_mode]):
-            coeffs[name].append(complex(c) * norm)
+        mass.append(float(s.fields[0].sum() / g.n_points))  # bitwise np.mean(s.n)
+        for name, c in zip(FIELDS, s.spectrum[:, probe_mode].tolist()):
+            coeffs[name].append(c * norm)
 
     record(state)
     initial = state
@@ -547,8 +643,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
             continue
         left, since, taken = left - 1, since + 1, taken + 1
         if steepening_limit is not None:
-            du = np.fft.irfft(1j * g.k * state.spectrum[1], n=g.n_points)
-            if float(np.max(np.abs(du))) > steepening_limit * params.omega_p:
+            if float(np.max(np.abs(state.derivatives[1]))) > steepening_limit * params.omega_p:
                 raise SteepeningError(
                     f"velocity gradient exceeded {steepening_limit} omega_p "
                     f"at t = {state.t:.6g}; smooth-wave regime left")

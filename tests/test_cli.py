@@ -554,6 +554,18 @@ def test_heavy_particle_config_runs_the_fluid(tmp_path, capsys, recwarn):
     assert (tmp_path / "heavy.csv").exists()
 
 
+def test_light_particle_config_exits_2_before_the_fluid_steps(tmp_path, capsys, recwarn):
+    # m^2 = 1e-400 underflows to 0, so the quantum coefficient
+    # e^2 hbar^2 / (4 m^2 eps0) is not finite: refused before the linear
+    # operator (whose entries would overflow) is formed
+    (tmp_path / "light.cfg").write_text("preset = nondim\nm = 1e-200\n")
+    assert run(tmp_path, ["fluid", "--config", "light.cfg", "-o", "light.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite coefficient of the nonlinear terms" in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "light.csv").exists()
+
+
 def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
     argv = ["wigner", "--times", "0.1234561,0.1234562", "--nx", "4", "--nv", "4", "-o", "w.csv"]
     assert run(tmp_path, argv) == 2

@@ -10,7 +10,8 @@ from qfluid.fluid1d import (FIELDS, FluidState1D, Grid1D, SpectralDamping, auto_
                             eigenmode_state, evolve, measure_frequency,
                             perturbed_state, rhs, solve_poisson, step,
                             uniform_state)
-from qfluid.fluid1d import _half_step_exponential, _linear_operator
+from qfluid.fluid1d import (_half_step_exponential, _linear_operator, _nonlinear,
+                            _remainder_coefficients)
 from qfluid.params import nondimensional
 
 WARM = nondimensional(hbar=0.5, T0_par=0.1)
@@ -136,6 +137,102 @@ def test_linearized_rhs_matches_eigenmode_rates():
     for name in base:
         expected = -1j * om * base[name]
         assert dot[name] == pytest.approx(expected, rel=2e-4, abs=1e-16 * abs(base["p"]) if name == "Q" else 1e-12)
+
+
+def reference_remainder(state, params):
+    """Spectrum of the nonlinear remainder rhs - L y written out term by term.
+
+    With dn = n - n0 and dp = p - p0 every term is at least quadratic in
+    the departure from the uniform state; d3phi/dx3 = (e/eps0) dn/dx."""
+    g = state.grid
+    n, u, p, Q = state.fields
+    dn_dx, du_dx, dp_dx, dQ_dx = np.fft.irfft(1j * g.k * state.spectrum, n=g.n_points)
+    n0, m = params.n0, params.m
+    p0 = n0 * params.kB * params.T0_par
+    dn, dp = n - n0, p - p0
+    quantum = (params.e * params.e) * (params.hbar * params.hbar) / (4.0 * (m * m) * params.eps0)
+    terms = np.array([
+        -(u * dn_dx + dn * du_dx),
+        -u * du_dx + dp_dx * dn / (m * n * n0),              # -dp/dx (1/(m n) - 1/(m n0))
+        -u * dp_dx - 3.0 * dp * du_dx,
+        (-u * dQ_dx + 3.0 * dp_dx * (dp * n0 - p0 * dn) / (m * n * n0)   # p/(m n) - p0/(m n0)
+         - quantum * dn * dn_dx - 4.0 * Q * du_dx),
+    ])
+    return g.dealias_mask * np.fft.rfft(terms)
+
+
+# the fluid_modes benchmark regimes (criterion 3): T0_par, hbar, mode, amplitude
+REGIMES = [(0.0075, 0.0, 1, 1e-6), (0.08 / 108.0, math.sqrt(0.02) / 9.0, 3, 2e-6),
+           (0.0, 0.016, 4, 5e-7)]
+
+
+@pytest.mark.parametrize("case", ["classical", "mixed", "quantum", "all four fields at 0.2"])
+def test_remainder_kernel_matches_the_terms_written_out(case):
+    # the stacked kernel against the term-by-term reference, on the three
+    # benchmark eigenmodes and a strongly nonlinear state with every field
+    # perturbed.  Measured: at most 4.2e-17 of the largest row.
+    g = grid(256)
+    if case.startswith("all"):
+        p = WARM
+        state = perturbed_state(g, p, mode=2, amplitude=0.2, fields=FIELDS)
+    else:
+        T0_par, hbar, mode, amplitude = REGIMES[["classical", "mixed", "quantum"].index(case)]
+        p = nondimensional(hbar=hbar, T0_par=T0_par)
+        state = eigenmode_state(g, p, mode, amplitude)
+    reference = reference_remainder(state, p)
+    kernel = _nonlinear(state.fields, state.derivatives, _remainder_coefficients(g, p))
+    assert np.max(np.abs(reference)) > 0.0
+    assert np.max(np.abs(kernel - reference)) < 1e-14 * np.max(np.abs(reference))
+
+
+def count_transforms(monkeypatch):
+    """Wrap np.fft.rfft and np.fft.irfft; the returned list counts their calls."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_step_makes_eight_transforms_and_carries_its_derivatives(monkeypatch):
+    g = grid(64)
+    p = WARM
+    damping = SpectralDamping.tailored(g, p)
+    state = eigenmode_state(g, p, mode=1, amplitude=1e-3)
+    dt = 0.5 * auto_dt(state, p)
+    stepped = step(state, dt, p, damping=damping)
+    calls = count_transforms(monkeypatch)
+    new = step(stepped, dt, p, damping=damping)
+    assert len(calls) == 8
+    monkeypatch.undo()
+    assert np.array_equal(new.derivatives, np.fft.irfft(1j * g.k * new.spectrum, n=g.n_points))
+    assert np.array_equal(new.fields, np.fft.irfft(new.spectrum, n=g.n_points))
+    # the same state without its derivatives (the constructor computes
+    # them) steps to the same bits
+    rebuilt = FluidState1D(g, stepped.fields, stepped.t, stepped.spectrum)
+    again = step(rebuilt, dt, p, damping=damping)
+    for name in ("fields", "spectrum", "derivatives"):
+        assert np.array_equal(getattr(again, name), getattr(new, name))
+
+
+def test_steepening_check_makes_no_transform(monkeypatch):
+    g = grid(64)
+    p = WARM
+    damping = SpectralDamping.tailored(g, p)
+    state = eigenmode_state(g, p, mode=1, amplitude=1e-3)
+    counts = []
+    for limit in (None, 100.0):
+        calls = count_transforms(monkeypatch)
+        run = evolve(state, p, t_end=2.0, damping=damping, steepening_limit=limit)
+        monkeypatch.undo()
+        counts.append(len(calls))
+        assert len(calls) == 8 * run.n_steps
+    assert counts[0] == counts[1]
 
 
 def wave_frame_orbit(H, v, n_points, tol=1e-12):
