@@ -90,8 +90,7 @@ def _cmd_fluid(args, command: str) -> None:
         state = fluid1d.perturbed_state(grid, params, args.mode, args.amplitude,
                                         fields=tuple(args.ic_fields.split(",")))
     t_end = args.tmax if args.tmax is not None else args.periods * 2.0 * np.pi / omega
-    damping = None if args.no_stabilize else fluid1d.SpectralDamping.tailored(
-        grid, params, protect_modes=args.protect_modes)
+    damping = None if args.no_stabilize else fluid1d.SpectralDamping.tailored(grid, params)
     try:
         run = fluid1d.evolve(state, params, t_end, dt=args.dt, damping=damping,
                              probe_mode=args.mode, sample_every=args.sample_every,
@@ -265,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None, help="time step (default: auto)")
     p.add_argument("--sample-every", type=int, default=1)
     p.add_argument("--no-stabilize", action="store_true",
-                   help="disable the short-wave stabilizing filter")
-    p.add_argument("--protect-modes", type=int, default=1,
-                   help="lowest modes excluded from the stabilizing filter")
+                   help="disable the filter on the closure's companion pair")
     p.add_argument("--steepening-limit", type=float, default=100.0,
                    help="halt when max|du/dx| exceeds this many omega_p")
     p.add_argument("--snapshot", default=None, help="write final field snapshot CSV")

@@ -23,7 +23,7 @@ linearised about (n0, u = 0, p0 = n0 kB T0_par, Q = 0) mode by mode
 (``_linear_operator``; eigenvalues +-i omega(k) and +-gamma(k)), and a
 remainder N(y) of the terms at least quadratic in the departure from that
 state (``_nonlinear``); ``rhs`` returns their sum.  ``step`` integrates
-L y and the filter exactly through exp((L - rate) dt/2), computed in
+L y and the filter exactly through exp((L - rate P) dt/2), computed in
 closed form once per step size (``_half_step_exponential``), and samples
 only N at its four stages, with the potential re-solved at each.  The linear
 oscillations and the linear sound speed c0 = sqrt(3 p0/(m n0)) therefore
@@ -57,14 +57,14 @@ steps, ``SpectralDamping.tailored`` a negative protected band,
 that make a coefficient of the remainder non-finite (m = 1e-200 squares
 to 0), with ``ConfigError`` (CLI exit 2) before any step.
 
-Stability note: the closure supports a non-oscillatory growing branch at
-every wavenumber with rate increasing with k (see
-``dispersion.companion_growth_rate``), which makes long runs on fine
-grids blow up from rounding noise alone.  ``SpectralDamping.tailored``
-builds a per-mode filter that damps modes above a protected band at that
-growth rate plus 2 omega_p.  The filter multiplies each field's spectrum
-by the same real factor, which shifts every linear eigenvalue by a real
-constant and therefore leaves oscillation frequencies exactly unchanged.
+Stability note: at every wavenumber the closure has a non-oscillatory
+companion pair +-gamma(k), growing faster with k
+(``dispersion.companion_growth_rate``), which blows a run up from
+rounding noise alone.  ``step`` damps that pair only, as
+exp((L - rate P) dt/2) with P = (L^2 + omega^2) / (gamma^2 + omega^2) its
+projector, which commutes with L; ``SpectralDamping.tailored`` sets the
+rate to gamma + 2 omega_p at every mode but k = 0.  Every +-i omega pair,
+the probe mode's included, keeps its frequency and amplitude exactly.
 """
 
 from __future__ import annotations
@@ -346,13 +346,13 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDamping:
-    """Per-mode damping rates, applied over a step of length dt as exp(-rate * dt).
+    """Per-mode damping rates of the companion pair.
 
-    The same factor multiplies all four fields at a given mode, so the
-    filter commutes with the linear dynamics up to a real eigenvalue
-    shift: oscillation frequencies are untouched.  ``step`` folds it into
-    the exponential of the linear part.  Instances compare and hash by
-    identity, and hold a read-only copy of ``rates``.
+    ``step`` folds them into the exponential of the linear part as
+    exp((L - rate P) dt) with P the projector onto the +-gamma(k) pair
+    (``_half_step_exponential``), so the +-i omega pair is untouched.
+    Instances compare and hash by identity, and hold a read-only copy of
+    ``rates``.
     """
 
     rates: np.ndarray = field(repr=False)
@@ -364,12 +364,12 @@ class SpectralDamping:
 
     @classmethod
     def tailored(cls, grid: Grid1D, params: PlasmaParams,
-                 protect_modes: int = 1) -> "SpectralDamping":
+                 protect_modes: int = 0) -> "SpectralDamping":
         """Damping matched to the closure's companion-branch growth rate.
 
-        Modes 0..protect_modes are untouched; every higher mode is damped
-        at its own growth rate plus 2 omega_p, which pins rounding-noise amplification at a bounded factor for runs of
-        tens of plasma periods.  Raises ``ConfigError`` when
+        Every mode above ``protect_modes`` gets its own growth rate plus
+        2 omega_p, so its companion pair decays at 2 omega_p or faster;
+        modes 0..protect_modes keep rate 0.  Raises ``ConfigError`` when
         ``protect_modes`` is negative: mode 0 (the mean density) must not
         be damped.
         """
@@ -384,15 +384,17 @@ class SpectralDamping:
 @lru_cache(maxsize=1)
 def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
                            damping: SpectralDamping | None, dt: float) -> np.ndarray:
-    """exp((L - rate) dt/2) per mode, shape (4, 4, N/2 + 1), by Sylvester's formula.
+    """exp((L - rate P) dt/2) per mode, shape (4, 4, N/2 + 1), by Sylvester's formula.
 
     L^2 has the eigenvalues -omega^2 and gamma^2, so
     exp(L h) = C(L^2) + L S(L^2) with C and S the linear interpolants of
     cos(omega h), cosh(gamma h) and sin(omega h)/omega, sinh(gamma h)/gamma
-    at those two points (sinh(gamma h)/gamma -> h as gamma -> 0).  The
-    damping factor exp(-rate h) commutes with L and is folded into each
-    coefficient; the growing exponential is formed as exp((gamma - rate) h)
-    so a filtered mode never overflows.  The last result is cached, keyed
+    at those two points (sinh(gamma h)/gamma -> h as gamma -> 0).
+    P = (L^2 + omega^2) / (gamma^2 + omega^2) projects onto the +-gamma
+    pair and commutes with L, so the damping factor exp(-rate h) multiplies
+    the cosh and sinh coefficients only, formed as exp((gamma - rate) h) so
+    a filtered mode never overflows.  Where L = 0 (k = 0 and above the 2/3
+    cut) P is the identity.  The last result is cached, keyed
     on (grid, params, damping, dt), so ``evolve`` computes it once per run
     and once per halving of its step, and keeps at most one
     (4, 4, N/2 + 1) array alive afterwards.
@@ -404,8 +406,7 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     om = np.sqrt(om2)
     ga = dispersion.companion_growth_rate(k, params)
     rates = damping.rates if damping is not None else 0.0
-    decay = np.exp(-rates * h)
-    c_osc, s_osc = np.cos(om * h) * decay, np.sin(om * h) / om * decay
+    c_osc, s_osc = np.cos(om * h), np.sin(om * h) / om
     grow = np.exp((ga - rates) * h)
     x = 2.0 * ga * h
     c_hyp = 0.5 * grow * (1.0 + np.exp(-x))
@@ -469,7 +470,7 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
          damping: SpectralDamping | None = None) -> FluidState1D:
     """Advance one Lawson (integrating-factor) RK4 step on the spectrum.
 
-    With E = exp((L - rate) dt/2) from ``_half_step_exponential`` and the
+    With E = exp((L - rate P) dt/2) from ``_half_step_exponential`` and the
     nonlinear remainder N (``_nonlinear``, Poisson re-solved per stage):
 
         k1 = N(y)

@@ -93,7 +93,7 @@ def test_criterion_3_end_to_end_dispersion():
                                T0_par=tau / (12.0 * k**2))
             state = fluid1d.eigenmode_state(grid, p, mode=mode, amplitude=1e-6)
             om_pred = math.sqrt(float(dispersion.general_omega_sq(k, p)))
-            damping = fluid1d.SpectralDamping.tailored(grid, p, protect_modes=mode)
+            damping = fluid1d.SpectralDamping.tailored(grid, p)
             run = fluid1d.evolve(state, p, t_end=10.0 * 2.0 * np.pi / om_pred,
                                  damping=damping, probe_mode=mode)
             om = fluid1d.measure_frequency(run.t, run.mode["u"].real)

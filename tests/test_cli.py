@@ -16,7 +16,7 @@ from qfluid import dispersion, fluid1d, ode
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
-from qfluid.params import PlasmaParams, nondimensional
+from qfluid.params import PlasmaParams, nondimensional, preset
 from qfluid.traveling import integrate, reference_oscillation_state, wave_frame_config
 from qfluid.wigner import analytic_wigner
 
@@ -114,9 +114,18 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
 def test_fluid_steepening_failure_names_its_cause(tmp_path, capsys):
     # the step halves to follow a steepening wave until its velocity gradient
     # passes the steepening limit, so the message names that cause, not a dt
+    assert run(tmp_path, ["fluid", "--amplitude", "0.1", "-o", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "velocity gradient exceeded 100.0 omega_p" in err and "at t = 11.4" in err
+    assert "suggested dt" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fluid_breaking_wave_exits_3_without_a_step_size(tmp_path, capsys):
+    # a wave this large empties a trough before it steepens past the limit
     assert run(tmp_path, ["fluid", "--amplitude", "0.5", "-o", "x.csv"]) == 3
     err = capsys.readouterr().err
-    assert "velocity gradient exceeded 100.0 omega_p" in err and "at t = " in err
+    assert "density reached n <= 0" in err
     assert "suggested dt" not in err
     assert not list(tmp_path.iterdir())
 
@@ -138,6 +147,58 @@ def test_fluid_header_reports_its_steps(tmp_path):
             f"dt_bound={reference.dt_bound}, halvings={reference.n_halvings}")
     assert line in first.decode().splitlines()
     assert reference.dt * reference.n_steps == pytest.approx(reference.t[-1], rel=1e-12)
+
+
+def probe_series(path, name):
+    """Complex probe coefficients of field ``name`` from a ``fluid`` CSV."""
+    _, cols = read_csv(path)
+    return cols["t"], cols[f"{name}_mode_re"] + 1j * cols[f"{name}_mode_im"]
+
+
+def test_default_fluid_run_keeps_its_eigenmode(tmp_path):
+    # the filter damps only the companion pair, so the default eigenmode
+    # keeps its amplitude and the omega measured from the CSV is the
+    # predicted one.  Measured: 7.1e-11 of the amplitude, omega within 3.0e-5
+    # (the zero-crossing fit at 19 samples per period)
+    assert run(tmp_path, ["fluid", "-o", "probe.csv"]) == 0
+    text = (tmp_path / "probe.csv").read_text()
+    omega = float(re.search(r"omega_predicted=(\S+)", text).group(1))
+    assert "halvings=0" in text
+    t, n = probe_series(tmp_path / "probe.csv", "n")
+    assert np.max(np.abs(n - 1e-6 * np.exp(-1j * omega * t))) < 1e-9 * 1e-6
+    measured = fluid1d.measure_frequency(t, n.real)
+    assert abs(measured - omega) < 1e-4 * omega
+
+
+def test_si_twin_of_the_default_fluid_run_is_the_same_run(tmp_path):
+    # the si-electron preset at n0 = 1e28 on L = 2 pi l, l = sqrt(hbar/(m omega_p)),
+    # is the nondim default run in other units: t by 1/omega_p, n by n0 and u
+    # by omega_p l.  Measured: 3.4e-11 of the amplitude in n, 2.9e-11 in u; a
+    # companion pair left to grow from rounding noise makes them differ by 0.47
+    si = preset("si-electron", n0=1e28)
+    ell = math.sqrt(si.hbar / (si.m * si.omega_p))
+    assert run(tmp_path, ["fluid", "--preset", "si-electron", "--n0", "1e28",
+                          "--length", repr(2.0 * math.pi * ell), "-o", "si.csv"]) == 0
+    assert run(tmp_path, ["fluid", "-o", "nondim.csv"]) == 0
+    for name, scale in (("n", si.n0), ("u", si.omega_p * ell)):
+        t_si, z_si = probe_series(tmp_path / "si.csv", name)
+        t, z = probe_series(tmp_path / "nondim.csv", name)
+        assert len(t) == len(t_si) == 192
+        assert np.max(np.abs(t_si * si.omega_p - t)) < 1e-12 * t[-1]
+        assert np.max(np.abs(z_si / scale - z)) < 1e-9 * abs(z[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "64", "--periods", "100"],
+    ["--ic", "perturb", "--ic-fields", "n,u"],
+    ["--amplitude", "0.01"],
+    ["--amplitude", "0.05"],
+], ids=" ".join)
+def test_fluid_runs_to_the_end_without_halving(tmp_path, argv):
+    # the filter must damp the companion pair at the probe mode too: left
+    # undamped, it grows from rounding noise until each of these exits 3
+    assert run(tmp_path, ["fluid", *argv, "-o", "probe.csv"]) == 0
+    assert "halvings=0" in (tmp_path / "probe.csv").read_text()
 
 
 # option -> (values of a small, short run; values that should be refused or
@@ -603,7 +664,6 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["tw", "run", "--tol", "-1"],
     ["tw", "run", "--samples", "0"],
     ["tw", "run", "--samples", "-3"],
-    ["fluid", "--periods", "0.1", "--protect-modes", "-5"],
     ["fluid", "--periods", "0.1", "--steepening-limit", "nan"],
     ["fluid", "--periods", "0.1", "--steepening-limit", "-1"],
     ["fluid", "--length", "inf", "--periods", "0.1"],

@@ -277,6 +277,16 @@ def test_wave_frame_orbit_is_a_steady_state_of_rhs(H, v):
 
 # ---------------------------------------------------------------- stepping
 
+def companion_projector(g, p):
+    """(L^2 + omega^2) / (gamma^2 + omega^2) per mode, on the masked k of
+    ``_half_step_exponential``: the identity where L = 0."""
+    L = _linear_operator(g, p)
+    k = np.where(g.dealias_mask, g.k, 0.0)
+    om2 = dispersion.general_omega_sq(k, p)
+    ga2 = dispersion.companion_growth_rate(k, p) ** 2
+    return (np.einsum("ijk,jlk->ilk", L, L) + om2 * np.eye(4)[:, :, None]) / (ga2 + om2)
+
+
 def taylor_exponential(M, terms=80):
     """exp(M) per mode of a (4, 4, K) array by its Taylor series."""
     out = np.zeros_like(M)
@@ -292,9 +302,11 @@ def taylor_exponential(M, terms=80):
 def test_half_step_exponential_matches_taylor_series(hbar, T0_par, filtered):
     # Sylvester's closed form against an 80-term series at every mode,
     # k = 0 and the modes above the 2/3 cut included (L = 0 there); the
-    # cold classical case has gamma = 0.  The filter factor multiplies the
-    # series separately, so the comparison does not suffer the series'
-    # cancellation at large rate * h.  Measured worst: 1.1e-14.
+    # cold classical case has gamma = 0.  The filter acts on the companion
+    # pair only: exp((L - rate P) h) = exp(L h) (I - P + exp(-rate h) P) with
+    # P the projector onto it, which commutes with L, so the series is taken
+    # of L h alone and does not suffer cancellation at large rate * h.
+    # Measured worst: 1.5e-15.
     g = grid(64)
     p = nondimensional(hbar=hbar, T0_par=T0_par)
     damping = SpectralDamping.tailored(g, p) if filtered else None
@@ -302,17 +314,21 @@ def test_half_step_exponential_matches_taylor_series(hbar, T0_par, filtered):
     E = _half_step_exponential(g, p, damping, dt)
     reference = taylor_exponential(_linear_operator(g, p) * (0.5 * dt))
     if filtered:
-        reference = reference * np.exp(-0.5 * dt * damping.rates)
+        P = companion_projector(g, p)
+        factor = np.eye(4)[:, :, None] + np.expm1(-0.5 * dt * damping.rates) * P
+        reference = np.einsum("ijk,jlk->ilk", reference, factor)
     err = np.max(np.abs(E - reference), axis=(0, 1)) / np.max(np.abs(reference), axis=(0, 1))
     assert np.max(err) < 1e-13
 
 
 def classical_rk4_step(state, dt, params, damping):
-    """Reference: classical RK4 over rhs minus the filter's rates, same ODE as step."""
+    """Reference: classical RK4 over rhs - rate P y, P the companion projector, same ODE as step."""
     g = state.grid
+    P = damping.rates * companion_projector(g, params)
 
     def f(s):
-        return rhs(s, params) - np.fft.irfft(damping.rates * np.fft.rfft(s.fields), n=g.n_points)
+        filtered = np.einsum("ijk,jk->ik", P, np.fft.rfft(s.fields))
+        return rhs(s, params) - np.fft.irfft(filtered, n=g.n_points)
 
     y = state.fields
 
@@ -329,8 +345,8 @@ def classical_rk4_step(state, dt, params, damping):
 @pytest.mark.parametrize("n_points", [256, 4096])
 def test_step_matches_classical_rk4_reference(n_points):
     # at 0.75 of RK4's stiff bound 0.4/omega(k_nyquist) both schemes are
-    # accurate, so 50 filtered steps must agree.  Measured: 5.7e-12 (N = 256)
-    # and 6.7e-14 (N = 4096) of the perturbation; the bound leaves ~20x.
+    # accurate, so 50 filtered steps must agree.  Measured: 2.1e-11 (N = 256)
+    # and 8.9e-14 (N = 4096) of the perturbation; the bound leaves ~5x.
     g = grid(n_points)
     p = nondimensional(hbar=0.3, T0_par=0.05)
     damping = SpectralDamping.tailored(g, p)
@@ -549,9 +565,11 @@ def test_linear_sound_speed_sets_no_bound():
 
 
 def steepening_wave():
+    # a density bump released at rest: the flow it drives outgrows the
+    # advective bound of the initial state (24 steps, 2 halvings to t = 2)
     g = grid(128)
     p = nondimensional(hbar=0.0, T0_par=0.1)
-    return perturbed_state(g, p, mode=1, amplitude=0.1, fields=("n", "u")), p
+    return perturbed_state(g, p, mode=1, amplitude=0.2, fields=("n",)), p
 
 
 def test_evolve_halves_its_step_when_the_state_outgrows_the_bound():
@@ -685,6 +703,12 @@ def test_tailored_damping_protects_low_modes():
     growth = dispersion.companion_growth_rate(k, p)
     sel = k > 2 * g.k_fundamental
     assert np.all(d.rates[sel] >= growth[sel])
+    # by default only the mean density is spared, and a negative band would damp it
+    default = SpectralDamping.tailored(g, p)
+    assert default.rates[0] == 0.0
+    assert np.all(default.rates[1:] >= growth[1:] + 2.0 * p.omega_p)
+    with pytest.raises(ConfigError, match="protected band"):
+        SpectralDamping.tailored(g, p, protect_modes=-1)
 
 
 # ---------------------------------------------------------------- probes
