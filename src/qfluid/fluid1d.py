@@ -14,6 +14,17 @@ in the zero-mean gauge.  The third potential derivative is evaluated as
 (e/eps0) dn/dx, which is exact given Poisson's equation and avoids
 triple differentiation.
 
+Units: ``evolve`` takes and returns the caller's units and steps in
+plasma units (``_plasma_units``): n0 = m = e = eps0 = kB = 1, time in
+1/omega_p, the length unit kept.  There the system keeps two parameters,
+hbar' = hbar / (m omega_p) and T' = kB T0_par / (m omega_p^2), and the
+rows (n, u, p, Q) are the caller's over (n0, omega_p, e^2 n0^2 / eps0,
+e^2 n0^2 omega_p / eps0).  ``step``, ``rhs`` and ``auto_dt`` take
+parameters, states, times and damping rates in plasma units, and the
+kernels under them read only hbar' and T'; ``solve_poisson``,
+``SpectralDamping.tailored``, ``mode_frequency`` and the state builders
+take the caller's units.
+
 Every spatial derivative is Fourier pseudo-spectral, irfft(i k rfft(f)),
 and quadratic products are dealiased by the 2/3 rule.
 
@@ -50,12 +61,19 @@ the kernel's coefficients once per (grid, params)
 (``_remainder_coefficients``).
 
 ``evolve`` rejects a run length, time step, sample interval, probe mode
-or steepening limit outside its domain and a run of more than 2**20
-steps, ``SpectralDamping.tailored`` a negative protected band,
-``eigenmode_state`` a mode whose predicted frequency is not finite,
-``Grid1D`` a length outside (0, inf), and ``step`` and ``rhs`` parameters
-that make a coefficient of the remainder non-finite (m = 1e-200 squares
-to 0), with ``ConfigError`` (CLI exit 2) before any step.
+or steepening limit outside its domain, a run of more than 2**20 steps,
+and parameters without plasma units: a row scale that is not finite and
+positive, or an hbar'^2 or 3 T' that is not finite (n0 = 1e200 squares
+the pressure scale to inf).  That scale check in ``_plasma_units`` is
+the one check of the parameters on the stepping path; ``step``, ``rhs``
+and ``auto_dt`` refuse parameters that are not in plasma units.
+``SpectralDamping.tailored`` rejects a negative protected band or a
+growth rate that is not finite, ``eigenmode_state`` a mode whose
+predicted frequency is not finite, the state builders a field that
+overflows (naming its row), and ``Grid1D`` a length outside (0, inf),
+all with ``ConfigError`` (CLI exit 2) before any step.  m = 1e-200 has
+plasma units (hbar' = 1e100): its mode 1 oscillates at ~7e49 omega_p, and
+``qfluid fluid`` stops on its steepening limit (exit 3).
 
 Stability note: at every wavenumber the closure has a non-oscillatory
 companion pair +-gamma(k), growing faster with k
@@ -79,7 +97,7 @@ import numpy as np
 from . import dispersion
 from .errors import (CFLViolationError, ConfigError, NoOscillationError,
                      NumericalError, SteepeningError, VacuumError)
-from .params import PlasmaParams
+from .params import PlasmaParams, nondimensional
 
 __all__ = [
     "Grid1D",
@@ -220,30 +238,68 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams) -> np.ndarr
     return np.fft.irfft(phi_spec, n=grid.n_points)
 
 
+def _plasma_units(params: PlasmaParams) -> tuple[PlasmaParams, tuple[float, float, float, float]]:
+    """``params`` in plasma units, and the scales of the rows (n, u, p, Q).
+
+    Plasma units set n0 = m = e = eps0 = kB = 1 and measure time in
+    1/omega_p, keeping the length unit, so the hierarchy keeps two
+    parameters, hbar' = hbar / (m omega_p) and T' = kB T0_par / (m omega_p^2),
+    both areas: the result is ``nondimensional(hbar=hbar', T0_par=T')``.
+    A row in the caller's units is its scale, (n0, omega_p, e^2 n0^2 / eps0,
+    e^2 n0^2 omega_p / eps0), times the row in plasma units.
+
+    The one check of the parameters on the stepping path: raises
+    ``ConfigError`` when a scale is not finite and positive, or when hbar'^2
+    or 3 T', the coefficients of the remainder, is not finite.
+    """
+    wp = params.omega_p
+    en = params.e * params.n0
+    pressure = en * en / params.eps0
+    scales = (params.n0, wp, pressure, pressure * wp)
+    hbar, T0_par = params.hbar / params.m / wp, params.kB * params.T0_par / params.m / wp / wp
+    if not (all(0.0 < s < math.inf for s in scales)
+            and math.isfinite(hbar * hbar) and math.isfinite(3.0 * T0_par)):
+        raise ConfigError(
+            f"parameters have no plasma units: row scales (n0, omega_p, e^2 n0^2/eps0, "
+            f"e^2 n0^2 omega_p/eps0) = {scales!r} must be finite and positive, and "
+            f"hbar/(m omega_p) = {hbar!r} and kB T0_par/(m omega_p^2) = {T0_par!r} "
+            f"must be finite when squared and tripled")
+    return nondimensional(hbar=hbar, T0_par=T0_par), scales
+
+
+def _require_plasma_units(params: PlasmaParams) -> None:
+    """``ConfigError`` unless n0 = m = e = eps0 = kB = 1, the units the
+    stepping kernels work in (``_plasma_units``)."""
+    if (params.n0, params.m, params.e, params.eps0, params.kB) != (1.0, 1.0, 1.0, 1.0, 1.0):
+        raise ConfigError(
+            "step, rhs and auto_dt take parameters in plasma units (n0 = m = e = eps0 = kB = 1, "
+            f"t in 1/omega_p); evolve maps any other parameters, got {params!r}")
+
+
 def _linear_operator(grid: Grid1D, params: PlasmaParams) -> np.ndarray:
     """Per-mode matrix L(k) of the hierarchy linearised about the uniform state.
 
-    The state is (n0, u = 0, p0 = n0 kB T0_par, Q = 0); rows and columns
-    follow ``FIELDS`` and the last axis runs over ``grid.k``, so the shape
-    is (4, 4, N/2 + 1).  L is zero at k = 0 and above the 2/3 cut, where
-    ``rhs`` keeps no linear term either.  Its eigenvalues are +-i omega(k)
+    In plasma units (``_require_plasma_units``) the state is (1, u = 0,
+    p0 = T0_par, Q = 0); rows and columns follow ``FIELDS`` and the last
+    axis runs over ``grid.k``, so the shape is (4, 4, N/2 + 1).  L is zero
+    at k = 0 and above the 2/3 cut, where ``rhs`` keeps no linear term
+    either.  Its eigenvalues are +-i omega(k)
     (``dispersion.general_omega_sq``) and +-gamma(k)
     (``dispersion.companion_growth_rate``).
     """
+    _require_plasma_units(params)
     k = np.where(grid.dealias_mask, grid.k, 0.0)
     ik = 1j * k
-    n0, m = params.n0, params.m
-    p0 = n0 * params.kB * params.T0_par
-    e_m, e_eps = params.e / m, params.e / params.eps0
+    p0 = params.T0_par
     L = np.zeros((len(FIELDS), len(FIELDS), len(k)), dtype=complex)
-    L[0, 1] = -n0 * ik
-    # (e/m) dphi/dx with dphi/dx = -i (e/eps0) n / k from the potential solve
-    L[1, 0] = -1j * e_m * e_eps * np.divide(1.0, k, out=np.zeros_like(k), where=k > 0.0)
-    L[1, 2] = -ik / (m * n0)
+    L[0, 1] = -ik
+    # dphi/dx = -i n / k from the potential solve
+    L[1, 0] = -1j * np.divide(1.0, k, out=np.zeros_like(k), where=k > 0.0)
+    L[1, 2] = -ik
     L[2, 1] = -3.0 * p0 * ik
     L[2, 3] = -ik
-    L[3, 0] = -e_m * (params.hbar * params.hbar) * n0 * e_eps * ik / (4.0 * m)
-    L[3, 2] = 3.0 * p0 * ik / (m * n0)
+    L[3, 0] = -(params.hbar * params.hbar) * ik / 4.0
+    L[3, 2] = 3.0 * p0 * ik
     return L
 
 
@@ -254,7 +310,7 @@ def _apply(op: np.ndarray, spec: np.ndarray) -> np.ndarray:
 
 # the products w_j D_l of w = (dn, u, dp, Q) and the rows' x derivatives D
 # that the nonlinear remainder is made of, as (j, l); the last two enter
-# over m n n0
+# over n
 _PAIRS = ((1, 0), (1, 1), (1, 2), (1, 3), (0, 1), (2, 1), (3, 1), (0, 0), (0, 2), (2, 2))
 
 
@@ -263,48 +319,34 @@ class _Remainder(NamedTuple):
 
     left: np.ndarray         # j of each pair in _PAIRS
     right: np.ndarray        # l of each pair
-    uniform: np.ndarray      # (10, N): row j of (n0, 0, p0, 0) for each pair
+    uniform: np.ndarray      # (10, N): row j of (1, 0, p0, 0) for each pair
     products: np.ndarray     # (4, 10): the rows of N from the pairs
-    m_n0: float
     ik: np.ndarray           # (4, N/2 + 1): i k on every row
     cut: int                 # first mode above the 2/3 rule
 
 
 @lru_cache(maxsize=1)
 def _remainder_coefficients(grid: Grid1D, params: PlasmaParams) -> _Remainder:
-    """The constants of ``_nonlinear``, built once per (grid, params).
-
-    Raises ``ConfigError`` when a coefficient is not finite (a parameter
-    scale whose products overflow or underflow, such as m^2 in the quantum
-    coefficient), so ``step`` and ``rhs`` refuse it before they form the
-    linear operator.
-    """
-    n0, m = params.n0, params.m
-    p0 = n0 * params.kB * params.T0_par
-    m_n0 = m * n0
-    denominator = 4.0 * (m * m) * params.eps0
-    quantum = ((params.e * params.e) * (params.hbar * params.hbar) / denominator
-               if denominator > 0.0 else math.inf)
-    # the rows of N as coefficients of the pairs; the terms over m n n0 are
-    # -dp/dx (1/(m n) - 1/(m n0)) and (3 p/(m n) - 3 p0/(m n0)) dp/dx, and the
-    # quantum term uses d3phi/dx3 = (e/eps0) dn/dx, exact given the potential
+    """The constants of ``_nonlinear``, built once per (grid, params) in plasma units."""
+    _require_plasma_units(params)
+    p0 = params.T0_par
+    quantum = params.hbar * params.hbar / 4.0
+    # the rows of N as coefficients of the pairs; the terms over n are
+    # -dp/dx (1/n - 1) and (3 p/n - 3 p0) dp/dx, and the quantum term uses
+    # d3phi/dx3 = dn/dx, exact given the potential
     rows = [
         {(1, 0): -1.0, (0, 1): -1.0},                    # -(u dn/dx + dn du/dx)
-        {(1, 1): -1.0, (0, 2): 1.0},                     # -u du/dx + dn dp/dx / (m n n0)
+        {(1, 1): -1.0, (0, 2): 1.0},                     # -u du/dx + dn dp/dx / n
         {(1, 2): -1.0, (2, 1): -3.0},                    # -(u dp/dx + 3 dp du/dx)
         {(1, 3): -1.0, (3, 1): -4.0, (0, 0): -quantum,   # -(u dQ/dx + 4 Q du/dx + quantum dn dn/dx)
-         (0, 2): -3.0 * p0, (2, 2): 3.0 * n0},           # + 3 (n0 dp - p0 dn) dp/dx / (m n n0)
+         (0, 2): -3.0 * p0, (2, 2): 3.0},                # + 3 (dp - p0 dn) dp/dx / n
     ]
     products = np.array([[row.get(pair, 0.0) for pair in _PAIRS] for row in rows])
-    if not (np.isfinite(products).all() and m_n0 > 0.0):
-        raise ConfigError(
-            f"parameters give a non-finite coefficient of the nonlinear terms: m n0 = {m_n0!r}, "
-            f"p0 = {p0!r}, e^2 hbar^2 / (4 m^2 eps0) = {quantum!r}")
     left, right = np.array(_PAIRS).T
     return _Remainder(
         left=left, right=right,
-        uniform=np.repeat(np.array([n0, 0.0, p0, 0.0])[left, None], grid.n_points, axis=1),
-        products=products, m_n0=m_n0,
+        uniform=np.repeat(np.array([1.0, 0.0, p0, 0.0])[left, None], grid.n_points, axis=1),
+        products=products,
         ik=np.repeat(1j * grid.k[None, :], len(FIELDS), axis=0),
         cut=int(np.count_nonzero(grid.dealias_mask)))
 
@@ -313,16 +355,16 @@ def _nonlinear(fields: np.ndarray, derivatives: np.ndarray, c: _Remainder,
                scale: float = 1.0) -> np.ndarray:
     """scale N(y): spectrum of the nonlinear remainder, rhs - L y, dealiased by the 2/3 rule.
 
-    Every term is a product w_j D_l of w = fields - (n0, 0, p0, 0) =
+    Every term is a product w_j D_l of w = fields - (1, 0, p0, 0) =
     (dn, u, dp, Q) and the rows' x derivatives D (``_PAIRS``), two of them
-    over m n n0.  One constant (4, 10) matrix (``_remainder_coefficients``,
+    over n.  One constant (4, 10) matrix (``_remainder_coefficients``,
     which writes the terms out) takes the ten products to the four rows;
     one rfft of the four rows.
     """
     pairs = fields.take(c.left, axis=0)
     pairs -= c.uniform
     pairs *= derivatives.take(c.right, axis=0)
-    pairs[-2:] /= c.m_n0 * fields[0]
+    pairs[-2:] /= fields[0]
     spec = np.fft.rfft((scale * c.products) @ pairs)
     spec[:, c.cut:] = 0.0
     return spec
@@ -331,11 +373,14 @@ def _nonlinear(fields: np.ndarray, derivatives: np.ndarray, c: _Remainder,
 def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     """Eulerian time derivatives as a (4, N) array, rows (dn/dt, du/dt, dp/dt, dQ/dt).
 
-    The sum L y + N(y) of the linear part about the uniform state
-    (``_linear_operator``) and the nonlinear remainder (``_nonlinear``),
-    the same split that ``step`` integrates.  The potential is re-solved
-    from the current density.  The result is dealiased by the 2/3 rule so
-    band-limited states stay band-limited.  ``state.check()`` runs first.
+    In plasma units, like ``step``: ``params`` has n0 = m = e = eps0 =
+    kB = 1 (else ``ConfigError``), t is in 1/omega_p, and the state and the
+    result are in those units.  The sum L y + N(y) of the linear part about
+    the uniform state (``_linear_operator``) and the nonlinear remainder
+    (``_nonlinear``), the same split that ``step`` integrates.  The
+    potential is re-solved from the current density.  The result is
+    dealiased by the 2/3 rule so band-limited states stay band-limited.
+    ``state.check()`` runs first.
     """
     state.check()
     remainder = _nonlinear(state.fields, state.derivatives,
@@ -376,7 +421,12 @@ class SpectralDamping:
         if protect_modes < 0:
             raise ConfigError(f"protected band must be >= 0 modes, got {protect_modes!r}")
         k = grid.k
-        rates = dispersion.companion_growth_rate(k, params) + _MARGIN * params.omega_p
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rates = dispersion.companion_growth_rate(k, params) + _MARGIN * params.omega_p
+        if not np.isfinite(rates).all():
+            raise ConfigError(f"companion growth rate is not finite at k = "
+                              f"{float(k[~np.isfinite(rates)][0])!r} on a "
+                              f"{grid.n_points}-point grid")
         rates[k <= protect_modes * grid.k_fundamental + 1e-12 * grid.k_fundamental] = 0.0
         return cls(rates=rates)
 
@@ -442,36 +492,46 @@ def _stage(spec: np.ndarray, t: float, scale: float, grid: Grid1D, c: _Remainder
 
 
 def _remainder_speed(state: FluidState1D, params: PlasmaParams) -> float:
-    """max(|u| + |c - c0|) with c = sqrt(3 p / (m n)) and c0 = sqrt(3 p0 / (m n0)),
-    p0 = n0 kB T0_par."""
-    p0 = params.n0 * params.kB * params.T0_par
-    c0 = math.sqrt(3.0 * p0 / (params.m * params.n0))
-    c = np.sqrt(np.maximum(3.0 * state.p / (params.m * state.n), 0.0))
+    """max(|u| + |c - c0|) with c = sqrt(3 p / n) and c0 = sqrt(3 p0), p0 = T0_par,
+    in plasma units."""
+    _require_plasma_units(params)
+    c0 = math.sqrt(3.0 * params.T0_par)
+    c = np.sqrt(np.maximum(3.0 * state.p / state.n, 0.0))
     return float(np.max(np.abs(state.u) + np.abs(c - c0)))
 
 
 def auto_dt(state: FluidState1D, params: PlasmaParams) -> float:
     """Largest step ``step`` accepts: the advective and plasma-period bounds.
 
-    dt <= 0.4 dx / max(|u| + |c - c0|) and dt <= 0.4 / omega_p, with the
-    local sound speed c = sqrt(3 p / (m n)) and its uniform value
-    c0 = sqrt(3 p0 / (m n0)), p0 = n0 kB T0_par.  ``step`` carries the
-    linear propagation at c0 and the linear oscillations, however fast at
-    high k, exactly, so they set no bound: only the flow and the departure
-    of c from c0, the speeds of the nonlinear remainder, do.  At
-    T0_par = 0 this is the full speed |u| + c.
+    In plasma units, like ``step`` (``ConfigError`` for other
+    parameters): dt <= 0.4 dx / max(|u| + |c - c0|) and dt <= 0.4, a
+    fraction of 1/omega_p, with the local sound speed c = sqrt(3 p / n)
+    and its uniform value c0 = sqrt(3 p0), p0 = T0_par.  ``step``
+    carries the linear propagation at c0 and the linear oscillations,
+    however fast at high k, exactly, so they set no bound: only the flow
+    and the departure of c from c0, the speeds of the nonlinear
+    remainder, do.  At T0_par = 0 this is the full speed |u| + c.
     """
     speed = _remainder_speed(state, params)
     dt_adv = _SAFETY * state.grid.dx / speed if speed > 0 else math.inf
-    return min(dt_adv, _SAFETY / params.omega_p)
+    return min(dt_adv, _SAFETY)
+
+
+def _cfl_error(dt: float, limit: float) -> CFLViolationError:
+    """``step``'s rejection of ``dt`` above the bound ``limit``, which it suggests."""
+    return CFLViolationError(f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
+                             f"suggested dt = {limit:.6g}", suggested_dt=limit)
 
 
 def step(state: FluidState1D, dt: float, params: PlasmaParams,
          damping: SpectralDamping | None = None) -> FluidState1D:
     """Advance one Lawson (integrating-factor) RK4 step on the spectrum.
 
-    With E = exp((L - rate P) dt/2) from ``_half_step_exponential`` and the
-    nonlinear remainder N (``_nonlinear``, Poisson re-solved per stage):
+    Every argument is in plasma units: ``params`` has n0 = m = e = eps0 =
+    kB = 1, and t, ``dt`` and the damping rates are in 1/omega_p
+    (``evolve`` maps a run into them).  With E = exp((L - rate P) dt/2)
+    from ``_half_step_exponential`` and the nonlinear remainder N
+    (``_nonlinear``, Poisson re-solved per stage):
 
         k1 = N(y)
         k2 = N(E (y + dt/2 k1))
@@ -491,13 +551,11 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
 
     Raises ``CFLViolationError`` (with a suggested dt) when the requested
     step exceeds ``auto_dt`` for the current state, and ``ConfigError``
-    when a coefficient of N is not finite (``_remainder_coefficients``).
+    for parameters that are not in plasma units.
     """
     limit = auto_dt(state, params)
     if dt > limit * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.6g} exceeds stability bound {limit:.6g}; "
-            f"suggested dt = {limit:.6g}", suggested_dt=limit)
+        raise _cfl_error(dt, limit)
 
     g, t = state.grid, state.t
     c = _remainder_coefficients(g, params)
@@ -559,6 +617,15 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
            steepening_limit: float | None = None) -> FluidRun:
     """March to t_end recording probe series.
 
+    Everything ``evolve`` takes and returns is in the caller's units.  It
+    maps the run once to plasma units (``_plasma_units``: n0 = m = e =
+    eps0 = kB = 1, t in 1/omega_p, the length unit kept): the initial
+    state's rows over their scales, t_end and a given ``dt`` times omega_p,
+    the damping rates over omega_p.  It steps there, and maps the
+    ``FluidRun`` (t, dt, the probe coefficients, mass, the final state),
+    the numbers in its own errors and a suggested dt back.  A vacuum or
+    non-finite error raised inside a step names its t in 1/omega_p.
+
     ``probe_mode`` selects which Fourier mode's complex coefficient is
     recorded for each field (normalized so a cos profile of amplitude A
     gives coefficient A).  ``steepening_limit`` (units of omega_p) halts
@@ -581,7 +648,8 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
     sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
-    or finite and > 0 and the run takes at most 2**20 steps, and
+    or finite and > 0, the parameters have plasma units
+    (``_plasma_units``) and the run takes at most 2**20 steps, and
     ``NumericalError`` (``FluidState1D.check``) for an initial state that
     is not finite or has n <= 0.
     """
@@ -598,29 +666,40 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if steepening_limit is not None and not 0.0 < steepening_limit < math.inf:
         raise ConfigError(
             f"steepening limit must be positive and finite, got {steepening_limit!r}")
+    unit, scales = _plasma_units(params)
+    wp, rows = scales[1], np.array(scales)[:, None]
     state.check()
+    with np.errstate(over="ignore"):
+        fields, spectrum, derivatives = (a / rows for a in
+                                         (state.fields, state.spectrum, state.derivatives))
+    if not all(np.isfinite(a).all() for a in (fields, spectrum, derivatives)):
+        raise ConfigError(f"the initial state is not finite in plasma units, "
+                          f"with row scales (n, u, p, Q) = {scales!r}")
+    state = FluidState1D(g, fields, state.t * wp, spectrum, derivatives)
+    if damping is not None:
+        damping = SpectralDamping(damping.rates / wp)
     if dt is None:
-        limit = auto_dt(state, params)
-        dt_bound = "plasma" if limit == _SAFETY / params.omega_p else "advective"
+        limit = auto_dt(state, unit)
+        dt_bound = "plasma" if limit == _SAFETY else "advective"
         # stay below the instantaneous bound so mild nonlinear drift of
         # the state does not trip the per-step CFL check
         dt, cap = 0.75 * limit, _MAX_STEPS
     else:
-        dt_bound, cap = "user", 0  # a given dt never halves
-    left = _step_count(t_end, dt)
+        dt, dt_bound, cap = dt * wp, "user", 0  # a given dt never halves
+    left = _step_count(t_end * wp, dt)
     if left > _MAX_STEPS:
-        raise ConfigError(f"a run of length {t_end!r} at dt = {dt!r} needs more than "
+        raise ConfigError(f"a run of length {t_end!r} at dt = {dt / wp!r} needs more than "
                           f"the {_MAX_STEPS}-step limit")
-    dt = t_end / left
+    dt = t_end * wp / left
 
-    norm = 2.0 / g.n_points
+    norms = [2.0 / g.n_points * s for s in scales]
     times, mass = [], []
     coeffs: dict[str, list[complex]] = {f: [] for f in FIELDS}
 
     def record(s: FluidState1D):
         times.append(s.t)
         mass.append(float(s.fields[0].sum() / g.n_points))  # bitwise np.mean(s.n)
-        for name, c in zip(FIELDS, s.spectrum[:, probe_mode].tolist()):
+        for name, c, norm in zip(FIELDS, s.spectrum[:, probe_mode].tolist(), norms):
             coeffs[name].append(c * norm)
 
     record(state)
@@ -628,54 +707,69 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     stride, since, taken, halvings = sample_every, 0, 0, 0
     while left:
         try:
-            state = step(state, dt, params, damping=damping)
+            state = step(state, dt, unit, damping=damping)
         except CFLViolationError as exc:
             if taken + 2 * left > cap:
                 if not taken:
-                    raise
+                    raise _cfl_error(dt / wp, exc.suggested_dt / wp) from None
                 raise CFLViolationError(
-                    f"dt = {dt:.6g} exceeds stability bound {exc.suggested_dt:.6g} "
-                    f"at t = {state.t:.6g}: max(|u| + |c - c0|) grew from "
-                    f"{_remainder_speed(initial, params):.6g} at t = {initial.t:.6g} "
-                    f"to {_remainder_speed(state, params):.6g}; the wave is steepening or growing",
-                    suggested_dt=None) from None
+                    f"dt = {dt / wp:.6g} exceeds stability bound {exc.suggested_dt / wp:.6g} "
+                    f"at t = {state.t / wp:.6g}: max(|u| + |c - c0|) grew from "
+                    f"{_remainder_speed(initial, unit) * wp:.6g} at t = {initial.t / wp:.6g} "
+                    f"to {_remainder_speed(state, unit) * wp:.6g}; "
+                    f"the wave is steepening or growing", suggested_dt=None) from None
             dt, left, stride, since = 0.5 * dt, 2 * left, 2 * stride, 2 * since
             halvings += 1
             continue
+        except NumericalError as exc:
+            if wp != 1.0:
+                exc.args = (f"{exc} (t in units of 1/omega_p, omega_p = {wp:.6g})",)
+            raise
         left, since, taken = left - 1, since + 1, taken + 1
         if steepening_limit is not None:
-            if float(np.max(np.abs(state.derivatives[1]))) > steepening_limit * params.omega_p:
+            if float(np.max(np.abs(state.derivatives[1]))) > steepening_limit:
                 raise SteepeningError(
                     f"velocity gradient exceeded {steepening_limit} omega_p "
-                    f"at t = {state.t:.6g}; smooth-wave regime left")
+                    f"at t = {state.t / wp:.6g}; smooth-wave regime left")
         if since == stride or not left:
             record(state)
             since = 0
 
     return FluidRun(
-        t=np.asarray(times),
+        t=np.asarray(times) / wp,
         mode={k: np.asarray(v) for k, v in coeffs.items()},
-        mass=np.asarray(mass), final=state, n_steps=taken, dt=dt, dt_bound=dt_bound,
-        n_halvings=halvings)
+        mass=np.asarray(mass) * scales[0],
+        final=FluidState1D(g, state.fields * rows, state.t / wp, state.spectrum * rows,
+                           state.derivatives * rows),
+        n_steps=taken, dt=dt / wp, dt_bound=dt_bound, n_halvings=halvings)
 
 
 def uniform_state(grid: Grid1D, params: PlasmaParams,
                   p0: float | None = None) -> FluidState1D:
     """Spatially uniform equilibrium (an exact fixed point of the dynamics)."""
+    return FluidState1D(grid, _uniform_fields(grid, params, p0))
+
+
+def _uniform_fields(grid: Grid1D, params: PlasmaParams, p0: float | None = None) -> np.ndarray:
+    """The (4, N) rows (n0, 0, p0, 0), p0 = n0 kB T0_par unless given."""
     if p0 is None:
         p0 = params.n0 * params.kB * params.T0_par
-    return FluidState1D(grid, np.full((len(FIELDS), grid.n_points),
-                                      [[params.n0], [0.0], [p0], [0.0]]))
+    return np.full((len(FIELDS), grid.n_points), [[params.n0], [0.0], [p0], [0.0]])
 
 
-def _initial_state(grid: Grid1D, fields: np.ndarray, amplitude: float) -> FluidState1D:
-    """``FluidState1D`` of ``fields``, or ``ConfigError`` when their spectrum is
-    not finite (a non-finite field makes its mean non-finite)."""
+def _initial_state(grid: Grid1D, uniform: np.ndarray, perturbation: np.ndarray,
+                   amplitude: float, params: PlasmaParams) -> FluidState1D:
+    """``FluidState1D`` of ``uniform + perturbation``, or ``ConfigError`` naming
+    the first row whose values or spectrum are not finite (a non-finite
+    field makes its mean non-finite), and the parameters."""
     with np.errstate(over="ignore", invalid="ignore"):
+        fields = uniform + perturbation
         spectrum = np.fft.rfft(fields)
-    if not np.isfinite(spectrum).all():
-        raise ConfigError(f"perturbation amplitude {amplitude!r} makes the initial fields "
-                          "or their spectrum overflow")
+    finite = np.isfinite(spectrum).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"perturbation amplitude {amplitude!r} makes the initial "
+                          f"{FIELDS[int(np.argmin(finite))]} row or its spectrum overflow "
+                          f"at {params}")
     return FluidState1D(grid, fields, spectrum=spectrum)
 
 
@@ -693,22 +787,20 @@ def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: fl
         raise ConfigError("mode number must be >= 1")
     if not math.isfinite(amplitude):
         raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
-    base = uniform_state(grid, params).fields
     profile = np.cos(mode * grid.k_fundamental * grid.x)
-    rows = list(base)
+    perturbation = np.zeros((len(FIELDS), grid.n_points))
     for name in fields:
         if name not in FIELDS:
             raise ConfigError(f"unknown field {name!r} in perturbation spec")
-        i = FIELDS.index(name)
         scale = params.n0 if name in ("n", "p") else 1.0
-        rows[i] = base[i] + amplitude * scale * profile
-    return _initial_state(grid, np.array(rows), amplitude)
+        perturbation[FIELDS.index(name)] = amplitude * scale * profile
+    return _initial_state(grid, _uniform_fields(grid, params), perturbation, amplitude, params)
 
 
 def mode_frequency(grid: Grid1D, params: PlasmaParams, mode: int) -> float:
     """omega of the general relation at k = mode * 2pi/L; ``ConfigError``
     when it is not finite (a domain too short for the mode)."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         om = math.sqrt(float(dispersion.general_omega_sq(mode * grid.k_fundamental, params)))
     if not math.isfinite(om):
         raise ConfigError(f"predicted omega at mode {mode} is not finite ({om!r}) "
@@ -746,9 +838,8 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
     p1 = params.m * params.n0 * (om * om - wp * wp) * u1 / (om * k)
     Q1 = (om * p1 - 3.0 * p0 * k * u1) / k
 
-    uniform = uniform_state(grid, params, p0).fields
-    return _initial_state(grid, uniform + np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)),
-                          amplitude)
+    return _initial_state(grid, _uniform_fields(grid, params, p0),
+                          np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)), amplitude, params)
 
 
 def measure_frequency(t: np.ndarray, y: np.ndarray,

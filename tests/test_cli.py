@@ -598,16 +598,21 @@ def config_file(draw):
 @given(text=config_file())
 @example(text=b"preset = nondim\ne = 1e200")
 @example(text=b"preset = nondim\nm = 1e200")
+@example(text=b"preset = nondim\nm = 1e308")
+@example(text=b"preset = nondim\nm = 1e250")
+@example(text=b"preset = nondim\nn0 = 1e200")
+@example(text=b"preset = nondim\nn0 = 1e-200")
 def test_config_file_fuzz_exits_with_a_documented_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plasma.cfg"
         path.write_bytes(text)
         assert_documented_exit(["dispersion", "--relation", "all", "--config", str(path)])
+        assert_documented_exit(["fluid", "--grid", "16", "--periods", "0.2", "--config", str(path)])
 
 
 def test_heavy_particle_config_runs_the_fluid(tmp_path, capsys, recwarn):
-    # m^2 = 1e400 overflows a float: squared as m * m it is inf, and the
-    # quantum coefficient e^2 hbar^2 / (4 m^2 eps0) is 0, not an OverflowError
+    # m^2 = 1e400 overflows a float, but the run steps in plasma units,
+    # where m = 1e200 is hbar/(m omega_p) = 1e-100 and no parameter is squared
     (tmp_path / "heavy.cfg").write_text("preset = nondim\nm = 1e200\n")
     assert run(tmp_path, ["fluid", "--config", "heavy.cfg", "-o", "heavy.csv"]) == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -615,14 +620,14 @@ def test_heavy_particle_config_runs_the_fluid(tmp_path, capsys, recwarn):
     assert (tmp_path / "heavy.csv").exists()
 
 
-def test_light_particle_config_exits_2_before_the_fluid_steps(tmp_path, capsys, recwarn):
-    # m^2 = 1e-400 underflows to 0, so the quantum coefficient
-    # e^2 hbar^2 / (4 m^2 eps0) is not finite: refused before the linear
-    # operator (whose entries would overflow) is formed
+def test_light_particle_config_exits_3_on_the_steepening_limit(tmp_path, capsys, recwarn):
+    # in plasma units m = 1e-200 is hbar/(m omega_p) = 1e100: the mode
+    # oscillates at ~7e49 omega_p, so its velocity gradient passes the
+    # default --steepening-limit of 100 omega_p at the first step
     (tmp_path / "light.cfg").write_text("preset = nondim\nm = 1e-200\n")
-    assert run(tmp_path, ["fluid", "--config", "light.cfg", "-o", "light.csv"]) == 2
+    assert run(tmp_path, ["fluid", "--config", "light.cfg", "-o", "light.csv"]) == 3
     err = capsys.readouterr().err
-    assert "non-finite coefficient of the nonlinear terms" in err and "Traceback" not in err
+    assert "velocity gradient exceeded 100.0 omega_p" in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "light.csv").exists()
 
@@ -707,6 +712,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["tw", "threshold", "--h-lo", "3", "--h-hi", "0.5"],
     ["tw", "run", "--samples", "100000000000"],
     ["fluid", "--ic", "perturb", "--mode", "0", "--periods", "1", "--snapshot", "s.csv"],
+    ["fluid", "--grid", "16", "--tpar", "1e300", "--periods", "0.2"],
+    ["fluid", "--grid", "16", "--tpar", "1e300", "--amplitude", "1e-30", "--periods", "0.2"],
 ], ids=" ".join)
 def test_bad_run_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert run(tmp_path, argv + ["-o", "out.csv"]) == 2

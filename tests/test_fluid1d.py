@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -690,6 +691,87 @@ def test_evolve_is_deterministic():
     assert np.array_equal(r1.final.n, r2.final.n)
 
 
+def scaled_run(T0_par, hbar, mode, c):
+    """``evolve`` of the mode's eigenmode (N = 64, amplitude 1e-3) under
+    nondimensional(n0=c^2, hbar=c hbar, T0_par=c^2 T0_par), whose omega_p
+    is c, over two periods of the c = 1 run divided by c."""
+    g = grid(64)
+    omega = math.sqrt(dispersion.general_omega_sq(
+        mode * g.k_fundamental, nondimensional(hbar=hbar, T0_par=T0_par)))
+    p = nondimensional(n0=c * c, hbar=c * hbar, T0_par=c * c * T0_par)
+    return evolve(eigenmode_state(g, p, mode, 1e-3), p, 2.0 * 2.0 * math.pi / omega / c,
+                  damping=SpectralDamping.tailored(g, p), probe_mode=mode)
+
+
+@pytest.mark.parametrize("regime", REGIMES, ids=["classical", "mixed", "quantum"])
+def test_scaled_parameters_give_the_scaled_run(regime):
+    # with t in 1/omega_p the hierarchy sees the parameters only through
+    # hbar/(m omega_p) and kB T0_par/(m omega_p^2), so the run at omega_p = c
+    # is the c = 1 run with t over c and (n, u, p, Q) times (c^2, c, c^4, c^5).
+    # At c = 2 every scale is a power of two and the runs agree bitwise.  At
+    # c = 3 the initial state rounds; measured: the probes within 9.14e-14
+    # of each field's largest probe coefficient (at the first sample), the
+    # final fields within 1.82e-13 of each row's largest value, and t within
+    # 1.43e-16 of the span.
+    T0_par, hbar, mode, _ = regime
+    base = scaled_run(T0_par, hbar, mode, 1)
+    for c, probe_bound, final_bound, t_bound in ((2, 0.0, 0.0, 0.0),
+                                                 (3, 9.2e-14, 1.9e-13, 1.5e-16)):
+        run = scaled_run(T0_par, hbar, mode, c)
+        assert run.n_steps == base.n_steps
+        assert np.max(np.abs(run.t * c - base.t)) <= t_bound * base.t[-1]
+        for row, (name, s) in enumerate(zip(FIELDS, (c**2, c, c**4, c**5))):
+            probe, final = base.mode[name], base.final.fields[row]
+            assert (np.max(np.abs(run.mode[name] / s - probe))
+                    <= probe_bound * np.max(np.abs(probe))), (c, name)
+            assert (np.max(np.abs(run.final.fields[row] / s - final))
+                    <= final_bound * np.max(np.abs(final))), (c, name)
+
+
+def test_evolve_reports_in_the_callers_units():
+    # at omega_p = 2 (n0 = 4, the same hbar' and T') each failing run is the
+    # omega_p = 1 run with t and dt halved and speeds doubled: evolve's own
+    # messages and a suggested dt are in the caller's units, and a vacuum
+    # found inside a step names its t in 1/omega_p
+    g = grid(64)
+
+    def failures(c):
+        p = nondimensional(n0=c * c, hbar=0.5 * c, T0_par=0.1 * c * c)
+        wave = eigenmode_state(g, p, 1, 0.3)
+        damping = SpectralDamping.tailored(g, p)
+        runs = [dict(t_end=1.0 / c, dt=0.9 / c), dict(t_end=20.0 / c, dt=0.05 / c, damping=damping),
+                dict(t_end=4.0 / c, damping=damping, steepening_limit=1.0),
+                dict(t_end=20.0 / c, damping=damping)]
+        out = []
+        for kwargs in runs:
+            with pytest.raises(NumericalError) as err:
+                evolve(wave, p, **kwargs)
+            out.append(err.value)
+        return out
+
+    def numbers(exc):
+        return [float(x) for x in re.findall(r"(?<![\w.])\d+(?:\.\d*)?(?:e[-+]?\d+)?", str(exc))]
+
+    one, two = failures(1), failures(2)
+    assert two[0].suggested_dt == one[0].suggested_dt / 2.0
+    assert two[1].suggested_dt is None and "steepening or growing" in str(two[1])
+    assert isinstance(two[2], SteepeningError) and isinstance(two[3], VacuumError)
+    # dt, bound, suggested dt; dt, bound, t, speed, t, speed; limit, t
+    for a, b, factors in zip(one, two, ([0.5] * 3, [0.5, 0.5, 0.5, 2.0, 0.5, 2.0], [1.0, 0.5])):
+        assert numbers(b) == pytest.approx([x * f for x, f in zip(numbers(a), factors)], rel=1e-5)
+        assert len(numbers(b)) == len(factors)
+    assert str(two[3]) == f"{one[3]} (t in units of 1/omega_p, omega_p = 2)"
+
+
+def test_step_rhs_and_auto_dt_take_plasma_units_only():
+    g = grid(16)
+    p = nondimensional(n0=4.0)
+    state = uniform_state(g, p)
+    for call in (lambda: rhs(state, p), lambda: auto_dt(state, p), lambda: step(state, 0.01, p)):
+        with pytest.raises(ConfigError, match="plasma units"):
+            call()
+
+
 # ---------------------------------------------------------------- damping
 
 def test_tailored_damping_protects_low_modes():
@@ -786,6 +868,10 @@ def test_initial_states_reject_an_amplitude_that_overflows(recwarn):
     for fields, n0 in ((("n",), 4.0), (("u",), 1.0)):
         with pytest.raises(ConfigError, match=r"amplitude 1e\+308"):
             perturbed_state(g, nondimensional(n0=n0), mode=1, amplitude=1e308, fields=fields)
+    # the 3 p0 k u1 term of Q1 overflows at any amplitude: the message names
+    # the row and the parameters
+    with pytest.raises(ConfigError, match=r"amplitude 1e-30 .* initial Q row .*T0_par=1e\+300"):
+        eigenmode_state(g, nondimensional(T0_par=1e300), 1, 1e-30)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
