@@ -14,16 +14,15 @@ in the zero-mean gauge.  The third potential derivative is evaluated as
 (e/eps0) dn/dx, which is exact given Poisson's equation and avoids
 triple differentiation.
 
-Units: ``evolve`` takes and returns the caller's units and steps in
-plasma units (``_plasma_units``): n0 = m = e = eps0 = kB = 1, time in
-1/omega_p, the length unit kept.  There the system keeps two parameters,
-hbar' = hbar / (m omega_p) and T' = kB T0_par / (m omega_p^2), and the
-rows (n, u, p, Q) are the caller's over (n0, omega_p, e^2 n0^2 / eps0,
-e^2 n0^2 omega_p / eps0).  ``step``, ``rhs`` and ``auto_dt`` take
-parameters, states, times and damping rates in plasma units, and the
-kernels under them read only hbar' and T'; ``solve_poisson``,
-``SpectralDamping.tailored``, ``mode_frequency`` and the state builders
-take the caller's units.
+Units: the module computes in plasma units (``_plasma_units``): n0 = m =
+e = eps0 = kB = 1, time in 1/omega_p, the length unit kept.  There the
+system keeps two parameters, hbar' = hbar / (m omega_p) and T' =
+kB T0_par / (m omega_p^2), and the rows (n, u, p, Q) are the caller's over
+(n0, omega_p, e^2 n0^2 / eps0, e^2 n0^2 omega_p / eps0).  ``evolve``, the
+state builders, ``mode_frequency`` and ``SpectralDamping.tailored`` take
+and return the caller's units: each maps the parameters there once and
+scales its result back once.  ``step``, ``rhs`` and ``auto_dt`` require
+everything in plasma units; ``solve_poisson`` takes the caller's units.
 
 Every spatial derivative is Fourier pseudo-spectral, irfft(i k rfft(f)),
 and quadratic products are dealiased by the 2/3 rule.
@@ -60,20 +59,19 @@ check in ``evolve`` read the state's arrays and make no transform.
 the kernel's coefficients once per (grid, params)
 (``_remainder_coefficients``).
 
-``evolve`` rejects a run length, time step, sample interval, probe mode
-or steepening limit outside its domain, a run of more than 2**20 steps,
-and parameters without plasma units: a row scale that is not finite and
-positive, or an hbar'^2 or 3 T' that is not finite (n0 = 1e200 squares
-the pressure scale to inf).  That scale check in ``_plasma_units`` is
-the one check of the parameters on the stepping path; ``step``, ``rhs``
-and ``auto_dt`` refuse parameters that are not in plasma units.
-``SpectralDamping.tailored`` rejects a negative protected band or a
-growth rate that is not finite, ``eigenmode_state`` a mode whose
-predicted frequency is not finite, the state builders a field that
-overflows (naming its row), and ``Grid1D`` a length outside (0, inf),
-all with ``ConfigError`` (CLI exit 2) before any step.  m = 1e-200 has
-plasma units (hbar' = 1e100): its mode 1 oscillates at ~7e49 omega_p, and
-``qfluid fluid`` stops on its steepening limit (exit 3).
+One scale check, in ``_plasma_units``, refuses parameters without plasma
+units on a grid: a row scale that is not finite and positive (n0 = 1e200
+squares the pressure scale to inf), an hbar'^2 or 3 T' that is not
+finite, or an omega'^2 that is not finite at the grid's top wavenumber.
+``evolve`` also rejects a run length, time step, sample interval, probe
+mode or steepening limit outside its domain and a run of more than 2**20
+steps, ``mode_frequency`` and the state builders a mode outside [1, the
+last mode the 2/3 rule keeps], the builders a non-finite amplitude or a
+row that overflows, ``tailored`` a negative protected band and ``Grid1D``
+a length outside (0, inf), all with ``ConfigError`` (CLI exit 2) before
+any step.  m = 1e-200 has plasma units (hbar' = 1e100): its mode 1
+oscillates at ~7e49 omega_p, so ``qfluid fluid`` stops on its steepening
+limit (exit 3).
 
 Stability note: at every wavenumber the closure has a non-oscillatory
 companion pair +-gamma(k), growing faster with k
@@ -110,7 +108,6 @@ __all__ = [
     "step",
     "evolve",
     "FluidRun",
-    "uniform_state",
     "perturbed_state",
     "mode_frequency",
     "eigenmode_state",
@@ -238,7 +235,8 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams) -> np.ndarr
     return np.fft.irfft(phi_spec, n=grid.n_points)
 
 
-def _plasma_units(params: PlasmaParams) -> tuple[PlasmaParams, tuple[float, float, float, float]]:
+def _plasma_units(params: PlasmaParams,
+                  grid: Grid1D) -> tuple[PlasmaParams, tuple[float, float, float, float]]:
     """``params`` in plasma units, and the scales of the rows (n, u, p, Q).
 
     Plasma units set n0 = m = e = eps0 = kB = 1 and measure time in
@@ -248,9 +246,11 @@ def _plasma_units(params: PlasmaParams) -> tuple[PlasmaParams, tuple[float, floa
     A row in the caller's units is its scale, (n0, omega_p, e^2 n0^2 / eps0,
     e^2 n0^2 omega_p / eps0), times the row in plasma units.
 
-    The one check of the parameters on the stepping path: raises
-    ``ConfigError`` when a scale is not finite and positive, or when hbar'^2
-    or 3 T', the coefficients of the remainder, is not finite.
+    The one check of the parameters in this module: raises ``ConfigError``
+    when a scale is not finite and positive, when hbar'^2 or 3 T', the
+    coefficients of the remainder, is not finite, or when omega'^2 is not
+    finite at ``grid.k[-1]``.  omega'^2 grows with k, so that bounds
+    tau + eta, gamma', omega'^2 + gamma'^2 and the half-step exponential.
     """
     wp = params.omega_p
     en = params.e * params.n0
@@ -264,7 +264,15 @@ def _plasma_units(params: PlasmaParams) -> tuple[PlasmaParams, tuple[float, floa
             f"e^2 n0^2 omega_p/eps0) = {scales!r} must be finite and positive, and "
             f"hbar/(m omega_p) = {hbar!r} and kB T0_par/(m omega_p^2) = {T0_par!r} "
             f"must be finite when squared and tripled")
-    return nondimensional(hbar=hbar, T0_par=T0_par), scales
+    unit = nondimensional(hbar=hbar, T0_par=T0_par)
+    k = float(grid.k[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(dispersion.general_omega_sq(k, unit))
+    if not math.isfinite(top):
+        raise ConfigError(
+            f"omega^2 in plasma units is not finite at k = {k!r}, the top wavenumber of "
+            f"{grid.n_points} points on a domain of length {grid.length!r}")
+    return unit, scales
 
 
 def _require_plasma_units(params: PlasmaParams) -> None:
@@ -414,19 +422,16 @@ class SpectralDamping:
 
         Every mode above ``protect_modes`` gets its own growth rate plus
         2 omega_p, so its companion pair decays at 2 omega_p or faster;
-        modes 0..protect_modes keep rate 0.  Raises ``ConfigError`` when
-        ``protect_modes`` is negative: mode 0 (the mean density) must not
-        be damped.
+        modes 0..protect_modes keep rate 0.  The rates are (gamma' + 2)
+        omega_p, with gamma' in plasma units (``_plasma_units``, whose scale
+        check raises ``ConfigError``).  A negative ``protect_modes`` raises
+        ``ConfigError`` too: mode 0 (the mean density) must not be damped.
         """
         if protect_modes < 0:
             raise ConfigError(f"protected band must be >= 0 modes, got {protect_modes!r}")
+        unit, scales = _plasma_units(params, grid)
         k = grid.k
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rates = dispersion.companion_growth_rate(k, params) + _MARGIN * params.omega_p
-        if not np.isfinite(rates).all():
-            raise ConfigError(f"companion growth rate is not finite at k = "
-                              f"{float(k[~np.isfinite(rates)][0])!r} on a "
-                              f"{grid.n_points}-point grid")
+        rates = (dispersion.companion_growth_rate(k, unit) + _MARGIN) * scales[1]
         rates[k <= protect_modes * grid.k_fundamental + 1e-12 * grid.k_fundamental] = 0.0
         return cls(rates=rates)
 
@@ -648,8 +653,8 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
     sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
-    or finite and > 0, the parameters have plasma units
-    (``_plasma_units``) and the run takes at most 2**20 steps, and
+    or finite and > 0, the parameters pass the scale check on the state's
+    grid (``_plasma_units``) and the run takes at most 2**20 steps, and
     ``NumericalError`` (``FluidState1D.check``) for an initial state that
     is not finite or has n <= 0.
     """
@@ -666,7 +671,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if steepening_limit is not None and not 0.0 < steepening_limit < math.inf:
         raise ConfigError(
             f"steepening limit must be positive and finite, got {steepening_limit!r}")
-    unit, scales = _plasma_units(params)
+    unit, scales = _plasma_units(params, g)
     wp, rows = scales[1], np.array(scales)[:, None]
     state.check()
     with np.errstate(over="ignore"):
@@ -744,26 +749,34 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
         n_steps=taken, dt=dt / wp, dt_bound=dt_bound, n_halvings=halvings)
 
 
-def uniform_state(grid: Grid1D, params: PlasmaParams,
-                  p0: float | None = None) -> FluidState1D:
-    """Spatially uniform equilibrium (an exact fixed point of the dynamics)."""
-    return FluidState1D(grid, _uniform_fields(grid, params, p0))
+def _mode_units(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: float = 0.0
+                ) -> tuple[PlasmaParams, tuple[float, float, float, float], float, float]:
+    """``_plasma_units(params, grid)``, k = mode 2pi/L and omega' at k.
+
+    ``ConfigError`` unless ``amplitude`` is finite and 1 <= mode <= the
+    last mode the 2/3 rule keeps: mode 0 would shift the mean density,
+    which the zero-mean Poisson solve cannot balance, and the filter damps
+    a mode above the cut whole (L = 0 there).
+    """
+    top = int(np.count_nonzero(grid.dealias_mask)) - 1
+    if not 1 <= mode <= top:
+        raise ConfigError(f"mode must lie in [1, {top}], the modes the 2/3 rule keeps on a "
+                          f"{grid.n_points}-point grid, got {mode!r}")
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
+    unit, scales = _plasma_units(params, grid)
+    k = mode * grid.k_fundamental
+    return unit, scales, k, math.sqrt(float(dispersion.general_omega_sq(k, unit)))
 
 
-def _uniform_fields(grid: Grid1D, params: PlasmaParams, p0: float | None = None) -> np.ndarray:
-    """The (4, N) rows (n0, 0, p0, 0), p0 = n0 kB T0_par unless given."""
-    if p0 is None:
-        p0 = params.n0 * params.kB * params.T0_par
-    return np.full((len(FIELDS), grid.n_points), [[params.n0], [0.0], [p0], [0.0]])
-
-
-def _initial_state(grid: Grid1D, uniform: np.ndarray, perturbation: np.ndarray,
-                   amplitude: float, params: PlasmaParams) -> FluidState1D:
-    """``FluidState1D`` of ``uniform + perturbation``, or ``ConfigError`` naming
-    the first row whose values or spectrum are not finite (a non-finite
-    field makes its mean non-finite), and the parameters."""
+def _initial_state(grid: Grid1D, unit: PlasmaParams, scales: tuple[float, ...], k: float,
+                   rows: list[float], amplitude: float, params: PlasmaParams) -> FluidState1D:
+    """(1, 0, T', 0) + ``rows`` cos(k x) in plasma units, times the row scales;
+    ``ConfigError`` naming the first row whose values or spectrum are not
+    finite, and the parameters."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = uniform + perturbation
+        fields = np.array([[1.0], [0.0], [unit.T0_par], [0.0]]) + np.outer(rows, np.cos(k * grid.x))
+        fields *= np.array(scales)[:, None]
         spectrum = np.fft.rfft(fields)
     finite = np.isfinite(spectrum).all(axis=1)
     if not finite.all():
@@ -775,71 +788,52 @@ def _initial_state(grid: Grid1D, uniform: np.ndarray, perturbation: np.ndarray,
 
 def perturbed_state(grid: Grid1D, params: PlasmaParams, mode: int, amplitude: float,
                     fields: tuple[str, ...] = ("n",)) -> FluidState1D:
-    """Equilibrium plus a cosine perturbation on the named fields.
+    """Equilibrium plus ``amplitude`` cos(k x), k = mode 2pi/L, on the named fields.
 
-    n and p perturbations scale with n0 (``amplitude`` is relative);
-    u and Q take ``amplitude`` in raw units.  Raises ``ConfigError`` for
-    a mode below 1 (mode 0 would change the mean density, which the
-    zero-mean Poisson solve cannot balance), or an amplitude that is not
-    finite or makes a field or its spectrum overflow.
+    Built in plasma units and scaled once to the caller's units, so the n,
+    u, p and Q perturbations are ``amplitude`` times the row scales n0,
+    omega_p, e^2 n0^2 / eps0 and e^2 n0^2 omega_p / eps0 (``_plasma_units``).
+    Raises ``ConfigError`` for an unknown field, a mode, amplitude or
+    parameters that ``_mode_units`` refuses, and an amplitude that makes a
+    row or its spectrum overflow.
     """
-    if mode < 1:
-        raise ConfigError("mode number must be >= 1")
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
-    profile = np.cos(mode * grid.k_fundamental * grid.x)
-    perturbation = np.zeros((len(FIELDS), grid.n_points))
     for name in fields:
         if name not in FIELDS:
             raise ConfigError(f"unknown field {name!r} in perturbation spec")
-        scale = params.n0 if name in ("n", "p") else 1.0
-        perturbation[FIELDS.index(name)] = amplitude * scale * profile
-    return _initial_state(grid, _uniform_fields(grid, params), perturbation, amplitude, params)
+    unit, scales, k, _ = _mode_units(grid, params, mode, amplitude)
+    rows = [amplitude if name in fields else 0.0 for name in FIELDS]
+    return _initial_state(grid, unit, scales, k, rows, amplitude, params)
 
 
 def mode_frequency(grid: Grid1D, params: PlasmaParams, mode: int) -> float:
-    """omega of the general relation at k = mode * 2pi/L; ``ConfigError``
-    when it is not finite (a domain too short for the mode)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        om = math.sqrt(float(dispersion.general_omega_sq(mode * grid.k_fundamental, params)))
-    if not math.isfinite(om):
-        raise ConfigError(f"predicted omega at mode {mode} is not finite ({om!r}) "
-                          f"on a domain of length {grid.length!r}")
-    return om
+    """omega of the general relation at k = mode 2pi/L, as omega' omega_p with
+    omega' in plasma units; ``ConfigError`` for a mode or parameters that
+    ``_mode_units`` refuses."""
+    _, scales, _, om = _mode_units(grid, params, mode)
+    return om * scales[1]
 
 
 def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
                     amplitude: float) -> FluidState1D:
     """Rightward-traveling linear eigenmode of the oscillatory branch.
 
-    Field amplitudes follow from the linearized system at k = mode * 2pi/L
-    with omega from the general relation:
+    Built from the linearized system in plasma units (n0 = omega_p = 1,
+    p0 = T') at k = mode 2pi/L, with omega' from the general relation, and
+    scaled once to the caller's units by the row scales (``_plasma_units``):
 
-        n1 = A n0,  u1 = omega n1 / (k n0),
-        p1 = m n0 (omega^2 - wp^2) u1 / (omega k),
-        Q1 = (omega p1 - 3 p0 k u1) / k.
+        n1 = A,  u1 = omega' A / k,
+        p1 = (omega'^2 - 1) u1 / (omega' k),
+        Q1 = (omega' p1 - 3 T' k u1) / k.
 
     ``amplitude`` A is the relative density perturbation.  Raises
-    ``ConfigError`` for an amplitude that is not finite or makes a field
-    or its spectrum overflow, and when omega is not finite
-    (``mode_frequency``).
+    ``ConfigError`` for a mode, amplitude or parameters that ``_mode_units``
+    refuses, and an amplitude that makes a row or its spectrum overflow.
     """
-    if mode < 1:
-        raise ConfigError("mode number must be >= 1")
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"perturbation amplitude must be finite, got {amplitude!r}")
-    k = mode * grid.k_fundamental
-    wp = params.omega_p
-    om = mode_frequency(grid, params, mode)
-    p0 = params.n0 * params.kB * params.T0_par
-
-    n1 = amplitude * params.n0
-    u1 = om * n1 / (k * params.n0)
-    p1 = params.m * params.n0 * (om * om - wp * wp) * u1 / (om * k)
-    Q1 = (om * p1 - 3.0 * p0 * k * u1) / k
-
-    return _initial_state(grid, _uniform_fields(grid, params, p0),
-                          np.outer([n1, u1, p1, Q1], np.cos(k * grid.x)), amplitude, params)
+    unit, scales, k, om = _mode_units(grid, params, mode, amplitude)
+    u1 = om * amplitude / k
+    p1 = (om * om - 1.0) * u1 / (om * k)
+    Q1 = (om * p1 - 3.0 * unit.T0_par * k * u1) / k
+    return _initial_state(grid, unit, scales, k, [amplitude, u1, p1, Q1], amplitude, params)
 
 
 def measure_frequency(t: np.ndarray, y: np.ndarray,

@@ -173,7 +173,7 @@ def test_default_fluid_run_keeps_its_eigenmode(tmp_path):
 def test_si_twin_of_the_default_fluid_run_is_the_same_run(tmp_path):
     # the si-electron preset at n0 = 1e28 on L = 2 pi l, l = sqrt(hbar/(m omega_p)),
     # is the nondim default run in other units: t by 1/omega_p, n by n0 and u
-    # by omega_p l.  Measured: 3.4e-11 of the amplitude in n, 2.9e-11 in u; a
+    # by omega_p l.  Measured: 2.1e-12 of the amplitude in n, 1.8e-12 in u; a
     # companion pair left to grow from rounding noise makes them differ by 0.47
     si = preset("si-electron", n0=1e28)
     ell = math.sqrt(si.hbar / (si.m * si.omega_p))
@@ -202,7 +202,8 @@ def test_fluid_runs_to_the_end_without_halving(tmp_path, argv):
 
 
 # option -> (values of a small, short run; values that should be refused or
-# fail cleanly: 0, negatives, nan, inf, 1e308 and a step too small to finish)
+# fail cleanly: 0, negatives, nan, inf, 1e308, tiny and huge scales, a step
+# too small to finish and the filter off); True is a bare flag
 FLUID_OPTIONS = {
     "--grid": (["8", "16", "32"], ["0", "-8", "7", "nan", "1e308"]),
     "--periods": (["0.2", "1"], ["0", "-1", "nan", "inf", "1e308"]),
@@ -213,6 +214,9 @@ FLUID_OPTIONS = {
     "--dt": ([None, "0.05"], ["0.5", "1e-300", "5e-324", "0", "-0.1", "nan", "inf",
                               "1e308"]),
     "--mode": ([None, "1", "2"], ["9", "0", "-1", "nan", "1e308"]),
+    "--no-stabilize": ([None], [True]),
+    "--n0": ([None, "0.5", "4"], ["0", "-1", "nan", "inf", "1e-200", "1e200", "1e308"]),
+    "--length": ([None, "1", "20"], ["0", "-1", "nan", "inf", "1e-300", "1e200", "1e308"]),
 }
 
 
@@ -244,6 +248,8 @@ def assert_documented_exit(argv):
 
 @settings(max_examples=60, deadline=20_000)
 @given(argv=spoiled_argv("fluid", FLUID_OPTIONS))
+@example(argv=["fluid", "--grid", "16", "--periods", "0.2", "--n0", "1e-200", "--length", "1e200"])
+@example(argv=["fluid", "--grid", "16", "--periods", "0.2", "--no-stabilize", "--hbar", "1e153"])
 def test_fluid_argv_fuzz_exits_with_a_documented_code(argv):
     assert_documented_exit(argv)
 
@@ -650,6 +656,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["fluid", "--dt", "-0.01"],
     ["fluid", "--sample-every", "0"],
     ["fluid", "--mode", "200"],
+    ["fluid", "--grid", "16", "--mode", "6"],
+    ["fluid", "--grid", "16", "--periods", "0.2", "--n0", "1e-200", "--length", "1e200"],
+    ["fluid", "--grid", "16", "--periods", "0.2", "--no-stabilize", "--hbar", "1e153"],
     ["dispersion", "--relation", "all", "--log", "--kmin", "0"],
     ["dispersion", "--relation", "all", "--kmin", "2", "--kmax", "1"],
     ["response", "--n", "0"],

@@ -9,8 +9,7 @@ from qfluid.errors import (CFLViolationError, ConfigError, NoOscillationError,
                            NumericalError, SteepeningError, VacuumError)
 from qfluid.fluid1d import (FIELDS, FluidState1D, Grid1D, SpectralDamping, auto_dt,
                             eigenmode_state, evolve, measure_frequency,
-                            perturbed_state, rhs, solve_poisson, step,
-                            uniform_state)
+                            mode_frequency, perturbed_state, rhs, solve_poisson, step)
 from qfluid.fluid1d import (_half_step_exponential, _linear_operator, _nonlinear,
                             _remainder_coefficients)
 from qfluid.params import nondimensional
@@ -20,6 +19,13 @@ WARM = nondimensional(hbar=0.5, T0_par=0.1)
 
 def grid(n=64, length=2.0 * np.pi):
     return Grid1D(n_points=n, length=length)
+
+
+def equilibrium(g, p, p0=None):
+    """The uniform equilibrium (n0, 0, p0, 0), an exact fixed point of the
+    dynamics; p0 = n0 kB T0_par unless given."""
+    p0 = p.n0 * p.kB * p.T0_par if p0 is None else p0
+    return FluidState1D(g, np.repeat([[p.n0], [0.0], [p0], [0.0]], g.n_points, axis=1))
 
 
 # ---------------------------------------------------------------- Poisson
@@ -84,7 +90,7 @@ def test_poisson_rejects_mean_density_offset():
 
 def test_uniform_equilibrium_is_fixed_point():
     g = grid()
-    state = uniform_state(g, WARM)
+    state = equilibrium(g, WARM)
     for d in rhs(state, WARM):
         assert np.max(np.abs(d)) < 1e-13
 
@@ -103,7 +109,7 @@ def test_quantum_term_enters_only_heat_flux_equation():
 
 def test_rhs_rejects_vacuum_and_nonfinite():
     g = grid()
-    state = uniform_state(g, WARM)
+    state = equilibrium(g, WARM)
     bad_n = state.fields.copy()
     bad_n[0, 0] = -1.0
     with pytest.raises(VacuumError):
@@ -356,12 +362,12 @@ def test_step_matches_classical_rk4_reference(n_points):
     for _ in range(50):
         lawson = step(lawson, dt, p, damping=damping)
         reference = classical_rk4_step(reference, dt, p, damping)
-    perturbation = np.max(np.abs(reference.fields - uniform_state(g, p).fields))
+    perturbation = np.max(np.abs(reference.fields - equilibrium(g, p).fields))
     assert np.max(np.abs(lawson.fields - reference.fields)) < 1e-10 * perturbation
 
 def test_equilibrium_preserved_by_step():
     g = grid()
-    state = uniform_state(g, WARM, p0=0.3)
+    state = equilibrium(g, WARM, p0=0.3)
     out = step(state, 0.01, WARM)
     assert np.max(np.abs(out.n - state.n)) < 1e-14
     assert np.max(np.abs(out.u)) < 1e-14
@@ -371,7 +377,7 @@ def test_equilibrium_preserved_by_step():
 
 def test_cfl_violation_reports_suggested_dt():
     g = grid()
-    state = uniform_state(g, WARM)
+    state = equilibrium(g, WARM)
     limit = auto_dt(state, WARM)
     with pytest.raises(CFLViolationError) as err:
         step(state, 10.0 * limit, WARM)
@@ -536,7 +542,7 @@ def test_evolve_records_which_bound_set_dt():
     g = grid(64)
     warm = nondimensional(hbar=0.0, T0_par=0.1)
     # a uniform drift is carried by the remainder, not by the linear propagator
-    drifting = uniform_state(g, warm).fields.copy()
+    drifting = equilibrium(g, warm).fields.copy()
     drifting[1] = 0.5
     state = FluidState1D(g, drifting)
     run = evolve(state, warm, t_end=1.0)
@@ -562,7 +568,7 @@ def test_linear_sound_speed_sets_no_bound():
     g = grid(64)
     for T0_par in (0.1, 1.0, 10.0):
         warm = nondimensional(hbar=0.5, T0_par=T0_par)
-        assert auto_dt(uniform_state(g, warm), warm) == 0.4 / warm.omega_p
+        assert auto_dt(equilibrium(g, warm), warm) == 0.4 / warm.omega_p
 
 
 def steepening_wave():
@@ -675,7 +681,7 @@ def test_automatic_step_accuracy_on_a_nonlinear_warm_eigenmode():
     half, _ = final(big, dt / 2)
     reference, _ = final(big, dt / 8)
     linear, _ = final(small, dt)
-    base = uniform_state(g, p).fields
+    base = equilibrium(g, p).fields
     nonlinear = np.max(np.abs((reference - base) - (linear - base) * (big / small)))
     error = np.max(np.abs(auto - reference))
     assert error / np.max(np.abs(half - reference)) > 10.0
@@ -709,10 +715,10 @@ def test_scaled_parameters_give_the_scaled_run(regime):
     # hbar/(m omega_p) and kB T0_par/(m omega_p^2), so the run at omega_p = c
     # is the c = 1 run with t over c and (n, u, p, Q) times (c^2, c, c^4, c^5).
     # At c = 2 every scale is a power of two and the runs agree bitwise.  At
-    # c = 3 the initial state rounds; measured: the probes within 9.14e-14
-    # of each field's largest probe coefficient (at the first sample), the
-    # final fields within 1.82e-13 of each row's largest value, and t within
-    # 1.43e-16 of the span.
+    # c = 3 the initial state rounds; measured: the probes within 6.91e-15
+    # of each field's largest probe coefficient, the final fields within
+    # 1.53e-13 of each row's largest value, and t within 1.43e-16 of the
+    # span.
     T0_par, hbar, mode, _ = regime
     base = scaled_run(T0_par, hbar, mode, 1)
     for c, probe_bound, final_bound, t_bound in ((2, 0.0, 0.0, 0.0),
@@ -766,7 +772,7 @@ def test_evolve_reports_in_the_callers_units():
 def test_step_rhs_and_auto_dt_take_plasma_units_only():
     g = grid(16)
     p = nondimensional(n0=4.0)
-    state = uniform_state(g, p)
+    state = equilibrium(g, p)
     for call in (lambda: rhs(state, p), lambda: auto_dt(state, p), lambda: step(state, 0.01, p)):
         with pytest.raises(ConfigError, match="plasma units"):
             call()
@@ -835,6 +841,14 @@ def test_grid_and_state_validation():
         perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("psi",))
     with pytest.raises(ConfigError):
         FluidState1D(g, np.ones((4, 8)))
+    # the 2/3 rule keeps modes 1..5 at N = 16: above them the filter damps the
+    # whole mode, and mode 20 would alias onto mode 4
+    for mode in (0, 6, 20):
+        for build in (lambda: eigenmode_state(g, WARM, mode, 1e-3),
+                      lambda: perturbed_state(g, WARM, mode, 1e-3),
+                      lambda: mode_frequency(g, WARM, mode)):
+            with pytest.raises(ConfigError, match=r"mode must lie in \[1, 5\]"):
+                build()
 
 
 def test_grid_rejects_non_finite_length():
@@ -875,6 +889,20 @@ def test_initial_states_reject_an_amplitude_that_overflows(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_initial_states_are_built_in_plasma_units():
+    # at omega_p = 2 (n0 = 4, the same hbar' and T') every row scale is a power
+    # of two, so each state is the omega_p = 1 state times (n0, omega_p,
+    # e^2 n0^2/eps0, e^2 n0^2 omega_p/eps0) = (4, 2, 16, 32), bitwise
+    g = grid(16)
+    one, two = WARM, nondimensional(n0=4.0, hbar=1.0, T0_par=0.4)
+    rows = np.array([[4.0], [2.0], [16.0], [32.0]])
+    assert mode_frequency(g, two, 2) == 2.0 * mode_frequency(g, one, 2)
+    assert np.array_equal(eigenmode_state(g, two, 2, 1e-3).fields,
+                          eigenmode_state(g, one, 2, 1e-3).fields * rows)
+    assert np.array_equal(perturbed_state(g, two, 2, 1e-3, fields=FIELDS).fields,
+                          perturbed_state(g, one, 2, 1e-3, fields=FIELDS).fields * rows)
+
+
 def test_state_fields_are_rows_of_one_array():
     g = grid(16)
     state = perturbed_state(g, WARM, mode=1, amplitude=1e-3, fields=("n", "u"))
@@ -890,7 +918,7 @@ def test_state_fields_are_rows_of_one_array():
 def test_auto_dt_respects_both_limits():
     g = grid(64)
     p = nondimensional(hbar=0.0, T0_par=0.0)
-    cold_still = uniform_state(g, p)
+    cold_still = equilibrium(g, p)
     dt_cold = auto_dt(cold_still, p)
     assert dt_cold == pytest.approx(0.4 / p.omega_p)  # oscillation bound only
     fast_fields = cold_still.fields.copy()
