@@ -158,7 +158,7 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
                     table[:, at:at + text.itemsize] = part.view(np.uint8).reshape(len(table), -1)
                     at += text.itemsize + 1
                 table[:, -1] = ord("\n")
-                fh.write(table[table != 0].tobytes())
+                fh.write(table.tobytes().replace(b"\0", b""))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -13,14 +13,19 @@ q_i = Q_jji / 2.  f may be negative (Wigner functions are quasi-
 distributions); only the density must come out positive for the bulk
 velocity to be defined.
 
-P, Q and R are exactly symmetric under index permutation by construction:
-only canonically ordered components are computed and the rest are filled
-in by copying, so equality of permuted components is bitwise.
+Every moment is a contraction of f with one small matrix per grid axis,
+taken an axis at a time: [w, w v] gives n and u, then w (v - u)^j for
+j = 0..4 gives the (5,)*d array of all mixed central moments to fourth
+order.  P, Q and R are copied from its entries, so permuted components
+are bitwise equal.  The contractions are ``np.einsum`` at its default
+``optimize=False``, numpy's own loops: ``tensordot`` or ``matmul`` would
+call BLAS, whose worker threads spin on after the call and burn CPU.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,20 +101,6 @@ class VelocityGrid:
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         return cls(axes=axes, weights=tuple(_trapezoid_weights(a) for a in axes))
 
-    @classmethod
-    def gauss_hermite(cls, d: int, n: int, scale: float = 1.0,
-                      center: float = 0.0) -> "VelocityGrid":
-        """Gauss-Hermite nodes for Gaussian-decaying integrands.
-
-        The exp(+x^2) factor is folded into the weights so plain sums
-        W * f approximate int f dv for f with Gaussian tails of width
-        ~scale.
-        """
-        x, w = np.polynomial.hermite.hermgauss(n)
-        nodes = center + scale * x
-        weights = scale * w * np.exp(x**2)
-        return cls(axes=(nodes,) * d, weights=(weights,) * d)
-
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -174,52 +165,56 @@ def _symmetric_tensor(rank: int, d: int, component) -> np.ndarray:
     return T
 
 
+def _contract(f: np.ndarray, columns) -> np.ndarray:
+    """c[j_1, ..., j_d] = sum of f[a_1, ..., a_d] C_1[a_1, j_1] ... C_d[a_d, j_d]
+    over the per-axis matrices C_1 ... C_d of ``columns``, one axis at a time."""
+    for C in columns:
+        f = np.einsum("a...,aj->...j", f, C)
+    return f
+
+
+def _entry(c: np.ndarray, idx: tuple[int, ...]) -> float:
+    """c at the count of each axis in the sorted index tuple ``idx``."""
+    return float(c[tuple(idx.count(ax) for ax in range(c.ndim))])
+
+
 def compute_moments(f: np.ndarray, grid: VelocityGrid, mass: float = 1.0,
                     boundary_threshold: float = 1e-10) -> MomentSet:
     """Moments of f tabulated on ``grid`` by tensor-product quadrature.
 
-    Raises ``MomentError`` when the density is nonpositive within
-    quadrature tolerance (the bulk velocity is then undefined).  A
-    boundary decay violation (max |f| on the boundary above
+    The component of P, Q or R whose sorted indices hold axis a k_a times
+    is ``mass * c[k_1, ..., k_d]`` of the central-moment array c (see the
+    module docstring).  The density check is scaled by the integral of |f|.
+
+    Raises ``ConfigError`` for a misshapen or non-finite f or a mass that
+    is not finite and positive, and ``MomentError`` when the density is
+    nonpositive within quadrature tolerance (the bulk velocity is then
+    undefined).  A boundary decay violation (max |f| on the boundary above
     ``boundary_threshold`` times the global max) only flags the result.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise ConfigError(f"distribution shape {f.shape} does not match grid {grid.shape}")
-    d = grid.d
+    if not (math.isfinite(mass) and mass > 0):
+        raise ConfigError(f"mass must be finite and positive, got {mass!r}")
 
     fmax = float(np.max(np.abs(f)))
+    if not math.isfinite(fmax):
+        raise ConfigError("distribution holds a non-finite value")
     boundary_ok = fmax == 0.0 or _boundary_max(f) <= boundary_threshold * fmax
 
-    # W[a,b,...] = prod of per-axis weights; shaped velocity arrays per axis
-    W = grid.weights[0]
-    for w in grid.weights[1:]:
-        W = np.multiply.outer(W, w)
-    vs = []
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = len(grid.axes[ax])
-        vs.append(grid.axes[ax].reshape(shape))
-
-    wf = W * f
-    n = float(np.sum(wf))
-    abs_scale = float(np.sum(W * np.abs(f)))
+    first = _contract(f, [np.column_stack([w, w * v]) for v, w in zip(grid.axes, grid.weights)])
+    n = _entry(first, ())
+    abs_scale = _entry(_contract(np.abs(f), [w[:, None] for w in grid.weights]), ())
     if n <= 1e-12 * abs_scale or n <= 0.0:
         raise MomentError(f"density nonpositive within quadrature tolerance (n = {n:.3e})")
+    u = np.array([_entry(first, (ax,)) / n for ax in range(grid.d)])
 
-    u = np.array([float(np.sum(wf * vs[ax])) / n for ax in range(d)])
-    dv = [vs[ax] - u[ax] for ax in range(d)]
-
-    def central(idx) -> float:
-        g = wf
-        for ax in idx:
-            g = g * dv[ax]
-        return mass * float(np.sum(g))
-
-    P = _symmetric_tensor(2, d, central)
-    Q = _symmetric_tensor(3, d, central)
-    R = _symmetric_tensor(4, d, central)
-    p = float(np.trace(P)) / 3.0 if d == 3 else float(P[0, 0])
+    c = _contract(f, [w[:, None] * np.vander(v - u_ax, 5, increasing=True)
+                      for v, w, u_ax in zip(grid.axes, grid.weights, u)])
+    P, Q, R = (_symmetric_tensor(rank, grid.d, lambda idx: mass * _entry(c, idx))
+               for rank in (2, 3, 4))
+    p = float(np.trace(P)) / 3.0 if grid.d == 3 else float(P[0, 0])
     q = 0.5 * np.einsum("jji->i", Q)
     return MomentSet(n=n, u=u, P=P, Q=Q, R=R, p=p, q=q, boundary_ok=boundary_ok)
 
@@ -230,18 +225,22 @@ def maxwellian(grid: VelocityGrid, density: float, temperature,
 
     ``temperature`` is a scalar or a per-axis sequence (anisotropic);
     ``drift`` a scalar (1D) or d-vector.  Normalized so the exact density
-    is ``density``.
+    is ``density``.  Raises ``ConfigError`` unless T, mass, kB and
+    kB T / mass are finite and positive and density and drift finite.
     """
     d = grid.d
     T = np.broadcast_to(np.asarray(temperature, dtype=float), (d,))
     w = np.zeros(d) if drift is None else np.broadcast_to(np.asarray(drift, dtype=float), (d,))
-    theta = kB * T / mass
-    out = np.full(grid.shape, density / np.prod(np.sqrt(2.0 * np.pi * theta)))
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = len(grid.axes[ax])
-        vax = grid.axes[ax].reshape(shape)
-        out = out * np.exp(-0.5 * (vax - w[ax]) ** 2 / theta[ax])
+    with np.errstate(all="ignore"):
+        theta = kB * T / mass
+    # theta is finite and positive only if its positive factors are finite
+    if not (mass > 0 and kB > 0 and np.all((T > 0) & (theta > 0) & np.isfinite(theta))
+            and np.all(np.isfinite([density, *w]))):
+        raise ConfigError("maxwellian needs T, mass, kB, kB T / mass finite and > 0, density and "
+                          f"drift finite: {density=} {temperature=} {drift=} {mass=} {kB=}")
+    out = density / np.prod(np.sqrt(2.0 * np.pi * theta))
+    for v, w_ax, theta_ax in zip(grid.axes, w, theta):
+        out = np.multiply.outer(out, np.exp(-0.5 * (v - w_ax) ** 2 / theta_ax))
     return out
 
 

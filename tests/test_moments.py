@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfluid import wigner
 from qfluid.errors import ConfigError, MomentError
 from qfluid.moments import (MomentSet, VelocityGrid, compute_moments,
                             load_distribution_csv, maxwellian,
@@ -137,6 +138,12 @@ def test_nonpositive_density_raises():
     f = -maxwellian(g, density=1.0, temperature=1.0)
     with pytest.raises(MomentError):
         compute_moments(f, g)
+    # a non-finite node is bad input, not a density the quadrature rejects
+    for bad in (np.nan, np.inf, -np.inf):
+        f = maxwellian(g, density=1.0, temperature=1.0)
+        f[5] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            compute_moments(f, g)
 
 
 def test_boundary_decay_violation_flags_result():
@@ -144,18 +151,6 @@ def test_boundary_decay_violation_flags_result():
     f = maxwellian(g, density=1.0, temperature=1.0)
     ms = compute_moments(f, g)
     assert not ms.boundary_ok
-
-
-def test_gauss_hermite_matches_trapezoid():
-    gt = VelocityGrid.uniform(1, 9.0, 96)
-    gh = VelocityGrid.gauss_hermite(1, 32, scale=1.5, center=0.1)
-    T, w = 0.9, 0.1
-    mt = compute_moments(maxwellian(gt, 1.0, T, drift=w), gt)
-    mh = compute_moments(maxwellian(gh, 1.0, T, drift=w), gh,
-                         boundary_threshold=np.inf)
-    assert mh.n == pytest.approx(mt.n, rel=1e-9)
-    assert mh.u[0] == pytest.approx(mt.u[0], abs=1e-9)
-    assert mh.P[0, 0] == pytest.approx(mt.P[0, 0], rel=1e-8)
 
 
 @pytest.mark.parametrize("bad_call", [
@@ -175,6 +170,41 @@ def test_wrong_shape_distribution():
     g = grid3(n=16)
     with pytest.raises(ConfigError):
         compute_moments(np.zeros((16, 16)), g)
+    f = maxwellian(g, density=1.0, temperature=1.0)
+    f[3, 4, 5] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        compute_moments(f, g)
+    f = maxwellian(g, density=1.0, temperature=1.0)
+    for mass in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="mass"):
+            compute_moments(f, g, mass=mass)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"temperature": 0.0},
+    {"temperature": -1.0},
+    {"temperature": np.nan},
+    {"temperature": np.inf},
+    {"temperature": (1.0, 0.0, 1.0)},
+    {"mass": 0.0},
+    {"mass": -1.0},
+    {"mass": np.inf},
+    {"temperature": -1.0, "mass": -1.0},     # kB T / mass > 0 from two negatives
+    {"kB": 0.0},
+    {"kB": np.nan},
+    {"temperature": 1e-300, "kB": 1e-300},   # kB T / mass underflows to 0
+    {"temperature": 1e300, "kB": 1e300},     # kB T / mass overflows
+    {"density": np.nan},
+    {"density": np.inf},
+    {"drift": (0.0, np.nan, 0.0)},
+    {"drift": np.inf},
+], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_maxwellian_refuses_a_degenerate_table(kwargs):
+    # pytest turns a numpy RuntimeWarning into an error, so this also
+    # checks that the refusal comes before any division or square root
+    args = {"density": 1.0, "temperature": 1.0, **kwargs}
+    with pytest.raises(ConfigError):
+        maxwellian(grid3(n=8), **args)
 
 
 def test_csv_roundtrip_1d(tmp_path):
@@ -206,3 +236,98 @@ def test_momentset_serialization_names():
     d = ms.to_dict()
     assert {"n", "p", "u_x", "u_y", "u_z", "q_x", "P_xx", "P_xy", "Q_xyz",
             "R_xxzz"} <= set(d)
+
+
+def reference_moments(f, grid, mass=1.0):
+    """The per-component quadrature that ``compute_moments`` replaced: one
+    chain of full-grid products per sorted index tuple, summed by np.sum.
+    Returns (n, u, P, Q, R, p, q)."""
+    d = grid.d
+    W = grid.weights[0]
+    for w in grid.weights[1:]:
+        W = np.multiply.outer(W, w)
+    vs = [grid.axes[ax].reshape([-1 if j == ax else 1 for j in range(d)]) for ax in range(d)]
+    wf = W * f
+    n = float(np.sum(wf))
+    u = np.array([float(np.sum(wf * v)) / n for v in vs])
+    dv = [v - u_ax for v, u_ax in zip(vs, u)]
+
+    def central(rank):
+        T = np.empty((d,) * rank)
+        for idx in itertools.product(range(d), repeat=rank):
+            g = wf
+            for ax in sorted(idx):
+                g = g * dv[ax]
+            T[idx] = mass * float(np.sum(g))
+        return T
+
+    P, Q, R = central(2), central(3), central(4)
+    p = float(np.trace(P)) / 3.0 if d == 3 else float(P[0, 0])
+    return n, u, P, Q, R, p, 0.5 * np.einsum("jji->i", Q)
+
+
+def _skewed_table(d):
+    """A drifting (bi-)Maxwellian with odd mixed moments on a grid whose
+    axes differ in range and node count, and its twin minus a narrow
+    displaced Gaussian: a table with a negative lobe, as Wigner data have."""
+    if d == 1:
+        g = VelocityGrid.from_nodes(np.linspace(-7.5, 8.5, 201))
+        f = maxwellian(g, 1.3, 0.9, drift=0.4)
+        v = g.axes[0]
+        lobe = maxwellian(g, 0.5, 0.05, drift=1.2)
+        return g, f * (1.0 + 0.3 * np.tanh(v)), lobe
+    g = VelocityGrid.from_nodes(np.linspace(-6.0, 6.5, 26), np.linspace(-7.0, 6.0, 30),
+                                np.linspace(-8.0, 8.5, 34))
+    f = maxwellian(g, 1.3, (0.6, 1.0, 1.5), drift=(0.2, -0.3, 0.1))
+    vx, vy, vz = np.meshgrid(*g.axes, indexing="ij", sparse=True)
+    skew = (1.0 + 0.2 * np.tanh(vx)) * (1.0 + 0.3 * np.tanh(vx) * np.tanh(vy) * np.tanh(vz))
+    lobe = maxwellian(g, 0.3, (0.1, 0.15, 0.2), drift=(1.0, -0.5, 0.5))
+    return g, f * skew, lobe
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("negative_lobe", [False, True], ids=["positive", "negative-lobe"])
+def test_contractions_match_the_per_component_reference(d, negative_lobe):
+    g, f, lobe = _skewed_table(d)
+    if negative_lobe:
+        f = f - lobe
+        assert f.min() < -0.05 * f.max()
+    mass = 1.7
+    ms = compute_moments(f, g, mass=mass, boundary_threshold=1.0)
+    n, u, P, Q, R, p, q = reference_moments(f, g, mass=mass)
+    # the physical scales: n, the thermal speed, p, p v_th and p v_th^2
+    v_th = np.sqrt(p / (mass * n))
+    for got, ref, scale in [(ms.n, n, n), (ms.u, u, v_th), (ms.P, P, p), (ms.p, p, p),
+                            (ms.Q, Q, p * v_th), (ms.q, q, p * v_th),
+                            (ms.R, R, p * v_th**2)]:
+        assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(Q)) > 1e-3 * p * v_th   # the table's odd moments are not 0
+
+
+def test_wigner_packet_has_gaussian_heat_flux_and_fourth_moment():
+    # criterion 8's tables: a free Gaussian packet's Wigner function is a
+    # Gaussian in v at each x, so Q = 0 and R = 3 P^2/(m n); at t = 0 the
+    # truncation of the v grid at |v| = 4 sets the R error
+    vgrid = VelocityGrid.uniform(1, 4.0, 256)
+    for t, q_bound, r_bound in ((0.0, 2e-15, 1e-5), (2.0, 1e-8, 2e-8)):
+        half_width = max(14.0, 8.0 * np.sqrt(1.0 + t**2))
+        wfg = wigner.evolve_free_gaussian(1.0, t, half_width, n_points=1024)
+        xs = np.linspace(-3.0, 3.0, 13) * np.sqrt((1.0 + t**2) / 2.0)
+        table = wigner.wigner_transform(wfg, v=vgrid.axes[0], x=xs)
+        for j in range(len(xs)):
+            ms = compute_moments(table.f[:, j], vgrid, mass=MASS, boundary_threshold=1.0)
+            P, n = ms.P[0, 0], ms.n
+            gaussian_R = 3.0 * P**2 / (MASS * n)
+            assert abs(ms.Q[0, 0, 0]) <= q_bound * P**1.5 / np.sqrt(MASS * n)
+            assert abs(ms.R[0, 0, 0, 0] - gaussian_R) <= r_bound * gaussian_R
+
+
+@pytest.mark.parametrize("v_b, mass", [(1.0, 1.0), (0.5, 2.0)])
+def test_waterbag_fourth_moment_departs_from_the_gaussian(v_b, mass):
+    # f = 1/(2 v_b) on |v| <= v_b: R - 3 P^2/(m n) = -(2/15) n m v_b^4; the
+    # trapezoid rule's h^2 errors in P and R cancel in that difference
+    g = VelocityGrid.uniform(1, v_b, 4001)
+    ms = compute_moments(np.full(4001, 0.5 / v_b), g, mass=mass, boundary_threshold=np.inf)
+    excess = ms.R[0, 0, 0, 0] - 3.0 * ms.P[0, 0] ** 2 / (mass * ms.n)
+    exact = -2.0 / 15.0 * ms.n * mass * v_b**4
+    assert abs(excess - exact) <= 1e-13 * abs(exact)
