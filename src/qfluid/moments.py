@@ -17,9 +17,10 @@ Every moment is a contraction of f with one small matrix per grid axis,
 taken an axis at a time: [w, w v] gives n and u, then w (v - u)^j for
 j = 0..4 gives the (5,)*d array of all mixed central moments to fourth
 order.  P, Q and R are copied from its entries, so permuted components
-are bitwise equal.  The contractions are ``np.einsum`` at its default
-``optimize=False``, numpy's own loops: ``tensordot`` or ``matmul`` would
-call BLAS, whose worker threads spin on after the call and burn CPU.
+are bitwise equal.  Each contraction is an elementwise product summed
+pairwise along the contracted axis, in numpy's own loops: ``tensordot``
+or ``matmul`` would call BLAS, whose worker threads spin on after the
+call and burn CPU.
 """
 
 from __future__ import annotations
@@ -167,9 +168,13 @@ def _symmetric_tensor(rank: int, d: int, component) -> np.ndarray:
 
 def _contract(f: np.ndarray, columns) -> np.ndarray:
     """c[j_1, ..., j_d] = sum of f[a_1, ..., a_d] C_1[a_1, j_1] ... C_d[a_d, j_d]
-    over the per-axis matrices C_1 ... C_d of ``columns``, one axis at a time."""
+    over the per-axis matrices C_1 ... C_d of ``columns``, one axis at a time.
+
+    Each product is laid out with the contracted axis last and contiguous,
+    so ``np.sum`` adds along it pairwise.
+    """
     for C in columns:
-        f = np.einsum("a...,aj->...j", f, C)
+        f = np.multiply(np.moveaxis(f, 0, -1)[..., None, :], C.T, order="C").sum(axis=-1)
     return f
 
 

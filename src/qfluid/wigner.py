@@ -22,8 +22,8 @@ and a numerical transform
 
     f(x, v) = (1 / 2 pi) int ds exp(i v s) psi*(x + s/2) psi(x - s/2)
 
-evaluated by direct quadrature on a symmetric s grid with arbitrary output
-positions and velocities.  The grid is sized from the data:
+evaluated by direct quadrature on a symmetric s grid at arbitrary
+velocities and uniform output positions.  The grid is sized from the data:
 it spans |s| <= hi - lo, the width of the support [lo, hi] on which |psi|
 is above 1e-13 of its peak, and its spacing resolves the integrand's band
 in s, at most k_c + |v| with k_c the largest wavenumber at which |fft(psi)|
@@ -32,13 +32,26 @@ integrand is exact to rounding once 2 pi / ds exceeds that band.
 
 The integrand G(x, s) = psi*(x + s/2) psi(x - s/2) is Hermitian,
 G(x, -s) = conj G(x, s), which is why f is real; the sum is therefore
-folded onto s >= 0,
+folded onto s >= 0, and, since cos(v s) is even in v and sin(v s) odd,
+onto the distinct speeds |v|:
 
-    f = (ds / 2 pi) [G(x, 0) + 2 sum_{s > 0} (cos(v s) Re G - sin(v s) Im G)],
+    E(|v|, x) = sum_{s > 0} cos(|v| s) Re G,  O(|v|, x) = sum_{s > 0} sin(|v| s) Im G,
+    f = (ds / 2 pi) [G(x, 0) + 2 (E - sign(v) O)].
 
-which evaluates G on half the nodes and replaces one complex matrix
-product by two real ones.  A wavefunction is defined by its amplitude
-function, so the half-shifted samples psi(x +- s/2) are evaluated exactly.
+On a symmetric velocity grid that halves the phase tables and the fold's
+flops, and f(x, v) = f(x, -v) holds bitwise for a real psi.  E and O are
+matrix-vector products (``np.matvec``: a block of the phase table times
+each row of G), not matrix products: a BLAS level-3 call wakes the BLAS
+worker threads, which then spin and burn CPU after the call returns.  The
+blocks hold 2^15 entries, so they stay in cache and far below the size
+from which OpenBLAS threads a matrix-vector product (4.6e5 entries in the
+build measured).
+
+The output positions x must be uniform (or a single point), and the s
+step is chosen so that ds / 2 = dx p / q with small integers p and q.
+Then every x +- s/2 lies on one lattice of step dx / q, so the amplitude
+function is evaluated exactly, once, on that lattice, and G is the product
+of two strided views of it.
 """
 
 from __future__ import annotations
@@ -62,10 +75,32 @@ __all__ = [
 
 _NORM_TOL = 1e-8
 _BOUNDARY_DECAY = 1e-10
-# ceiling on the transform's workspace: the folded G (complex, (n_s/2) x
-# len(x)), the cosine and sine of the phase (len(v) x n_s/2 each) and the
-# three len(v) x len(x) products alive at once in the fold
+# ceiling on the transform's workspace: the psi lattice, the real and
+# imaginary parts of the folded G, their products E and O with the phase
+# tables of the distinct speeds, and the three len(v) x len(x) arrays alive
+# at once in the final sum
 _MAX_WORKSPACE_MIB = 256
+
+
+def _uniform_step(x: np.ndarray) -> float:
+    """The step of a grid of at least 2 finite points whose steps differ by
+    no more than the rounding of its positions; ``ConfigError`` for a zero,
+    non-finite or varying step."""
+    step = (float(x[-1]) - float(x[0])) / (x.size - 1)
+    with np.errstate(over="ignore"):
+        steps = np.diff(x)
+    rounding = 4.0 * np.finfo(float).eps * float(np.max(np.abs(x)))
+    if not (0.0 < abs(step) < math.inf
+            and np.allclose(steps, step, rtol=1e-12, atol=rounding)):
+        raise ConfigError("position grid must be uniform")
+    return step
+
+
+def _lattice_ratio(r: float) -> tuple[int, int]:
+    """(p, q): the largest p / q <= r with q <= 16, or 1 / ceil(1 / r) below 1/16."""
+    if r < 1.0 / 16.0:
+        return 1, math.ceil(1.0 / r)
+    return max(((math.floor(r * q), q) for q in range(1, 17)), key=lambda pq: pq[0] / pq[1])
 
 
 def analytic_wigner(x_bar, v_bar, t_bar):
@@ -87,8 +122,8 @@ def gaussian_packet(x, t: float, sigma: float = 1.0) -> np.ndarray:
 class WavefunctionGrid:
     """An amplitude function and its samples on a uniform position grid.
 
-    ``psi = amplitude_fn(x)`` is evaluated once, here; the transform
-    evaluates ``amplitude_fn`` again at the half-shifted positions.  psi
+    ``psi = amplitude_fn(x)`` is evaluated once, here; each transform
+    evaluates ``amplitude_fn`` once more, on its own lattice.  psi
     must hold one finite number per grid point, and its discrete norm
     sum |psi|^2 dx must equal 1 to within 1e-8.
     """
@@ -105,10 +140,7 @@ class WavefunctionGrid:
             raise ConfigError(f"amplitude_fn(x) must give {self.x.size} finite numbers, "
                               f"one per grid point; got shape {psi.shape}, dtype {psi.dtype}")
         object.__setattr__(self, "psi", psi)
-        dxs = np.diff(self.x)
-        if not np.allclose(dxs, dxs[0], rtol=1e-12, atol=0.0):
-            raise ConfigError("position grid must be uniform")
-        norm = float(np.sum(np.abs(psi) ** 2) * dxs[0])
+        norm = float(np.sum(np.abs(psi) ** 2) * _uniform_step(self.x))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ConfigError(f"wavefunction not normalized on the grid (sum = {norm:.10f})")
 
@@ -173,17 +205,25 @@ def _coherence_width(psi_grid: WavefunctionGrid) -> float:
 def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> WignerTable:
     """Numerical phase-space transform of a wavefunction at positions x, velocities v.
 
-    The integrand is evaluated from ``wfg.amplitude_fn`` on a dedicated s
-    grid that spans the packet's support width and is spaced by its
-    bandwidth; ``ConfigError`` is raised before any allocation when that
-    grid's workspace would exceed 256 MiB.
+    x must be uniform or a single point, and v and x finite; else
+    ``ConfigError``.  The s grid spans the packet's support width and its
+    step is the bandwidth's ds_max rounded down to ds = 2 dx p / q, with
+    p / q the largest fraction not above ds_max / (2 dx) that has q <= 16
+    (p = 1 once ds_max < dx / 8).  Every x +- s/2 then lies on one lattice
+    of step dx / q, on which ``wfg.amplitude_fn`` is called once.  The
+    fold sums over s >= 0 and over the distinct speeds |v| (see the module
+    docstring) by matrix-vector products, with no BLAS level-3 call.
+    ``ConfigError`` is raised before any large allocation when the
+    workspace would exceed 256 MiB.
     """
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
         raise ConfigError("transform needs at least one velocity")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise ConfigError("transform needs at least one position")
+    if not (np.isfinite(v).all() and np.isfinite(x).all()):
+        raise ConfigError("transform needs finite velocities and positions")
     s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
     # k_c: the largest |k| at which |fft(psi)| is above 1e-13 of its peak
     spectrum = np.abs(np.fft.fft(wfg.psi))
@@ -191,30 +231,57 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> Wig
     k_c = float(np.max(np.abs(k[spectrum > 1e-13 * np.max(spectrum)])))
     # resolve the fastest kernel oscillation with ~8 points per cycle, and
     # the integrand's band in s (at most k_c + |v|) with a margin of pi:
-    # ds = min(0.8 / max(|v|, 1 / s_half), 2 / (k_c + |v|)), as one max
+    # ds <= min(0.8 / max(|v|, 1 / s_half), 2 / (k_c + |v|)), as one max
     # so that k_c = |v| = 0 does not divide by zero
     v_max = float(np.max(np.abs(v)))
-    ds = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
-    nodes = 2.0 * s_half / ds
-    # 16 bytes per folded node and output point of G and of cos/sin(phase),
-    # and 8 per (v, x) point of each of the fold's three products
-    workspace_mib = (8.0 * nodes * (x.size + v.size) + 24.0 * x.size * v.size) / 2**20
+    ds_max = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
+    dx = _uniform_step(x) if x.size > 1 else 0.5 * ds_max
+    # ds / 2 = p h with lattice step h = dx / q; a ratio outside [2^-30, 2^30]
+    # would give a lattice above any workspace, so clipping it only keeps
+    # the arithmetic finite until the check below refuses it
+    p, q = _lattice_ratio(min(max(ds_max / (2.0 * abs(dx)), 2.0**-30), 2.0**30))
+    h = dx / q
+    ds = 2.0 * p * h   # signed like dx; the weight is |ds|
+    n_pos = s_half / abs(ds)   # s > 0 nodes, before rounding up
+    speeds, row = np.unique(np.abs(v), return_inverse=True)
+    n_lat = (x.size - 1) * q + 2.0 * p * (n_pos + 1.0) + 1.0
+    # 24 bytes per lattice point (position and psi); 24 per output position
+    # and s >= 0 node (Re G, Im G and a product); 16 per speed and position
+    # (E and O), 24 per (v, x) point (the three arrays of the final sum)
+    workspace_mib = (24.0 * (n_lat + x.size * (n_pos + 2.0))
+                     + 16.0 * speeds.size * x.size + 24.0 * v.size * x.size) / 2**20
     if not workspace_mib <= _MAX_WORKSPACE_MIB:
         raise ConfigError(
-            f"transform for |v| up to {v_max:.4g} needs {nodes:.4g} s nodes "
+            f"transform for |v| up to {v_max:.4g} needs {2.0 * n_pos + 1.0:.4g} s nodes "
             f"and a {workspace_mib:.4g} MiB workspace, above the "
             f"{_MAX_WORKSPACE_MIB} MiB limit; narrow the velocity range or the output grid")
-    n_s = int(nodes) | 1  # odd: symmetric grid including s = 0
-    s = np.linspace(-s_half, s_half, n_s)
-    ds = s[1] - s[0]
-    s = s[n_s // 2:]  # the centre node (s = 0 up to rounding) and the nodes above it
-    amp = wfg.amplitude_fn
-    G = np.conj(amp(x[None, :] + 0.5 * s[:, None])) * amp(x[None, :] - 0.5 * s[:, None])
+    n_s = math.ceil(n_pos)
+    # psi at x_0 + k h, k = -p n_s ... (len(x) - 1) q + p n_s; its window of
+    # every p-th point centred on x_i = x_0 + i q h holds psi(x_i + s_j / 2),
+    # j = -n_s ... n_s, so G is two strided views of the lattice
+    span = p * n_s
+    psi = wfg.amplitude_fn(x[0] + h * (np.arange((x.size - 1) * q + 2 * span + 1) - span))
+    window = np.lib.stride_tricks.sliding_window_view(psi, 2 * span + 1)[::q, ::p]
+    plus, minus = window[:, n_s:], window[:, n_s::-1]   # s_j >= 0
+    re_G = plus.real * minus.real
+    re_G += plus.imag * minus.imag
+    im_G = plus.real * minus.imag
+    im_G -= plus.imag * minus.real
 
-    # G(x, -s) = conj G(x, s): the s = 0 row counts once and each s > 0 row
-    # twice, as 2 Re(e^{i phase} G)
-    phase = np.outer(v, s[1:])
-    Gp = G[1:]
-    f = G[0].real + 2.0 * (np.cos(phase) @ Gp.real - np.sin(phase) @ Gp.imag)
-    f *= (1.0 / (2.0 * math.pi)) * ds
-    return WignerTable(x=x, v=v, f=f)
+    # G(x, -s) = conj G(x, s): the s = 0 column counts once and each s > 0
+    # column twice; cos(v s) = cos(|v| s) and sin(v s) = sign(v) sin(|v| s)
+    s = ds * np.arange(1, n_s + 1)
+    E = np.empty((x.size, speeds.size))
+    O = np.empty_like(E)
+    # speeds in blocks of 2^15 phase entries (256 KiB), which stay in cache
+    # while every row of G passes them; at least 2 rows, since np.matvec
+    # hands a one-row block to a dot product, which OpenBLAS threads from
+    # 1e4 entries on
+    block = max(2, 2**15 // n_s)
+    for a in range(0, speeds.size, block):
+        phase = np.multiply.outer(speeds[a:a + block], s)
+        E[:, a:a + block] = np.matvec(np.cos(phase), re_G[:, 1:])
+        O[:, a:a + block] = np.matvec(np.sin(phase), im_G[:, 1:])
+    f = re_G[:, :1] + 2.0 * (E[:, row] - np.sign(v) * O[:, row])
+    f *= (1.0 / (2.0 * math.pi)) * abs(ds)
+    return WignerTable(x=x, v=v, f=f.T)

@@ -322,7 +322,7 @@ def test_wigner_packet_has_gaussian_heat_flux_and_fourth_moment():
             assert abs(ms.R[0, 0, 0, 0] - gaussian_R) <= r_bound * gaussian_R
 
 
-@pytest.mark.parametrize("v_b, mass", [(1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("v_b, mass", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7)])
 def test_waterbag_fourth_moment_departs_from_the_gaussian(v_b, mass):
     # f = 1/(2 v_b) on |v| <= v_b: R - 3 P^2/(m n) = -(2/15) n m v_b^4; the
     # trapezoid rule's h^2 errors in P and R cancel in that difference

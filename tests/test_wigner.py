@@ -169,12 +169,59 @@ def test_packet_resolved_to_nyquist_keeps_nodes_below_grid_step(monkeypatch):
     assert nodes >= 2.0 * wigner._coherence_width(wfg) / wfg.dx
 
 
+def test_default_panels_match_the_closed_form():
+    # the four default `qfluid wigner` panels; measured at most 2.0e-15 in
+    # f_bar, where gemm folds on linspace-shifted nodes were 4.1e-14 off
+    x = np.linspace(-12.0, 12.0, 256)
+    v = np.linspace(-4.0, 4.0, 256)
+    for t in (0.0, 2.0, 4.0, 6.0):
+        wfg = evolve_free_gaussian(1.0, t, max(14.0, 8.0 * math.sqrt(1.0 + t * t)), n_points=1024)
+        f_bar = np.pi * wigner_transform(wfg, v=v, x=x).f
+        assert np.max(np.abs(f_bar - analytic_wigner(x[None, :], v[:, None], t))) < 3e-15
+
+
+def test_real_packet_is_mirror_symmetric_in_v():
+    # psi real at t = 0, so Im G = 0 and f(x, v) = f(x, -v) exactly on an
+    # exactly symmetric velocity grid
+    wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=1024)
+    v = 4.0 / 127.5 * (np.arange(256) - 127.5)
+    assert (v == -v[::-1]).all()
+    f = wigner_transform(wfg, v=v, x=np.linspace(-12.0, 12.0, 256)).f
+    assert f.tobytes() == f[::-1].tobytes()
+
+
+def test_permuted_velocities_give_the_permuted_rows():
+    # duplicates, 0 and +-v pairs in any order: each row depends only on its
+    # own v, bitwise, and the fold over |v| matches the unfolded sum
+    def boosted(xx):
+        return np.exp(1.5j * xx) * gaussian_packet(xx - 3.0, 2.0)
+
+    wfg = WavefunctionGrid(x=np.linspace(-25.0, 31.0, 1024), amplitude_fn=boosted)
+    v_sorted = np.concatenate([np.linspace(-2.5, 5.5, 33), [0.0, 1.5, 1.5, -1.5]])
+    v_sorted.sort()
+    v = np.random.default_rng(28).permutation(v_sorted)
+    x = np.linspace(-4.0, 10.0, 57)
+    sorted_f = wigner_transform(wfg, v=v_sorted, x=x).f
+    table = wigner_transform(wfg, v=v, x=x)
+    assert table.f.tobytes() == sorted_f[np.searchsorted(v_sorted, v)].tobytes()
+    reference = _unfolded_reference(wfg, v, x)
+    assert np.max(np.abs(table.f - reference)) < 1e-13 * np.max(reference)
+
+
 def test_degenerate_transform_input_rejected():
     wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=256)
     with pytest.raises(ConfigError, match="velocity"):
         wigner_transform(wfg, v=np.array([]), x=wfg.x)
     with pytest.raises(ConfigError, match="position"):
         wigner_transform(wfg, v=np.zeros(1), x=np.array([]))
+    x = np.linspace(-3.0, 3.0, 7)
+    for v, xx in (([np.inf], x), ([-np.inf], x), ([np.nan, 1.0], x),
+                  ([1.0], [np.nan]), ([1.0], [np.inf]), ([1.0], [0.0, -np.inf])):
+        with pytest.raises(ConfigError, match="finite velocities and positions"):
+            wigner_transform(wfg, v=np.array(v), x=np.array(xx))
+    for xx in (np.array([0.0, 0.1, 0.3]), np.zeros(2), np.array([-1e308, 1e308, 1e308])):
+        with pytest.raises(ConfigError, match="uniform"):
+            wigner_transform(wfg, v=np.ones(1), x=xx)
     for t in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite and non-negative"):
             evolve_free_gaussian(1.0, t, x_max=14.0)
@@ -195,6 +242,10 @@ def test_wavefunction_grid_validation():
     xs[3] += 0.01
     with pytest.raises(ConfigError, match="uniform"):
         WavefunctionGrid(x=xs, amplitude_fn=lambda xx: gaussian_packet(xx, 0.0))
+    # a fine linspace: its steps differ by the rounding of |x| <= 14, which
+    # is above 1e-12 of the step from about 8000 points on
+    fine = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=20000)
+    assert np.ptp(np.diff(fine.x)) > 1e-12 * fine.dx
 
 
 def test_wavefunction_grid_samples_its_amplitude_once(monkeypatch):
@@ -212,6 +263,10 @@ def test_wavefunction_grid_samples_its_amplitude_once(monkeypatch):
 
     wfg = WavefunctionGrid(x=x, amplitude_fn=packet)
     assert len(calls) == 1 and calls[0] is x
+    for v, xx in ((np.linspace(-4, 4, 64), np.linspace(-3, 3, 32)), (np.ones(1), np.zeros(1))):
+        wigner_transform(wfg, v=v, x=xx)   # once per transform, on one 1D lattice
+        assert len(calls) == 2 and calls[1].ndim == 1
+        calls.pop()
     assert wfg.psi.tobytes() == gaussian_packet(x, 2.0).tobytes()
     assert wfg.psi.dtype == np.complex128
     with pytest.raises(AttributeError):
