@@ -164,11 +164,10 @@ def _cmd_tw_stability(args, command: str) -> None:
 
 
 def _cmd_tw_threshold(args, command: str) -> None:
-    h_crit = traveling.stability_threshold(args.h_lo, args.h_hi, tol=args.tol)
+    h_crit = traveling.stability_threshold(args.h_lo, args.h_hi)
     write_csv(args.output, [("h_crit", np.array([h_crit])),
                             ("h_lo", np.array([args.h_lo])),
-                            ("h_hi", np.array([args.h_hi])),
-                            ("tol", np.array([args.tol]))], command=command)
+                            ("h_hi", np.array([args.h_hi]))], command=command)
 
 
 def _cmd_wigner(args, command: str) -> None:
@@ -187,14 +186,14 @@ def _cmd_wigner(args, command: str) -> None:
         raise ConfigError("--nx and --nv must be at least 1")
     x_bar = np.linspace(-args.x_max, args.x_max, args.nx)
     v_bar = np.linspace(-args.v_max, args.v_max, args.nv)
-    # every panel is computed (and so validated) before the first is written
-    panels = []
-    for t_bar in times:
-        # the wigner module works in hbar = m = 1; with sigma = 1 too, x = x_bar,
-        # v = v_bar, t = t_bar and f_bar = pi f
-        half_width = max(args.x_max + 2.0, 8.0 * math.sqrt(1.0 + t_bar * t_bar))
-        wfg = wigner.evolve_free_gaussian(1.0, t_bar, half_width, n_points=args.npsi)
-        panels.append(np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f)
+    # the wigner module works in hbar = m = 1; with sigma = 1 too, x = x_bar,
+    # v = v_bar, t = t_bar and f_bar = pi f
+    wfgs = [wigner.evolve_free_gaussian(
+        1.0, t_bar, max(args.x_max + 2.0, 8.0 * math.sqrt(1.0 + t_bar * t_bar)),
+        n_points=args.npsi) for t_bar in times]
+    for wfg in wfgs:   # every panel is checked before one is computed or written
+        wigner.s_grid(wfg, v_bar, x_bar)
+    panels = [np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f for wfg in wfgs]
     X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
     for t_bar, path, f_bar in zip(times, paths, panels):
         write_csv(path, [("x_bar", X.ravel()), ("v_bar", V.ravel()),
@@ -297,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", default="tw_stability.csv")
     q.set_defaults(func=_cmd_tw_stability)
 
-    q = tw_subs.add_parser("threshold", help="bisect the stability boundary in H")
+    q = tw_subs.add_parser("threshold", help="stability boundary in H (closed form: 2)")
     q.add_argument("--h-lo", type=float, default=1.0)
     q.add_argument("--h-hi", type=float, default=3.0)
-    q.add_argument("--tol", type=float, default=1e-6)
     q.add_argument("-o", "--output", default="tw_threshold.csv")
     q.set_defaults(func=_cmd_tw_threshold)
 

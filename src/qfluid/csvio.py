@@ -131,18 +131,23 @@ def _cells(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def write_csv(path, columns: list[tuple[str, np.ndarray]],
               command: str | None = None, extra_comments: tuple[str, ...] = ()) -> None:
-    """Write named columns atomically; ``command`` goes into the header."""
+    """Write named columns atomically; ``command`` goes into the header.
+
+    ``ConfigError`` before any file is created when a header line holds a
+    line break or a column name a comma: ``read_csv`` could not read it.
+    """
     names = [name for name, _ in columns]
+    header = [COMMAND_PREFIX + command] if command is not None else []
+    header.extend(f"# {c}" for c in extra_comments)
+    header.append(",".join(names))
+    if any("\n" in line or "\r" in line for line in header) or any("," in n for n in names):
+        raise ConfigError(f"CSV header {header!r} holds a line break or a column name a comma")
     arrays = [np.atleast_1d(np.asarray(col)) for _, col in columns]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("columns must have equal length")
     cells = [_cells(name, a) for name, a in zip(names, arrays)]
     width = sum(text.itemsize + 1 for text, _ in cells)  # each cell, then ',' or '\n'
-
-    header = [COMMAND_PREFIX + command] if command is not None else []
-    header.extend(f"# {c}" for c in extra_comments)
-    header.append(",".join(names))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")

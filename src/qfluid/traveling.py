@@ -32,13 +32,14 @@ constants computed once per ``WaveFrameConfig``.
 
 At the fixed point psi = 0, so the 5x5 Jacobian is nonzero only in its
 psi column and at J[psi', u] = -(e/eps0) n0/u0; its characteristic
-polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]), and
-J[u', psi] is u' at the fixed point with psi set to 1.
+polynomial is lambda^3 (lambda^2 - J[u', psi] J[psi', u]).  J[u', psi],
+u' there with psi = 1, is (e/m) (u0^2 + 3 p0/(m n0)) / (u0^3 (1 - H^2/4)),
+so lambda^2 = -wp^2 (u0^2 + 3 p0/(m n0)) / (u0^4 (1 - H^2/4)) changes sign
+exactly at H = 2, for every u0 and p0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -64,7 +65,6 @@ __all__ = [
 
 _DET_RTOL = 1e-12
 _EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
-_STABLE_TOL = 1e-8  # on max Re(lambda), in units of wp/|u0|
 # every sample interval costs at least one accepted step (~20 us), so
 # 2**20 samples is already a run of about 20 s; the cap rejects a huge
 # count before its sample arrays are allocated
@@ -284,61 +284,43 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
 def equilibrium_eigenvalues(cfg: WaveFrameConfig, p0: float | None = None) -> np.ndarray:
     """Eigenvalues of the 5x5 Jacobian at the equilibrium point.
 
-    Closed form (module docstring): three zeros and
-    +-sqrt(J[u', psi] J[psi', u]), a purely imaginary pair for H < 2 and a
-    real pair for H > 2.  ``p0`` defaults to m n0 u0^2; ``ConfigError``
-    unless it is finite and non-negative.
+    Closed form (module docstring): three zeros and +-sqrt(lambda^2), a
+    purely imaginary pair for H < 2 and a real pair for H > 2, singular
+    (``SonicSingularityError``) at H = 2.  ``p0`` defaults to m n0 u0^2;
+    ``ConfigError`` unless it is finite and non-negative.
     """
     par = cfg.params
     if p0 is None:
         p0 = par.m * par.n0 * cfg.u0**2
     elif not 0.0 <= p0 < math.inf:
         raise ConfigError(f"equilibrium pressure p0 must be finite and non-negative, got {p0!r}")
-    j_u_psi = traveling_rhs([cfg.u0 + cfg.v, float(p0), 0.0, 0.0, 1.0], cfg)[0]
-    j_psi_u = -(par.e / par.eps0) * par.n0 / cfg.u0
-    rate = cmath.sqrt(j_u_psi * j_psi_u)
-    return np.array([0.0, 0.0, 0.0, rate, -rate])
+    margin = 1.0 - 0.5 * cfg.H   # 1 - H^2/4 = margin (1 + H/2)
+    if margin == 0.0:
+        raise SonicSingularityError("equilibrium on the singular set: H = 2")
+    # |lambda| = wp sqrt(u0^2 + 3 p0/(m n0)) / (u0^2 sqrt|1 - H^2/4|), squaring nothing
+    u0 = abs(cfg.u0)
+    speed = math.hypot(u0, math.sqrt(3.0) * math.sqrt(p0 / (par.m * par.n0)))
+    rate = par.omega_p * (speed / u0 / (u0 * math.sqrt(abs(margin))) / math.sqrt(1.0 + 0.5 * cfg.H))
+    pair = complex(rate, 0.0) if margin < 0.0 else complex(0.0, rate)
+    return np.array([0.0, 0.0, 0.0, pair, -pair])
 
 
 def classify_equilibrium(cfg: WaveFrameConfig, p0: float | None = None) -> str:
-    """"center-like" when all eigenvalue real parts are below tolerance, else "unstable"."""
-    eigs = equilibrium_eigenvalues(cfg, p0)
-    rate_scale = cfg.params.omega_p / abs(cfg.u0)
-    return "center-like" if float(np.max(eigs.real)) < _STABLE_TOL * rate_scale else "unstable"
+    """"unstable" for H > 2, else "center-like"; raises as ``equilibrium_eigenvalues``."""
+    equilibrium_eigenvalues(cfg, p0)
+    return "unstable" if cfg.H > 2.0 else "center-like"
 
 
 def stability_threshold(h_lo: float, h_hi: float, tol: float = 1e-6) -> float:
-    """Bisect H for loss of stability of the ``wave_frame_config(H)`` equilibrium.
+    """H at which the ``wave_frame_config(H)`` equilibrium loses stability: 2.
 
-    The bracket must classify differently at its ends.  A singular Jacobian
-    evaluation (the sonic point reaches the equilibrium at the threshold)
-    counts as the unstable side.  Raises ``ConfigError`` unless
-    -inf < h_lo < h_hi < inf and 0 < tol < inf; the bisection also ends
-    when the bracket cannot be halved any further in floating point.
+    ``ConfigError`` unless -inf < h_lo < h_hi < inf, 0 < tol < inf (the
+    closed form has no use for tol) and 0 <= h_lo < 2 <= h_hi.
     """
     if not -math.inf < h_lo < h_hi < math.inf:
         raise ConfigError(f"need a finite bracket h_lo < h_hi, got [{h_lo!r}, {h_hi!r}]")
     if not 0.0 < tol < math.inf:
-        raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
-
-    def is_unstable(H: float) -> bool:
-        try:
-            return classify_equilibrium(wave_frame_config(H)) == "unstable"
-        except SonicSingularityError:
-            return True
-
-    lo_unstable, hi_unstable = is_unstable(h_lo), is_unstable(h_hi)
-    if lo_unstable == hi_unstable:
-        raise ConfigError(
-            f"no stability change in bracket [{h_lo}, {h_hi}] "
-            f"(both {'unstable' if lo_unstable else 'center-like'})")
-    lo, hi = float(h_lo), float(h_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):   # adjacent floats: the bracket is as tight as it gets
-            break
-        if is_unstable(mid) == hi_unstable:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        raise ConfigError(f"threshold tolerance must be positive and finite, got {tol!r}")
+    if not 0.0 <= h_lo < 2.0 <= h_hi:
+        raise ConfigError(f"no stability change in bracket [{h_lo}, {h_hi}] (it is at H = 2)")
+    return 2.0

@@ -51,7 +51,8 @@ The output positions x must be uniform (or a single point), and the s
 step is chosen so that ds / 2 = dx p / q with small integers p and q.
 Then every x +- s/2 lies on one lattice of step dx / q, so the amplitude
 function is evaluated exactly, once, on that lattice, and G is the product
-of two strided views of it.
+of two strided views of it, unless the x +- s/2 themselves are fewer
+(positions much closer than ds): then the function is evaluated at them.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "analytic_wigner",
     "gaussian_packet",
     "evolve_free_gaussian",
+    "s_grid",
     "wigner_transform",
 ]
 
@@ -202,26 +204,21 @@ def _coherence_width(psi_grid: WavefunctionGrid) -> float:
     return float(hi - lo)
 
 
-def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> WignerTable:
-    """Numerical phase-space transform of a wavefunction at positions x, velocities v.
-
-    x must be uniform or a single point, and v and x finite; else
-    ``ConfigError``.  The s grid spans the packet's support width and its
-    step is the bandwidth's ds_max rounded down to ds = 2 dx p / q, with
+def s_grid(wfg: WavefunctionGrid, v, x) -> tuple:
+    """(v, x, p, q, h, n_s, direct, speeds, row): the s grid of
+    ``wigner_transform(wfg, v, x)``, after its checks: ``ConfigError``
+    unless x is uniform or one point and v and x are finite, or when the
+    workspace would exceed 256 MiB.  The nodes s_j = 2 p h j, |j| <= n_s,
+    span the packet's support width, with h = dx / q (signed like dx) and
     p / q the largest fraction not above ds_max / (2 dx) that has q <= 16
-    (p = 1 once ds_max < dx / 8).  Every x +- s/2 then lies on one lattice
-    of step dx / q, on which ``wfg.amplitude_fn`` is called once.  The
-    fold sums over s >= 0 and over the distinct speeds |v| (see the module
-    docstring) by matrix-vector products, with no BLAS level-3 call.
-    ``ConfigError`` is raised before any large allocation when the
-    workspace would exceed 256 MiB.
+    (p = 1 once ds_max < dx / 8), ds_max the bandwidth's step; so every
+    x +- s/2 lies on one lattice of step h.  ``direct`` when the
+    x_i +- s_j / 2 are fewer than its points; speeds are the distinct |v|
+    and row each v's index among them.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ConfigError("transform needs at least one velocity")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
-        raise ConfigError("transform needs at least one position")
+    v, x = np.asarray(v, dtype=float).ravel(), np.asarray(x, dtype=float).ravel()
+    if v.size == 0 or x.size == 0:
+        raise ConfigError("transform needs at least one velocity and one position")
     if not (np.isfinite(v).all() and np.isfinite(x).all()):
         raise ConfigError("transform needs finite velocities and positions")
     s_half = max(_coherence_width(wfg), 8.0 * wfg.dx)
@@ -236,32 +233,48 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> Wig
     v_max = float(np.max(np.abs(v)))
     ds_max = 0.8 / max(v_max, 1.0 / s_half, 0.4 * (k_c + v_max))
     dx = _uniform_step(x) if x.size > 1 else 0.5 * ds_max
-    # ds / 2 = p h with lattice step h = dx / q; a ratio outside [2^-30, 2^30]
-    # would give a lattice above any workspace, so clipping it only keeps
-    # the arithmetic finite until the check below refuses it
-    p, q = _lattice_ratio(min(max(ds_max / (2.0 * abs(dx)), 2.0**-30), 2.0**30))
+    # ds / 2 = p h with lattice step h = dx / q; the ratio is clipped to
+    # [2^-30, 2^30] to stay finite, which only refines ds, except from below,
+    # where the lattice exceeds any workspace and the direct path is barred
+    r = ds_max / (2.0 * abs(dx))
+    p, q = _lattice_ratio(min(max(r, 2.0**-30), 2.0**30))
     h = dx / q
-    ds = 2.0 * p * h   # signed like dx; the weight is |ds|
-    n_pos = s_half / abs(ds)   # s > 0 nodes, before rounding up
+    n_pos = s_half / abs(2.0 * p * h)   # s > 0 nodes, before rounding up
     speeds, row = np.unique(np.abs(v), return_inverse=True)
     n_lat = (x.size - 1) * q + 2.0 * p * (n_pos + 1.0) + 1.0
-    # 24 bytes per lattice point (position and psi); 24 per output position
+    n_direct = x.size * (2.0 * n_pos + 1.0) if r >= 2.0**-30 else math.inf
+    # 24 bytes per psi point (position and psi); 24 per output position
     # and s >= 0 node (Re G, Im G and a product); 16 per speed and position
     # (E and O), 24 per (v, x) point (the three arrays of the final sum)
-    workspace_mib = (24.0 * (n_lat + x.size * (n_pos + 2.0))
+    workspace_mib = (24.0 * (min(n_lat, n_direct) + x.size * (n_pos + 2.0))
                      + 16.0 * speeds.size * x.size + 24.0 * v.size * x.size) / 2**20
     if not workspace_mib <= _MAX_WORKSPACE_MIB:
         raise ConfigError(
             f"transform for |v| up to {v_max:.4g} needs {2.0 * n_pos + 1.0:.4g} s nodes "
             f"and a {workspace_mib:.4g} MiB workspace, above the "
             f"{_MAX_WORKSPACE_MIB} MiB limit; narrow the velocity range or the output grid")
-    n_s = math.ceil(n_pos)
-    # psi at x_0 + k h, k = -p n_s ... (len(x) - 1) q + p n_s; its window of
-    # every p-th point centred on x_i = x_0 + i q h holds psi(x_i + s_j / 2),
-    # j = -n_s ... n_s, so G is two strided views of the lattice
-    span = p * n_s
-    psi = wfg.amplitude_fn(x[0] + h * (np.arange((x.size - 1) * q + 2 * span + 1) - span))
-    window = np.lib.stride_tricks.sliding_window_view(psi, 2 * span + 1)[::q, ::p]
+    return v, x, p, q, h, math.ceil(n_pos), n_direct < n_lat, speeds, row
+
+
+def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> WignerTable:
+    """Numerical phase-space transform of a wavefunction at positions x, velocities v.
+
+    ``s_grid`` sets the s nodes and makes every check; ``wfg.amplitude_fn``
+    is called once, on the lattice or at the x_i +- s_j / 2.  The fold sums
+    over s >= 0 and the distinct speeds |v| (module docstring) by
+    matrix-vector products, with no BLAS level-3 call.
+    """
+    v, x, p, q, h, n_s, direct, speeds, row = s_grid(wfg, v, x)
+    if direct:
+        # psi(x_i + s_j / 2), j = -n_s ... n_s, one row per position
+        window = np.reshape(wfg.amplitude_fn(
+            (x[:, None] + h * (p * np.arange(-n_s, n_s + 1))).ravel()), (x.size, -1))
+    else:
+        # psi at x_0 + k h, k = -p n_s ... (len(x) - 1) q + p n_s: the window
+        # of every p-th point centred on x_i = x_0 + i q h holds those values
+        span = p * n_s
+        psi = wfg.amplitude_fn(x[0] + h * (np.arange((x.size - 1) * q + 2 * span + 1) - span))
+        window = np.lib.stride_tricks.sliding_window_view(psi, 2 * span + 1)[::q, ::p]
     plus, minus = window[:, n_s:], window[:, n_s::-1]   # s_j >= 0
     re_G = plus.real * minus.real
     re_G += plus.imag * minus.imag
@@ -270,6 +283,7 @@ def wigner_transform(wfg: WavefunctionGrid, v: np.ndarray, x: np.ndarray) -> Wig
 
     # G(x, -s) = conj G(x, s): the s = 0 column counts once and each s > 0
     # column twice; cos(v s) = cos(|v| s) and sin(v s) = sign(v) sin(|v| s)
+    ds = 2.0 * p * h   # signed like dx; the weight is |ds|
     s = ds * np.arange(1, n_s + 1)
     E = np.empty((x.size, speeds.size))
     O = np.empty_like(E)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfluid import dispersion, fluid1d, ode
+from qfluid import dispersion, fluid1d, ode, wigner
 from qfluid.cli import main
 from qfluid.csvio import read_csv
 from qfluid.moments import VelocityGrid, maxwellian, save_distribution_csv
@@ -336,7 +336,6 @@ TW_STABILITY_OPTIONS = {
 TW_THRESHOLD_OPTIONS = {
     "--h-lo": ([None, "0.5", "1.8"], ["3", "-1", "-inf", "nan", "inf", "1e308"]),
     "--h-hi": ([None, "2.5", "3"], ["1.5", "-1", "nan", "inf", "1e308"]),
-    "--tol": ([None, "1e-3"], ["0", "-1", "nan", "inf", "1e308"]),
 }
 
 
@@ -418,11 +417,25 @@ def test_tw_stability_table(tmp_path):
     assert cols["max_real"][1] > 1e-3
 
 
+def test_tw_stability_far_above_the_boundary(tmp_path, capsys):
+    # the closed form needs no solve, so no singular-matrix guard can misfire
+    # where 1 - H^2/4 is large; H = 2 itself is singular, exit 3
+    assert run(tmp_path, ["tw", "stability", "--H", "2001,1e200", "--u0", "3",
+                          "-o", "st.csv"]) == 0
+    _, cols = read_csv(tmp_path / "st.csv")
+    assert list(cols["classification"]) == ["unstable", "unstable"]
+    assert np.all(cols["max_real"] > 0.0)
+    assert run(tmp_path, ["tw", "stability", "--H", "2", "-o", "h2.csv"]) == 3
+    assert "H = 2" in capsys.readouterr().err
+    assert not (tmp_path / "h2.csv").exists()
+
+
 def test_tw_threshold(tmp_path):
     code = run(tmp_path, ["tw", "threshold", "-o", "th.csv"])
     assert code == 0
     _, cols = read_csv(tmp_path / "th.csv")
-    assert cols["h_crit"][0] == pytest.approx(2.0, abs=1e-6)
+    assert list(cols) == ["h_crit", "h_lo", "h_hi"]
+    assert cols["h_crit"][0] == 2.0
 
 
 def test_wigner_panels(tmp_path):
@@ -647,6 +660,28 @@ def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(tmp_path, ["dispersion", "--relation", "wrong"]) == 2
     assert run(tmp_path, ["no-such-command"]) == 2
+    # the threshold is closed-form: no tolerance to set
+    assert run(tmp_path, ["tw", "threshold", "--tol", "0"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_line_break_in_the_command_exits_2_without_a_file(tmp_path, capsys):
+    # the command goes into the header line, which read_csv could not parse back
+    assert run(tmp_path, ["dispersion", "--n", "3", "-o", "a\nb.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "line break" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monkeypatch):
+    # the t_bar = 0 panel fits the workspace, the t_bar = 6 one does not
+    transforms = []
+    monkeypatch.setattr(wigner, "wigner_transform", lambda *a, **k: transforms.append(a))
+    assert run(tmp_path, ["wigner", "--times", "0,6", "--v-max", "1000", "-o", "w.csv"]) == 2
+    assert "MiB workspace" in capsys.readouterr().err
+    assert transforms == []
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -671,9 +706,6 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     ["wigner", "--nx", "0"],
     ["wigner", "--x-max", "-1"],
     ["wigner", "--v-max", "0"],
-    ["tw", "threshold", "--tol", "0"],
-    ["tw", "threshold", "--tol", "-1"],
-    ["tw", "threshold", "--tol", "nan"],
     ["tw", "run", "--tol", "0"],
     ["tw", "run", "--tol", "-1"],
     ["tw", "run", "--samples", "0"],

@@ -141,6 +141,26 @@ def test_write_csv_rejects_a_nul_in_a_str_cell(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"command": "qfluid demo -o a\nb.csv"},
+    {"command": "qfluid demo -o a\rb.csv"},
+    {"extra_comments": ("ok", "two\nlines")},
+    {"names": ("x", "a\nb")},
+    {"names": ("x", "a,b")},
+], ids=["newline in command", "return in command", "newline in comment",
+        "newline in name", "comma in name"])
+def test_write_csv_refuses_header_text_that_breaks_the_table(tmp_path, kwargs):
+    kwargs = dict(kwargs)
+    names = kwargs.pop("names", ("x", "y"))
+    with pytest.raises(ConfigError, match="line break"):
+        write_csv(tmp_path / "out.csv", [(name, np.zeros(2)) for name in names], **kwargs)
+    assert not list(tmp_path.iterdir())
+    # a comma in the command or a comment is text, not a column
+    write_csv(tmp_path / "ok.csv", [("x", np.zeros(2))], command="qfluid a,b",
+              extra_comments=("c, d",))
+    assert read_csv(tmp_path / "ok.csv")[0] == "qfluid a,b"
+
+
 def test_read_csv_parses_a_numeric_body_to_float64(tmp_path):
     values = np.array([[-0.0, 5e-324, np.inf], [0.1, -1e300, np.nan]])
     path = tmp_path / "numbers.csv"

@@ -441,24 +441,66 @@ def test_oscillation_wavenumber_independent_of_frame_speed():
     for v in (0.0, 1.3):
         eigs = equilibrium_eigenvalues(wave_frame_config(H=1.0, v=v), p0=1.0)
         kappas.append(float(np.max(np.abs(eigs.imag))))
-    # agreement limited by rounding of u - v at the fixed point
-    assert kappas[0] == pytest.approx(kappas[1], rel=1e-7)
+    # the closed form does not hold v
+    assert kappas[0] == kappas[1]
+
+
+@pytest.mark.parametrize("p0", [None, 0.0])
+@pytest.mark.parametrize("u0", [1.0, 0.3, -0.7])
+def test_quantum_coefficient_at_the_equilibrium_matches_the_closed_form(u0, p0):
+    # traveling_rhs at the fixed point with psi = 1 gives J[u', psi], which
+    # the closed-form spectrum takes as (e/m) (u0^2 + 3 p0/(m n0)) /
+    # (u0^3 (1 - H^2/4)): a check on the quantum coefficient Hq of the
+    # Cramer solve, and on its sign on both sides of H = 2; n0 = 2.5 keeps
+    # the powers of n apart
+    configs = [(H, cfg) for H in (0.0, 0.5, 1.0, 1.5, 1.9, 2.1, 2.5, 3.0, 2.0 - 1e-9, 2.0 + 1e-9)
+               for cfg in (wave_frame_config(H, u0=u0), WaveFrameConfig(
+                   v=0.4, u0=u0, params=nondimensional(n0=2.5, hbar=H * u0 * u0 / math.sqrt(2.5))))]
+    for H, cfg in configs:
+        par = cfg.params
+        p = par.m * par.n0 * u0 * u0 if p0 is None else p0
+        j_u_psi = traveling_rhs([u0 + cfg.v, p, 0.0, 0.0, 1.0], cfg)[0]
+        closed = ((par.e / par.m) * (u0 * u0 + 3.0 * p / (par.m * par.n0))
+                  / (u0 * u0 * u0 * (1.0 - cfg.H * cfg.H / 4.0)))
+        if abs(H - 2.0) < 1e-6:
+            assert math.copysign(1.0, j_u_psi) == math.copysign(1.0, closed)
+        else:
+            assert j_u_psi == pytest.approx(closed, rel=1e-14, abs=0.0)
+        eigs = equilibrium_eigenvalues(cfg, p0=p)
+        j_psi_u = -(par.e / par.eps0) * par.n0 / u0
+        assert eigs[3] ** 2 == pytest.approx(closed * j_psi_u, rel=1e-14 if abs(H - 2.0) > 1e-6 else 1e-6)
+
+
+def test_spectrum_of_a_huge_quantum_parameter_is_finite():
+    # H^2 overflows from about 1.3e154 on; the closed form never squares H
+    for H in (2001.0, 1e200, 1e300):
+        eigs = equilibrium_eigenvalues(wave_frame_config(H, u0=3.0))
+        assert eigs[3].real > 0.0 and eigs[3].imag == 0.0
+        # wp sqrt(u0^2 + 3 p0/(m n0)) / u0^2 = 2 / u0 at the default p0
+        expected = 2.0 / (3.0 * math.sqrt(H / 2.0 - 1.0) * math.sqrt(H / 2.0 + 1.0))
+        assert eigs[3].real == pytest.approx(expected, rel=1e-14)
 
 
 def test_threshold_bisection_finds_two():
-    h = stability_threshold(1.0, 3.0, tol=1e-6)
-    assert h == pytest.approx(2.0, abs=1e-6)
+    # the boundary is the closed form's H = 2, exactly, for any valid tolerance
+    for tol in (1e-6, 1.0, 1e300):
+        assert stability_threshold(1.0, 3.0, tol=tol) == 2.0
+        assert stability_threshold(0.0, 2.0, tol=tol) == 2.0
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tolerance"):
+            stability_threshold(1.0, 3.0, tol=bad)
 
 
 def test_threshold_ends_when_bracket_reaches_adjacent_floats():
-    # a tolerance below one ulp of H ~ 2 cannot be met; the bisection must still end
-    h = stability_threshold(1.0, 3.0, tol=1e-17)
-    assert h == pytest.approx(stability_threshold(1.0, 3.0, tol=1e-6), abs=1e-6)
+    # a tolerance below one ulp of H ~ 2 is accepted and changes nothing
+    assert stability_threshold(1.0, 3.0, tol=1e-17) == 2.0
+    assert stability_threshold(0.0, 2.0, tol=1e-17) == 2.0
 
 
 def test_threshold_requires_classification_change():
-    with pytest.raises(ConfigError, match="no stability change"):
-        stability_threshold(0.1, 1.9)
+    for h_lo, h_hi in ((0.1, 1.9), (2.0, 3.0), (-1.0, 3.0)):
+        with pytest.raises(ConfigError, match="no stability change"):
+            stability_threshold(h_lo, h_hi)
 
 
 @pytest.mark.parametrize("h_lo, h_hi", [(3.0, 0.5), (2.0, 2.0), (math.nan, 3.0),
@@ -469,11 +511,15 @@ def test_threshold_requires_finite_ordered_bracket(h_lo, h_hi):
 
 
 def test_threshold_invariant_under_rescaled_reference_velocity():
-    # the bisection runs at u0 = 1; the classification switches at the same
-    # H for any reference velocity
-    for u0 in (0.2, 3.0):
-        assert classify_equilibrium(wave_frame_config(2.0 - 1e-6, u0=u0)) == "center-like"
-        assert classify_equilibrium(wave_frame_config(2.0 + 1e-6, u0=u0)) == "unstable"
+    # the classification switches at the same H for any reference velocity
+    # and pressure; H = 2 itself is singular
+    for u0 in (0.2, 1.0, 0.3, -0.7, 3.0):
+        for p0 in (None, 0.0, 2.5):
+            for dH in (1e-6, 1e-9):
+                assert classify_equilibrium(wave_frame_config(2.0 - dH, u0=u0), p0) == "center-like"
+                assert classify_equilibrium(wave_frame_config(2.0 + dH, u0=u0), p0) == "unstable"
+            with pytest.raises(SonicSingularityError, match="H = 2"):
+                equilibrium_eigenvalues(wave_frame_config(2.0, u0=u0), p0=p0)
 
 
 def test_sample_count_is_capped_before_allocation():

@@ -176,8 +176,28 @@ def test_default_panels_match_the_closed_form():
     v = np.linspace(-4.0, 4.0, 256)
     for t in (0.0, 2.0, 4.0, 6.0):
         wfg = evolve_free_gaussian(1.0, t, max(14.0, 8.0 * math.sqrt(1.0 + t * t)), n_points=1024)
+        assert not wigner.s_grid(wfg, v, x)[6]   # psi on the lattice
         f_bar = np.pi * wigner_transform(wfg, v=v, x=x).f
         assert np.max(np.abs(f_bar - analytic_wigner(x[None, :], v[:, None], t))) < 3e-15
+
+
+def test_closely_spaced_positions_take_psi_at_the_nodes():
+    # three positions 5e-7 apart: ds / (2 dx) is about 1.9e5, so one lattice
+    # of step dx / q over every s would hold about 5e8 points; psi is taken
+    # at the 3 (2 n_s + 1) points x_i +- s_j / 2 instead, in one call
+    calls = []
+
+    def packet(xx):
+        calls.append(xx.size)
+        return gaussian_packet(xx, 2.0)
+
+    wfg = WavefunctionGrid(x=evolve_free_gaussian(1.0, 2.0, 30.0).x, amplitude_fn=packet)
+    v, x = np.linspace(-3.0, 3.0, 33), np.linspace(0.0, 1e-6, 3)
+    _, _, p, q, _, n_s, direct, _, _ = wigner.s_grid(wfg, v, x)
+    assert direct and 2 * q + 2 * p * n_s > 1e8
+    f_bar = np.pi * wigner_transform(wfg, v=v, x=x).f
+    assert calls[1:] == [3 * (2 * n_s + 1)]
+    assert np.max(np.abs(f_bar - analytic_wigner(x[None, :], v[:, None], 2.0))) < 1e-14
 
 
 def test_real_packet_is_mirror_symmetric_in_v():
