@@ -3,13 +3,14 @@
 Every file starts with a comment line holding the exact command that
 produced it, so outputs are reproducible from their own header.  Floats
 are written as ``%.16e`` (17 significant digits), integers as ``%d`` and
-strings as UTF-8 text; any other dtype (bool, complex, object, ...) is
-rejected.  A float16/32/64 column is deduplicated on its bit pattern (so
+strings as UTF-8 text; any other dtype (bool, complex, longdouble,
+object, ...) is rejected, and so is a str cell holding a NUL, a comma or
+a line break.  A float16/32/64 column is deduplicated on its bit pattern (so
 -0.0/0.0 and NaN payloads stay apart) and its distinct values are
 formatted by ``_format_e16``, a numpy kernel that scales each value to 17
 digits in extended precision and hands every value it cannot round
 safely to Python's exact ``%``; the bytes are those of ``"%.16e" % v``.
-Integer and ``longdouble`` cells are formatted one by one with ``%``.
+Integer cells are formatted one by one with ``%``.
 Rows are assembled as bytes in chunks of ``_CHUNK_ROWS``, so the text of
 a whole file is never held at once.  Files are replaced atomically
 (write to a temporary name, then rename).
@@ -118,15 +119,16 @@ def _cells(name: str, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         for lo in range(0, len(values), _FORMAT_BLOCK):
             text[lo:lo + _FORMAT_BLOCK] = _format_e16(values[lo:lo + _FORMAT_BLOCK])
         return text.view(f"S{_WIDTH}").ravel(), inverse
-    if a.dtype.kind in "fiu":  # longdouble, integers
-        fmt = b"%.16e" if a.dtype.kind == "f" else b"%d"
-        return np.array([fmt % v for v in a.tolist()], dtype="S"), None
+    if a.dtype.kind in "iu":
+        return np.array([b"%d" % v for v in a.tolist()], dtype="S"), None
     if a.dtype.kind == "U":
-        if any("\0" in s for s in a.tolist()):
-            raise ValueError(f"column {name!r} has a NUL character")
+        bad = set("\0,\n\r") & set("".join(a.tolist()))
+        if bad:
+            raise ConfigError(f"column {name!r} has a cell holding {''.join(sorted(bad))!r}: "
+                              "a NUL, comma or line break would break the table")
         return np.char.encode(a, "utf-8"), None
     raise TypeError(f"column {name!r} has unsupported dtype {a.dtype} "
-                    "(float, integer or str only)")
+                    "(float16/32/64, integer or str only)")
 
 
 def write_csv(path, columns: list[tuple[str, np.ndarray]],
@@ -134,7 +136,8 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
     """Write named columns atomically; ``command`` goes into the header.
 
     ``ConfigError`` before any file is created when a header line holds a
-    line break or a column name a comma: ``read_csv`` could not read it.
+    line break, a column name a comma, or a str cell a NUL, a comma or a
+    line break: ``read_csv`` could not read it.
     """
     names = [name for name, _ in columns]
     header = [COMMAND_PREFIX + command] if command is not None else []

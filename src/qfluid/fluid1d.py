@@ -836,49 +836,30 @@ def eigenmode_state(grid: Grid1D, params: PlasmaParams, mode: int,
     return _initial_state(grid, unit, scales, k, [amplitude, u1, p1, Q1], amplitude, params)
 
 
-def measure_frequency(t: np.ndarray, y: np.ndarray,
-                      method: str = "zero-crossings") -> float:
+def measure_frequency(t: np.ndarray, y: np.ndarray) -> float:
     """Dominant angular frequency of a sampled oscillation.
 
     Zero-crossing times (linearly interpolated) are fitted against their
-    index, which averages out sampling jitter; the spectral method takes
-    the discrete peak with parabolic interpolation.  Requires a uniform
-    time grid covering at least ~4 periods.
+    index, which averages out sampling jitter.  Requires a uniform time
+    grid covering at least ~4 periods: fewer than 8 zero crossings raise
+    ``NoOscillationError``.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
         raise ConfigError("need matching 1D arrays with at least 8 samples")
     dts = np.diff(t)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * abs(dts[0]):
-        raise ConfigError("time samples must be uniform")
+    if not dts[0] > 0.0 or np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+        raise ConfigError("time samples must be uniform and increasing")
 
     y0 = y - np.mean(y)
     scale = float(np.max(np.abs(y0)))
     if scale <= 1e-13 * max(float(np.max(np.abs(y))), 1e-300):
         raise NoOscillationError("signal is flat; no oscillation to measure")
-
-    if method == "zero-crossings":
-        s = np.where(y0 >= 0.0, 1.0, -1.0)
-        idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-        if len(idx) >= 8:
-            tc = t[idx] - y0[idx] * (t[idx + 1] - t[idx]) / (y0[idx + 1] - y0[idx])
-            half_period = np.polynomial.polynomial.polyfit(
-                np.arange(len(tc), dtype=float), tc, 1)[1]
-            if half_period > 0.0:
-                return math.pi / half_period
-        method = "spectral"  # too few crossings: fall through
-
-    if method != "spectral":
-        raise ConfigError(f"unknown method {method!r}")
-    spec = np.abs(np.fft.rfft(y0))
-    j = int(np.argmax(spec[1:])) + 1
-    if spec[j] <= 1e-12 * len(y0) * scale:
-        raise NoOscillationError("no spectral peak found")
-    if 1 <= j < len(spec) - 1 and spec[j - 1] > 0 and spec[j + 1] > 0:
-        la, lb, lc = np.log(spec[j - 1: j + 2])
-        denom = la - 2.0 * lb + lc
-        shift = 0.5 * (la - lc) / denom if denom != 0.0 else 0.0
-    else:
-        shift = 0.0
-    return 2.0 * math.pi * (j + shift) / (len(y0) * float(dts[0]))
+    s = np.where(y0 >= 0.0, 1.0, -1.0)
+    idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+    if len(idx) < 8:
+        raise NoOscillationError(f"{len(idx)} zero crossings; need 8 (about 4 periods)")
+    tc = t[idx] - y0[idx] * (t[idx + 1] - t[idx]) / (y0[idx + 1] - y0[idx])
+    half_period = np.polynomial.polynomial.polyfit(np.arange(len(tc), dtype=float), tc, 1)[1]
+    return math.pi / half_period

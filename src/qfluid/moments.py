@@ -16,8 +16,10 @@ velocity to be defined.
 Every moment is a contraction of f with one small matrix per grid axis,
 taken an axis at a time: [w, w v] gives n and u, then w (v - u)^j for
 j = 0..4 gives the (5,)*d array of all mixed central moments to fourth
-order.  P, Q and R are copied from its entries, so permuted components
-are bitwise equal.  Each contraction is an elementwise product summed
+order.  Each of n, u, P, Q and R is one gather from its contraction,
+indexed by the count of each axis among the tensor's indices (P_xy
+reads c[1, 1, 0], R_xxzz reads c[2, 0, 2]), so permuted components are
+bitwise equal.  Each contraction is an elementwise product summed
 pairwise along the contracted axis, in numpy's own loops: ``tensordot``
 or ``matmul`` would call BLAS, whose worker threads spin on after the
 call and burn CPU.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,42 +47,32 @@ __all__ = [
 ]
 
 _MIN_NODES = 8
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
+_BOUNDARY_RTOL = 1e-10  # boundary |f| over max |f| above which boundary_ok is False
 
 
 @dataclass(frozen=True)
 class VelocityGrid:
-    """Per-axis quadrature nodes and weights for velocity-space integrals.
+    """Per-axis quadrature nodes for velocity-space integrals.
 
-    ``axes`` and ``weights`` are tuples of 1D arrays, one pair per velocity
-    dimension (1 or 3).  Nodes must be strictly increasing and weights
-    positive, with at least 8 nodes per axis.
+    ``axes`` is a sequence of 1D node arrays, one per velocity dimension
+    (1 or 3), stored as a tuple of float arrays.  Nodes must be finite and
+    strictly increasing, with at least 8 per axis.  The quadrature weights
+    are the trapezoid rule's, built from the nodes.
     """
 
     axes: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "axes", tuple(np.asarray(a, dtype=float) for a in self.axes))
         if len(self.axes) not in (1, 3):
             raise ConfigError(f"velocity grid must be 1D or 3D, got {len(self.axes)} axes")
-        if len(self.weights) != len(self.axes):
-            raise ConfigError("axes and weights length mismatch")
-        for ax, (nodes, w) in enumerate(zip(self.axes, self.weights)):
-            if nodes.ndim != 1 or w.shape != nodes.shape:
-                raise ConfigError(f"axis {ax}: nodes and weights must be matching 1D arrays")
+        for ax, nodes in enumerate(self.axes):
+            if nodes.ndim != 1:
+                raise ConfigError(f"axis {ax}: nodes must be a 1D array")
             if len(nodes) < _MIN_NODES:
                 raise ConfigError(f"axis {ax}: need at least {_MIN_NODES} nodes, got {len(nodes)}")
-            if not np.all(np.diff(nodes) > 0):
-                raise ConfigError(f"axis {ax}: nodes must be strictly increasing")
-            if not np.all(w > 0):
-                raise ConfigError(f"axis {ax}: weights must be positive")
+            if not (np.all(np.diff(nodes) > 0) and np.isfinite(nodes).all()):
+                raise ConfigError(f"axis {ax}: nodes must be finite and strictly increasing")
 
     @property
     def d(self) -> int:
@@ -89,18 +82,22 @@ class VelocityGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.axes)
 
-    @classmethod
-    def uniform(cls, d: int, v_max: float, n: int, center: float = 0.0) -> "VelocityGrid":
-        """Uniform symmetric grid on [center - v_max, center + v_max] with trapezoid weights."""
-        nodes = np.linspace(center - v_max, center + v_max, n)
-        w = _trapezoid_weights(nodes)
-        return cls(axes=(nodes,) * d, weights=(w,) * d)
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Trapezoid weights per axis: half of each node spacing on either side."""
+        out = []
+        for nodes in self.axes:
+            w = np.zeros_like(nodes)
+            half = 0.5 * np.diff(nodes)
+            w[:-1] += half
+            w[1:] += half
+            out.append(w)
+        return tuple(out)
 
     @classmethod
-    def from_nodes(cls, *axes: np.ndarray) -> "VelocityGrid":
-        """Trapezoid-weight grid from user-supplied (possibly nonuniform) nodes."""
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        return cls(axes=axes, weights=tuple(_trapezoid_weights(a) for a in axes))
+    def uniform(cls, d: int, v_max: float, n: int) -> "VelocityGrid":
+        """Uniform symmetric grid of n nodes on [-v_max, v_max] along each of d axes."""
+        return cls(axes=(np.linspace(-v_max, v_max, n),) * d)
 
 
 @dataclass(frozen=True)
@@ -151,21 +148,6 @@ def _boundary_max(f: np.ndarray) -> float:
     return worst
 
 
-def _symmetric_tensor(rank: int, d: int, component) -> np.ndarray:
-    """Fill a rank-``rank`` tensor from canonically ordered components.
-
-    ``component(idx)`` is evaluated once per sorted index tuple and the
-    value is broadcast to every permutation, making permutation symmetry
-    exact by construction.
-    """
-    T = np.empty((d,) * rank)
-    for idx in itertools.combinations_with_replacement(range(d), rank):
-        val = component(idx)
-        for perm in set(itertools.permutations(idx)):
-            T[perm] = val
-    return T
-
-
 def _contract(f: np.ndarray, columns) -> np.ndarray:
     """c[j_1, ..., j_d] = sum of f[a_1, ..., a_d] C_1[a_1, j_1] ... C_d[a_d, j_d]
     over the per-axis matrices C_1 ... C_d of ``columns``, one axis at a time.
@@ -178,24 +160,28 @@ def _contract(f: np.ndarray, columns) -> np.ndarray:
     return f
 
 
-def _entry(c: np.ndarray, idx: tuple[int, ...]) -> float:
-    """c at the count of each axis in the sorted index tuple ``idx``."""
-    return float(c[tuple(idx.count(ax) for ax in range(c.ndim))])
+@cache
+def _counts(d: int, rank: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that gather a rank-``rank`` tensor over d axes from an
+    array with one axis per velocity axis: entry [i_1, ..., i_rank] reads
+    it at the count of each axis among i_1 ... i_rank.  Cached: building
+    them costs more than a 1D table's contractions."""
+    idx = np.indices((d,) * rank)
+    return tuple((idx == ax).sum(0) for ax in range(d))
 
 
-def compute_moments(f: np.ndarray, grid: VelocityGrid, mass: float = 1.0,
-                    boundary_threshold: float = 1e-10) -> MomentSet:
+def compute_moments(f: np.ndarray, grid: VelocityGrid, mass: float = 1.0) -> MomentSet:
     """Moments of f tabulated on ``grid`` by tensor-product quadrature.
 
-    The component of P, Q or R whose sorted indices hold axis a k_a times
-    is ``mass * c[k_1, ..., k_d]`` of the central-moment array c (see the
-    module docstring).  The density check is scaled by the integral of |f|.
+    n and u, and P, Q and R (times ``mass``), are gathered from the first
+    and the central-moment contraction by ``_counts`` (see the module
+    docstring).  The density check is scaled by the integral of |f|.
 
     Raises ``ConfigError`` for a misshapen or non-finite f or a mass that
     is not finite and positive, and ``MomentError`` when the density is
     nonpositive within quadrature tolerance (the bulk velocity is then
     undefined).  A boundary decay violation (max |f| on the boundary above
-    ``boundary_threshold`` times the global max) only flags the result.
+    ``_BOUNDARY_RTOL`` times the global max) only flags the result.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
@@ -206,19 +192,18 @@ def compute_moments(f: np.ndarray, grid: VelocityGrid, mass: float = 1.0,
     fmax = float(np.max(np.abs(f)))
     if not math.isfinite(fmax):
         raise ConfigError("distribution holds a non-finite value")
-    boundary_ok = fmax == 0.0 or _boundary_max(f) <= boundary_threshold * fmax
+    boundary_ok = fmax == 0.0 or _boundary_max(f) <= _BOUNDARY_RTOL * fmax
 
     first = _contract(f, [np.column_stack([w, w * v]) for v, w in zip(grid.axes, grid.weights)])
-    n = _entry(first, ())
-    abs_scale = _entry(_contract(np.abs(f), [w[:, None] for w in grid.weights]), ())
+    n = float(first[_counts(grid.d, 0)])
+    abs_scale = _contract(np.abs(f), [w[:, None] for w in grid.weights]).item()
     if n <= 1e-12 * abs_scale or n <= 0.0:
         raise MomentError(f"density nonpositive within quadrature tolerance (n = {n:.3e})")
-    u = np.array([_entry(first, (ax,)) / n for ax in range(grid.d)])
+    u = first[_counts(grid.d, 1)] / n
 
     c = _contract(f, [w[:, None] * np.vander(v - u_ax, 5, increasing=True)
                       for v, w, u_ax in zip(grid.axes, grid.weights, u)])
-    P, Q, R = (_symmetric_tensor(rank, grid.d, lambda idx: mass * _entry(c, idx))
-               for rank in (2, 3, 4))
+    P, Q, R = (mass * c[_counts(grid.d, rank)] for rank in (2, 3, 4))
     p = float(np.trace(P)) / 3.0 if grid.d == 3 else float(P[0, 0])
     q = 0.5 * np.einsum("jji->i", Q)
     return MomentSet(n=n, u=u, P=P, Q=Q, R=R, p=p, q=q, boundary_ok=boundary_ok)
@@ -263,7 +248,7 @@ def load_distribution_csv(path) -> tuple[np.ndarray, VelocityGrid]:
     1D files have columns (v, f); 3D files (v1, v2, v3, f), one row per
     node of a tensor-product grid in row-major order (v1 outermost, v3
     innermost), each node once.  Every value must be a finite number.
-    Grid weights are rebuilt by the trapezoid rule.  Anything else raises
+    The grid is the distinct values of each v column.  Anything else raises
     ``ConfigError``.
     """
     _, cols = read_csv(path)
@@ -281,4 +266,4 @@ def load_distribution_csv(path) -> tuple[np.ndarray, VelocityGrid]:
             (v.reshape(shape) == g).all() for v, g in zip(vs, nodes)):
         raise ConfigError("distribution rows must list each node of a tensor-product grid "
                           "once, in row-major order")
-    return f.reshape(shape), VelocityGrid.from_nodes(*axes)
+    return f.reshape(shape), VelocityGrid(axes)

@@ -41,6 +41,7 @@ exactly at H = 2, for every u0 and p0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -121,13 +122,21 @@ def wave_frame_config(H: float, u0: float = 1.0, v: float = 0.0) -> WaveFrameCon
     """Nondimensional wave-frame setup with a single quantum knob H.
 
     Uses the nondimensional preset (n0 = wp = 1); hbar is chosen so that
-    hbar wp / (m u0^2) equals H exactly.
+    hbar wp / (m u0^2) equals H.  Raises ``ConfigError`` when u0^2 is below
+    the smallest normal float, where hbar and the default p0 = m n0 u0^2
+    lose digits, or when the config's H is more than 4 ulp from a positive H.
     """
     if not 0.0 <= H < math.inf:
         raise ConfigError(f"quantum parameter H must be finite and non-negative, got {H!r}")
     base = nondimensional()
     cfg = WaveFrameConfig(v=v, u0=u0, params=base)   # checks u0 and v first
-    return replace(cfg, params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
+    if u0 * u0 < sys.float_info.min:
+        raise ConfigError(f"reference velocity u0 = {u0!r}: u0^2 is below the smallest "
+                          "normal float")
+    cfg = replace(cfg, params=base.with_(hbar=H * base.m * u0**2 / base.omega_p))
+    if H > 0.0 and abs(cfg.H - H) > 4.0 * math.ulp(H):
+        raise ConfigError(f"quantum parameter H = {H!r} at u0 = {u0!r} is held as H = {cfg.H!r}")
+    return cfg
 
 
 def traveling_rhs(y, cfg: WaveFrameConfig) -> list[float]:

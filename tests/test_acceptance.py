@@ -208,8 +208,7 @@ def test_criterion_8_cross_module_moments():
             for xq, n_e, u_e, p_e in zip(xs, n_ana, u_ana, p_ana):
                 table = wigner.wigner_transform(wfg, v=vgrid.axes[0],
                                                 x=np.array([xq]))
-                ms = moments.compute_moments(table.f[:, 0], vgrid,
-                                             boundary_threshold=1.0)
+                ms = moments.compute_moments(table.f[:, 0], vgrid)
                 assert abs(ms.n - n_e) < 1e-6 * n_peak
                 assert abs(ms.u[0] - u_e) < 1e-6 * u_scale
                 assert abs(ms.P[0, 0] - p_e) < 1e-6 * p_peak

@@ -319,7 +319,7 @@ def test_response_argv_fuzz_exits_with_a_documented_code(argv):
 # which test_traveling.py's strict xfail records
 TW_RUN_OPTIONS = {
     "--H": ([None, "0", "1", "1.8", "2.5"], ["-1", "nan", "inf", "1e308"]),
-    "--u0": ([None, "1", "-1.5"], ["0", "1e-200", "nan", "inf", "1e308"]),
+    "--u0": ([None, "1", "-1.5"], ["0", "1e-200", "1e-160", "nan", "inf", "1e308"]),
     "--v": ([None, "0.2", "-0.7"], ["nan", "inf", "1e308", "-1e308"]),
     "--density-ratio": ([None, "0.7", "0.95"], ["0", "-1", "1e-300", "nan", "inf", "1e308"]),
     "--p0-scale": ([None, "0", "0.5"], ["-1", "1e200", "nan", "inf", "1e308"]),
@@ -329,7 +329,7 @@ TW_RUN_OPTIONS = {
 }
 TW_STABILITY_OPTIONS = {
     "--H": ([None, "1.5", "0,1,3", "2.1,0.5"], ["", "1,x", "-1", "nan", "inf", "1e308"]),
-    "--u0": ([None, "1", "2"], ["0", "1e-200", "nan", "inf", "1e308"]),
+    "--u0": ([None, "1", "2"], ["0", "1e-200", "1e-160", "nan", "inf", "1e308"]),
     "--p0": ([None, "0", "0.5"], ["-1", "nan", "inf", "1e308"]),
 }
 # h-lo = 3 above the default h-hi, or h-hi = 1.5 below h-lo = 1.8, spoils the bracket
@@ -733,7 +733,9 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["tw", "run", "--u0", "nan"],
     ["tw", "run", "--p0-scale", "nan"],
     ["tw", "run", "--u0", "1e200"],
+    ["tw", "run", "--u0", "1e-160"],
     ["tw", "run", "--xi-max", "inf"],
+    ["tw", "stability", "--H", "1.9", "--u0", "1e-160"],
     ["tw", "stability", "--p0", "nan", "--H", "1"],
     ["tw", "stability", "--p0", "-5", "--H", "1"],
     ["response", "--p-iso", "nan"],

@@ -1,7 +1,10 @@
+import string
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfluid import csvio
 from qfluid.csvio import _CHUNK_ROWS, _format_e16, read_csv, write_csv
@@ -34,10 +37,15 @@ def test_write_csv_frozen_bytes(tmp_path):
     assert cols["i"].tolist() == [-7.0, 0.0, 3.0, -2147483648.0, 2147483647.0]
 
 
-@pytest.mark.parametrize("column", [np.array([True, False]),
-                                    np.array([1 + 2j, 0j]),
-                                    np.array([None, 1.0], dtype=object)],
-                         ids=["bool", "complex", "object"])
+@pytest.mark.parametrize("column", [
+    np.array([True, False]),
+    np.array([1 + 2j, 0j]),
+    np.array([None, 1.0], dtype=object),
+    # %.16e would drop the digits past float64's
+    pytest.param(np.longdouble(1) + np.longdouble(2) ** -60 * np.arange(2),
+                 marks=pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8,
+                                          reason="longdouble is float64 here")),
+], ids=["bool", "complex", "object", "longdouble"])
 def test_write_csv_rejects_other_dtypes(tmp_path, column):
     with pytest.raises(TypeError, match="'flag'"):
         write_csv(tmp_path / "out.csv", [("x", np.zeros(2)), ("flag", column)])
@@ -139,6 +147,50 @@ def test_write_csv_rejects_a_nul_in_a_str_cell(tmp_path):
     with pytest.raises(ValueError, match="'s'.*NUL"):
         write_csv(tmp_path / "out.csv", [("x", np.zeros(2)), ("s", np.array(["a", "b\0c"]))])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", ","])
+def test_write_csv_refuses_a_str_cell_that_breaks_the_table(tmp_path, cell):
+    with pytest.raises(ConfigError, match="'s'.*comma or line break"):
+        write_csv(tmp_path / "out.csv", [("x", np.zeros(2)), ("s", np.array([cell, "c"]))])
+    assert not list(tmp_path.iterdir())
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# a letters-only cell such as "nan" or "Inf" reads back as a float: CSV
+# does not mark text, so the text column draws only cells that are not numbers
+ROUND_TRIP_ROWS = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n),
+    st.lists(st.text(string.ascii_letters, max_size=6).filter(_not_a_number),
+             min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=ROUND_TRIP_ROWS)
+def test_round_trip_keeps_every_float64_bit_pattern_and_text_cell(tmp_path, rows):
+    bits_a, bits_b, text = rows
+    floats = {name: np.array(bits, dtype=np.uint64).view(np.float64)
+              for name, bits in (("a", bits_a), ("b", bits_b))}
+    path = tmp_path / "round.csv"
+    write_csv(path, [*floats.items(), ("s", np.array(text, dtype=str))], command="qfluid rt")
+    command, cols = read_csv(path)
+    assert command == "qfluid rt" and list(cols) == ["a", "b", "s"]
+    for name, want in floats.items():
+        got = cols[name]
+        nan = np.isnan(want)
+        assert got.dtype == np.float64
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()   # -0.0, subnormals, inf
+    assert cols["s"].tolist() == text
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -808,11 +808,11 @@ def test_measure_frequency_synthetic_cosine():
     assert measure_frequency(t, y) == pytest.approx(om0, rel=1e-4)
 
 
-def test_measure_frequency_spectral_fallback():
-    t = np.linspace(0.0, 40.0, 4001)
-    om0 = 1.1
-    y = np.cos(om0 * t)
-    assert measure_frequency(t, y, method="spectral") == pytest.approx(om0, rel=1e-2)
+def test_measure_frequency_refuses_three_periods():
+    # 3 periods cross zero 6 times; the fit needs 8 crossings (about 4 periods)
+    t = np.linspace(0.0, 3.0, 3001)
+    with pytest.raises(NoOscillationError, match="6 zero crossings"):
+        measure_frequency(t, np.cos(2.0 * np.pi * t + 0.1))
 
 
 def test_measure_frequency_flat_signal_errors():
@@ -825,6 +825,9 @@ def test_measure_frequency_rejects_nonuniform_time():
     t = np.array([0.0, 0.1, 0.3, 0.35, 0.6, 0.62, 0.9, 1.0])
     with pytest.raises(ConfigError):
         measure_frequency(t, np.cos(t))
+    for t in (np.zeros(8), np.linspace(10.0, 0.0, 101)):   # constant or decreasing
+        with pytest.raises(ConfigError, match="increasing"):
+            measure_frequency(t, np.cos(5.0 * t))
 
 
 # ---------------------------------------------------------------- misc

@@ -98,7 +98,7 @@ def test_quadrature_convergence_on_doubling():
     for n in (8, 16, 32):
         g = VelocityGrid.uniform(1, 8.0, n)
         f = maxwellian(g, density=1.0, temperature=T)
-        ms = compute_moments(f, g, boundary_threshold=1.0)
+        ms = compute_moments(f, g)
         errors.append(abs(ms.P[0, 0] - KB * T))
     # trapezoid on a smooth decaying integrand: at least 4x gain per doubling
     assert errors[1] < errors[0] / 4.0
@@ -156,14 +156,26 @@ def test_boundary_decay_violation_flags_result():
 @pytest.mark.parametrize("bad_call", [
     lambda: VelocityGrid.uniform(2, 5.0, 32),                      # 2D unsupported
     lambda: VelocityGrid.uniform(1, 5.0, 4),                       # too few nodes
-    lambda: VelocityGrid(axes=(np.array([3.0, 2.0, 1.0] * 3),),
-                         weights=(np.ones(9),)),                   # not increasing
-    lambda: VelocityGrid(axes=(np.linspace(0, 1, 9),),
-                         weights=(-np.ones(9),)),                  # negative weights
+    lambda: VelocityGrid(axes=(np.array([3.0, 2.0, 1.0] * 3),)),   # not increasing
+    lambda: VelocityGrid(axes=([0.0, 1, 2, 3, 4, 5, 6, np.inf],)),  # not finite
 ])
 def test_grid_validation(bad_call):
     with pytest.raises(ConfigError):
         bad_call()
+
+
+def test_grid_weights_are_the_trapezoid_rule_of_its_nodes():
+    # nonuniform nodes given as lists: the grid holds them as float arrays
+    nodes = ([-3, -2.5, -1, 0, 0.25, 1, 2, 4], list(np.linspace(-1.0, 2.0, 9)),
+             list(np.geomspace(0.1, 100.0, 10)))
+    g = VelocityGrid(nodes)
+    assert g.d == 3 and g.shape == (8, 9, 10)
+    for v, a, w in zip(nodes, g.axes, g.weights):
+        assert a.dtype == np.float64 and a.tolist() == [float(x) for x in v]
+        h = np.diff(a)
+        assert w.tolist() == (0.5 * np.append(h, 0.0) + 0.5 * np.append(0.0, h)).tolist()
+        assert w.sum() == pytest.approx(a[-1] - a[0], rel=1e-15)
+    assert g.weights is g.weights   # built once per grid
 
 
 def test_wrong_shape_distribution():
@@ -232,7 +244,7 @@ def test_csv_roundtrip_3d(tmp_path):
 
 def test_momentset_serialization_names():
     g = VelocityGrid.uniform(3, 8.0, 24)
-    ms = compute_moments(maxwellian(g, 1.0, 1.0), g, boundary_threshold=1.0)
+    ms = compute_moments(maxwellian(g, 1.0, 1.0), g)
     d = ms.to_dict()
     assert {"n", "p", "u_x", "u_y", "u_z", "q_x", "P_xx", "P_xy", "Q_xyz",
             "R_xxzz"} <= set(d)
@@ -271,13 +283,13 @@ def _skewed_table(d):
     axes differ in range and node count, and its twin minus a narrow
     displaced Gaussian: a table with a negative lobe, as Wigner data have."""
     if d == 1:
-        g = VelocityGrid.from_nodes(np.linspace(-7.5, 8.5, 201))
+        g = VelocityGrid((np.linspace(-7.5, 8.5, 201),))
         f = maxwellian(g, 1.3, 0.9, drift=0.4)
         v = g.axes[0]
         lobe = maxwellian(g, 0.5, 0.05, drift=1.2)
         return g, f * (1.0 + 0.3 * np.tanh(v)), lobe
-    g = VelocityGrid.from_nodes(np.linspace(-6.0, 6.5, 26), np.linspace(-7.0, 6.0, 30),
-                                np.linspace(-8.0, 8.5, 34))
+    g = VelocityGrid((np.linspace(-6.0, 6.5, 26), np.linspace(-7.0, 6.0, 30),
+                      np.linspace(-8.0, 8.5, 34)))
     f = maxwellian(g, 1.3, (0.6, 1.0, 1.5), drift=(0.2, -0.3, 0.1))
     vx, vy, vz = np.meshgrid(*g.axes, indexing="ij", sparse=True)
     skew = (1.0 + 0.2 * np.tanh(vx)) * (1.0 + 0.3 * np.tanh(vx) * np.tanh(vy) * np.tanh(vz))
@@ -293,7 +305,7 @@ def test_contractions_match_the_per_component_reference(d, negative_lobe):
         f = f - lobe
         assert f.min() < -0.05 * f.max()
     mass = 1.7
-    ms = compute_moments(f, g, mass=mass, boundary_threshold=1.0)
+    ms = compute_moments(f, g, mass=mass)
     n, u, P, Q, R, p, q = reference_moments(f, g, mass=mass)
     # the physical scales: n, the thermal speed, p, p v_th and p v_th^2
     v_th = np.sqrt(p / (mass * n))
@@ -315,7 +327,7 @@ def test_wigner_packet_has_gaussian_heat_flux_and_fourth_moment():
         xs = np.linspace(-3.0, 3.0, 13) * np.sqrt((1.0 + t**2) / 2.0)
         table = wigner.wigner_transform(wfg, v=vgrid.axes[0], x=xs)
         for j in range(len(xs)):
-            ms = compute_moments(table.f[:, j], vgrid, mass=MASS, boundary_threshold=1.0)
+            ms = compute_moments(table.f[:, j], vgrid, mass=MASS)
             P, n = ms.P[0, 0], ms.n
             gaussian_R = 3.0 * P**2 / (MASS * n)
             assert abs(ms.Q[0, 0, 0]) <= q_bound * P**1.5 / np.sqrt(MASS * n)
@@ -327,7 +339,7 @@ def test_waterbag_fourth_moment_departs_from_the_gaussian(v_b, mass):
     # f = 1/(2 v_b) on |v| <= v_b: R - 3 P^2/(m n) = -(2/15) n m v_b^4; the
     # trapezoid rule's h^2 errors in P and R cancel in that difference
     g = VelocityGrid.uniform(1, v_b, 4001)
-    ms = compute_moments(np.full(4001, 0.5 / v_b), g, mass=mass, boundary_threshold=np.inf)
+    ms = compute_moments(np.full(4001, 0.5 / v_b), g, mass=mass)
     excess = ms.R[0, 0, 0, 0] - 3.0 * ms.P[0, 0] ** 2 / (mass * ms.n)
     exact = -2.0 / 15.0 * ms.n * mass * v_b**4
     assert abs(excess - exact) <= 1e-13 * abs(exact)

@@ -22,6 +22,11 @@ def test_config_validation_and_quantum_parameter():
         WaveFrameConfig(v=0.0, u0=0.0, params=nondimensional())
     cfg = wave_frame_config(H=1.5, u0=2.0)
     assert cfg.H == pytest.approx(1.5, rel=1e-15)
+    # u0^2 = 1e-300 is a normal float: hbar = H u0^2 keeps every digit
+    for H in (1.9, 2.0 - 1e-9, 2.0 + 1e-9):
+        cfg = wave_frame_config(H, u0=1e-150)
+        assert abs(cfg.H - H) <= 4.0 * math.ulp(H)
+        assert classify_equilibrium(cfg) == ("unstable" if H > 2.0 else "center-like")
 
 
 @pytest.mark.parametrize("build", [
@@ -30,11 +35,14 @@ def test_config_validation_and_quantum_parameter():
     lambda: wave_frame_config(H=1.0, v=math.nan),
     lambda: wave_frame_config(H=1.0, u0=math.nan),
     lambda: wave_frame_config(H=1.0, u0=1e200),    # u0^2 overflows
+    lambda: wave_frame_config(H=2.0 - 1e-9, u0=1e-160),   # u0^2 subnormal: H would be 2
+    lambda: wave_frame_config(H=1e-200, u0=1e-100),       # hbar = H u0^2 underflows to 0
     lambda: reference_oscillation_state(wave_frame_config(1.0), p0_scale=math.nan),
     lambda: reference_oscillation_state(wave_frame_config(1.0), density_ratio=1e-310),
     lambda: integrate(equilibrium_state(wave_frame_config(1.0), 1.0),
                       wave_frame_config(1.0), xi_max=math.inf),
-], ids=["H nan", "H inf", "v nan", "u0 nan", "u0 1e200", "p0_scale nan",
+], ids=["H nan", "H inf", "v nan", "u0 nan", "u0 1e200", "u0 1e-160", "H 1e-200 u0 1e-100",
+        "p0_scale nan",
         "density_ratio 1e-310", "xi_max inf"])
 def test_non_finite_wave_frame_inputs_rejected(build):
     with pytest.raises(ConfigError):

@@ -324,7 +324,7 @@ def test_moments_of_tabulated_wigner_match_packet():
     wfg = evolve_free_gaussian(1.0, 0.0, x_max=50.0, n_points=1024)
     for xq in (0.0, 0.7):
         table = wigner_transform(wfg, v=vgrid.axes[0], x=np.array([xq]))
-        ms = moments.compute_moments(table.f[:, 0], vgrid, boundary_threshold=1.0)
+        ms = moments.compute_moments(table.f[:, 0], vgrid)
         assert ms.n == pytest.approx(np.exp(-xq**2) / np.sqrt(np.pi), rel=1e-7)
         assert abs(ms.u[0]) < 1e-12
         assert ms.P[0, 0] == pytest.approx(ms.n * 0.5, rel=1e-6)
