@@ -163,13 +163,6 @@ def _cmd_tw_stability(args, command: str) -> None:
     write_csv(args.output, [(k, np.array(v)) for k, v in cols.items()], command=command)
 
 
-def _cmd_tw_threshold(args, command: str) -> None:
-    h_crit = traveling.stability_threshold(args.h_lo, args.h_hi)
-    write_csv(args.output, [("h_crit", np.array([h_crit])),
-                            ("h_lo", np.array([args.h_lo])),
-                            ("h_hi", np.array([args.h_hi]))], command=command)
-
-
 def _cmd_wigner(args, command: str) -> None:
     times = _float_list(args.times, "--times")
     paths = [args.output] if len(times) == 1 else [
@@ -295,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p0", type=float, default=None)
     q.add_argument("-o", "--output", default="tw_stability.csv")
     q.set_defaults(func=_cmd_tw_stability)
-
-    q = tw_subs.add_parser("threshold", help="stability boundary in H (closed form: 2)")
-    q.add_argument("--h-lo", type=float, default=1.0)
-    q.add_argument("--h-hi", type=float, default=3.0)
-    q.add_argument("-o", "--output", default="tw_threshold.csv")
-    q.set_defaults(func=_cmd_tw_threshold)
 
     p = subs.add_parser("wigner", help="free-packet phase-space distribution")
     p.add_argument("--times", default="0,2,4,6", help="comma list of rescaled times")

@@ -19,10 +19,11 @@ e = eps0 = kB = 1, time in 1/omega_p, the length unit kept.  There the
 system keeps two parameters, hbar' = hbar / (m omega_p) and T' =
 kB T0_par / (m omega_p^2), and the rows (n, u, p, Q) are the caller's over
 (n0, omega_p, e^2 n0^2 / eps0, e^2 n0^2 omega_p / eps0).  ``evolve``, the
-state builders, ``mode_frequency`` and ``SpectralDamping.tailored`` take
-and return the caller's units: each maps the parameters there once and
-scales its result back once.  ``step``, ``rhs`` and ``auto_dt`` require
-everything in plasma units; ``solve_poisson`` takes the caller's units.
+state builders and ``mode_frequency`` take and return the caller's units:
+each maps the parameters there once and scales its result back once.
+``step``, ``rhs`` and ``auto_dt`` require everything in plasma units;
+``solve_poisson`` takes the caller's units.  ``SpectralDamping`` holds no
+dimensional number.
 
 Every spatial derivative is Fourier pseudo-spectral, irfft(i k rfft(f)),
 and quadratic products are dealiased by the 2/3 rule.
@@ -67,9 +68,9 @@ finite, or an omega'^2 that is not finite at the grid's top wavenumber.
 mode or steepening limit outside its domain and a run of more than 2**20
 steps, ``mode_frequency`` and the state builders a mode outside [1, the
 last mode the 2/3 rule keeps], the builders a non-finite amplitude or a
-row that overflows, ``tailored`` a negative protected band and ``Grid1D``
-a length outside (0, inf), all with ``ConfigError`` (CLI exit 2) before
-any step.  m = 1e-200 has plasma units (hbar' = 1e100): its mode 1
+row that overflows, ``SpectralDamping`` a negative protected band and
+``Grid1D`` a length outside (0, inf), all with ``ConfigError`` (CLI exit
+2) before any step.  m = 1e-200 has plasma units (hbar' = 1e100): its mode 1
 oscillates at ~7e49 omega_p, so ``qfluid fluid`` stops on its steepening
 limit (exit 3).
 
@@ -78,9 +79,10 @@ companion pair +-gamma(k), growing faster with k
 (``dispersion.companion_growth_rate``), which blows a run up from
 rounding noise alone.  ``step`` damps that pair only, as
 exp((L - rate P) dt/2) with P = (L^2 + omega^2) / (gamma^2 + omega^2) its
-projector, which commutes with L; ``SpectralDamping.tailored`` sets the
-rate to gamma + 2 omega_p at every mode but k = 0.  Every +-i omega pair,
-the probe mode's included, keeps its frequency and amplitude exactly.
+projector, which commutes with L.  ``_half_step_exponential`` forms the
+rate, gamma' + 2 in 1/omega_p, at every mode above the filter's protected
+band (by default every mode but k = 0).  Every +-i omega pair, the probe
+mode's included, keeps its frequency and amplitude exactly.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ FIELDS = ("n", "u", "p", "Q")
 
 # factor on the advective and plasma-period time-step bounds in auto_dt
 _SAFETY = 0.4
-# damping above the companion growth rate in SpectralDamping.tailored, in omega_p
+# damping of the companion pair above its growth rate, in omega_p
+# (_half_step_exponential)
 _MARGIN = 2.0
 # relative tolerance on mean(n) = n0 in solve_poisson
 _MEAN_TOL = 1e-8
@@ -397,43 +400,32 @@ def rhs(state: FluidState1D, params: PlasmaParams) -> np.ndarray:
     return np.fft.irfft(linear + remainder, n=state.grid.n_points)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectralDamping:
-    """Per-mode damping rates of the companion pair.
+    """The filter ``step`` applies to the companion pair: the modes it spares.
 
-    ``step`` folds them into the exponential of the linear part as
+    Every mode above ``protect_modes`` has its pair damped at its own growth
+    rate plus 2 omega_p, folded into the exponential of the linear part as
     exp((L - rate P) dt) with P the projector onto the +-gamma(k) pair
-    (``_half_step_exponential``), so the +-i omega pair is untouched.
-    Instances compare and hash by identity, and hold a read-only copy of
-    ``rates``.
+    (``_half_step_exponential``, which forms the rate), so the +-i omega
+    pair is untouched; modes 0..protect_modes are not damped.  A negative
+    ``protect_modes`` raises ``ConfigError``: mode 0 (the mean density)
+    must not be damped.  Instances compare and hash by value.
     """
 
-    rates: np.ndarray = field(repr=False)
+    protect_modes: int = 0
 
     def __post_init__(self):
-        rates = np.array(self.rates, dtype=float)
-        rates.flags.writeable = False
-        object.__setattr__(self, "rates", rates)
+        if self.protect_modes < 0:
+            raise ConfigError(f"protected band must be >= 0 modes, got {self.protect_modes!r}")
 
     @classmethod
     def tailored(cls, grid: Grid1D, params: PlasmaParams,
                  protect_modes: int = 0) -> "SpectralDamping":
-        """Damping matched to the closure's companion-branch growth rate.
-
-        Every mode above ``protect_modes`` gets its own growth rate plus
-        2 omega_p, so its companion pair decays at 2 omega_p or faster;
-        modes 0..protect_modes keep rate 0.  The rates are (gamma' + 2)
-        omega_p, with gamma' in plasma units (``_plasma_units``, whose scale
-        check raises ``ConfigError``).  A negative ``protect_modes`` raises
-        ``ConfigError`` too: mode 0 (the mean density) must not be damped.
-        """
-        if protect_modes < 0:
-            raise ConfigError(f"protected band must be >= 0 modes, got {protect_modes!r}")
-        unit, scales = _plasma_units(params, grid)
-        k = grid.k
-        rates = (dispersion.companion_growth_rate(k, unit) + _MARGIN) * scales[1]
-        rates[k <= protect_modes * grid.k_fundamental + 1e-12 * grid.k_fundamental] = 0.0
-        return cls(rates=rates)
+        """The filter for a run of ``params`` on ``grid``, after the scale
+        check of ``_plasma_units`` (``ConfigError``)."""
+        _plasma_units(params, grid)
+        return cls(protect_modes)
 
 
 @lru_cache(maxsize=1)
@@ -449,18 +441,25 @@ def _half_step_exponential(grid: Grid1D, params: PlasmaParams,
     pair and commutes with L, so the damping factor exp(-rate h) multiplies
     the cosh and sinh coefficients only, formed as exp((gamma - rate) h) so
     a filtered mode never overflows.  Where L = 0 (k = 0 and above the 2/3
-    cut) P is the identity.  The last result is cached, keyed
-    on (grid, params, damping, dt), so ``evolve`` computes it once per run
-    and once per halving of its step, and keeps at most one
-    (4, 4, N/2 + 1) array alive afterwards.
+    cut) P is the identity.  The rate, in 1/omega_p, is gamma'(k) + 2 at
+    every mode above ``damping.protect_modes`` and 0 at the others, or 0
+    without ``damping``; gamma' is taken at the grid's own k, so above the
+    cut, where the exponential has gamma = 0, the rate is still
+    gamma'(k) + 2.  The last result is cached, keyed on (grid, params,
+    damping, dt), all compared by value, so ``evolve`` computes it once per
+    run and once per halving of its step, a second run with the same
+    inputs not at all, and at most one (4, 4, N/2 + 1) array stays alive.
     """
     h = 0.5 * dt
     L = _linear_operator(grid, params)
-    k = np.where(grid.dealias_mask, grid.k, 0.0)
-    om2 = dispersion.general_omega_sq(k, params)
+    om2 = dispersion.general_omega_sq(np.where(grid.dealias_mask, grid.k, 0.0), params)
     om = np.sqrt(om2)
-    ga = dispersion.companion_growth_rate(k, params)
-    rates = damping.rates if damping is not None else 0.0
+    gamma = dispersion.companion_growth_rate(grid.k, params)
+    ga = np.where(grid.dealias_mask, gamma, 0.0)
+    rates = 0.0
+    if damping is not None:
+        kf = grid.k_fundamental
+        rates = np.where(grid.k <= damping.protect_modes * kf + 1e-12 * kf, 0.0, gamma + _MARGIN)
     c_osc, s_osc = np.cos(om * h), np.sin(om * h) / om
     grow = np.exp((ga - rates) * h)
     x = 2.0 * ga * h
@@ -533,10 +532,11 @@ def step(state: FluidState1D, dt: float, params: PlasmaParams,
     """Advance one Lawson (integrating-factor) RK4 step on the spectrum.
 
     Every argument is in plasma units: ``params`` has n0 = m = e = eps0 =
-    kB = 1, and t, ``dt`` and the damping rates are in 1/omega_p
-    (``evolve`` maps a run into them).  With E = exp((L - rate P) dt/2)
-    from ``_half_step_exponential`` and the nonlinear remainder N
-    (``_nonlinear``, Poisson re-solved per stage):
+    kB = 1, and t and ``dt`` are in 1/omega_p (``evolve`` maps a run
+    into them).  With E = exp((L - rate P) dt/2) from
+    ``_half_step_exponential``, which forms the rate of ``damping``, and
+    the nonlinear remainder N (``_nonlinear``, Poisson re-solved per
+    stage):
 
         k1 = N(y)
         k2 = N(E (y + dt/2 k1))
@@ -625,9 +625,9 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     Everything ``evolve`` takes and returns is in the caller's units.  It
     maps the run once to plasma units (``_plasma_units``: n0 = m = e =
     eps0 = kB = 1, t in 1/omega_p, the length unit kept): the initial
-    state's rows over their scales, t_end and a given ``dt`` times omega_p,
-    the damping rates over omega_p.  It steps there, and maps the
-    ``FluidRun`` (t, dt, the probe coefficients, mass, the final state),
+    state's rows over their scales, t_end and a given ``dt`` times omega_p
+    (``damping`` names modes and needs no map).  It steps there, and maps
+    the ``FluidRun`` (t, dt, the probe coefficients, mass, the final state),
     the numbers in its own errors and a suggested dt back.  A vacuum or
     non-finite error raised inside a step names its t in 1/omega_p.
 
@@ -681,8 +681,6 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
         raise ConfigError(f"the initial state is not finite in plasma units, "
                           f"with row scales (n, u, p, Q) = {scales!r}")
     state = FluidState1D(g, fields, state.t * wp, spectrum, derivatives)
-    if damping is not None:
-        damping = SpectralDamping(damping.rates / wp)
     if dt is None:
         limit = auto_dt(state, unit)
         dt_bound = "plasma" if limit == _SAFETY else "advective"

@@ -50,14 +50,15 @@ _MIN_NODES = 8
 _BOUNDARY_RTOL = 1e-10  # boundary |f| over max |f| above which boundary_ok is False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityGrid:
     """Per-axis quadrature nodes for velocity-space integrals.
 
     ``axes`` is a sequence of 1D node arrays, one per velocity dimension
     (1 or 3), stored as a tuple of float arrays.  Nodes must be finite and
     strictly increasing, with at least 8 per axis.  The quadrature weights
-    are the trapezoid rule's, built from the nodes.
+    are the trapezoid rule's, built from the nodes.  Instances compare and
+    hash by identity.
     """
 
     axes: tuple[np.ndarray, ...]

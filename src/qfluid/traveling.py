@@ -323,6 +323,9 @@ def classify_equilibrium(cfg: WaveFrameConfig, p0: float | None = None) -> str:
 def stability_threshold(h_lo: float, h_hi: float, tol: float = 1e-6) -> float:
     """H at which the ``wave_frame_config(H)`` equilibrium loses stability: 2.
 
+    Only the benchmark's ``wave_frame`` workload calls it; the boundary is
+    in ``classify_equilibrium`` and ``qfluid tw stability``.
+
     ``ConfigError`` unless -inf < h_lo < h_hi < inf, 0 < tol < inf (the
     closed form has no use for tol) and 0 <= h_lo < 2 <= h_hi.
     """

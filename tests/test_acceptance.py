@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qfluid import dispersion, fluid1d, linear_response, moments, traveling, wigner
+from qfluid.errors import SonicSingularityError
 from qfluid.params import nondimensional
 
 
@@ -124,11 +125,52 @@ def test_criterion_4_wave_driven_anisotropy():
         assert dPq[2, 2] / dPq[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
+def fixed_point_grows(H, u0, p0):
+    """Whether the wave-frame fixed point at H has a growing mode, or None
+    on the singular set.
+
+    The 5x5 Jacobian is formed by central differences of ``traveling_rhs``
+    alone; its nonzero pair +-lambda is real (one root grows) above the
+    boundary and imaginary below, so the largest real part either exceeds
+    every imaginary part or does not.
+    """
+    cfg = traveling.wave_frame_config(H, u0=u0)
+    par = cfg.params
+    y = np.array([cfg.v + u0, par.m * par.n0 * u0 * u0 if p0 is None else p0, 0.0, 0.0, 0.0])
+    J = np.empty((5, 5))
+    for j, h in enumerate(1e-6 * np.maximum(1.0, np.abs(y))):
+        step = h * np.eye(5)[j]
+        try:
+            J[:, j] = np.subtract(traveling.traveling_rhs(y + step, cfg),
+                                  traveling.traveling_rhs(y - step, cfg)) / (2.0 * h)
+        except SonicSingularityError:
+            return None
+    eigs = np.linalg.eigvals(J)
+    return bool(eigs.real.max() > np.abs(eigs.imag).max())
+
+
+def bisect_boundary(u0, p0, h_lo=1.0, h_hi=3.0, tol=1e-9):
+    """H where the fixed point starts to grow, bisected on ``fixed_point_grows``;
+    a midpoint on the singular set (H = 2 exactly, from [1, 3]) is the boundary."""
+    assert fixed_point_grows(h_lo, u0, p0) is False and fixed_point_grows(h_hi, u0, p0) is True
+    while h_hi - h_lo > tol:
+        mid = 0.5 * (h_lo + h_hi)
+        grows = fixed_point_grows(mid, u0, p0)
+        if grows is None:
+            return mid
+        h_lo, h_hi = (h_lo, mid) if grows else (mid, h_hi)
+    return 0.5 * (h_lo + h_hi)
+
+
 def test_criterion_5_stability_threshold():
+    # measured through traveling_rhs, not the closed form: 2 at every u0 and
+    # p0; with the quantum term's 4 m^2 eps0 off by 1e-5 it reads 2.00001
     with criterion(5, "wave-frame stability boundary at quantum parameter "
                       "2 within 1e-6"):
-        h_crit = traveling.stability_threshold(1.0, 3.0, tol=1e-6)
-        assert abs(h_crit - 2.0) <= 1e-6
+        for u0 in (1.0, 0.3, -0.7):
+            for p0 in (None, 0.0):
+                h_crit = bisect_boundary(u0, p0)
+                assert abs(h_crit - 2.0) <= 1e-6, (u0, p0, h_crit)
 
 
 def test_criterion_6_reference_oscillations():

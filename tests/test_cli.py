@@ -332,11 +332,6 @@ TW_STABILITY_OPTIONS = {
     "--u0": ([None, "1", "2"], ["0", "1e-200", "1e-160", "nan", "inf", "1e308"]),
     "--p0": ([None, "0", "0.5"], ["-1", "nan", "inf", "1e308"]),
 }
-# h-lo = 3 above the default h-hi, or h-hi = 1.5 below h-lo = 1.8, spoils the bracket
-TW_THRESHOLD_OPTIONS = {
-    "--h-lo": ([None, "0.5", "1.8"], ["3", "-1", "-inf", "nan", "inf", "1e308"]),
-    "--h-hi": ([None, "2.5", "3"], ["1.5", "-1", "nan", "inf", "1e308"]),
-}
 
 
 @settings(max_examples=25, deadline=2_000)
@@ -348,12 +343,6 @@ def test_tw_run_argv_fuzz_exits_with_a_documented_code(argv):
 @settings(max_examples=25, deadline=2_000)
 @given(argv=spoiled_argv("tw stability", TW_STABILITY_OPTIONS))
 def test_tw_stability_argv_fuzz_exits_with_a_documented_code(argv):
-    assert_documented_exit(argv)
-
-
-@settings(max_examples=25, deadline=2_000)
-@given(argv=spoiled_argv("tw threshold", TW_THRESHOLD_OPTIONS))
-def test_tw_threshold_argv_fuzz_exits_with_a_documented_code(argv):
     assert_documented_exit(argv)
 
 
@@ -428,14 +417,6 @@ def test_tw_stability_far_above_the_boundary(tmp_path, capsys):
     assert run(tmp_path, ["tw", "stability", "--H", "2", "-o", "h2.csv"]) == 3
     assert "H = 2" in capsys.readouterr().err
     assert not (tmp_path / "h2.csv").exists()
-
-
-def test_tw_threshold(tmp_path):
-    code = run(tmp_path, ["tw", "threshold", "-o", "th.csv"])
-    assert code == 0
-    _, cols = read_csv(tmp_path / "th.csv")
-    assert list(cols) == ["h_crit", "h_lo", "h_hi"]
-    assert cols["h_crit"][0] == 2.0
 
 
 def test_wigner_panels(tmp_path):
@@ -660,8 +641,8 @@ def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(tmp_path, ["dispersion", "--relation", "wrong"]) == 2
     assert run(tmp_path, ["no-such-command"]) == 2
-    # the threshold is closed-form: no tolerance to set
-    assert run(tmp_path, ["tw", "threshold", "--tol", "0"]) == 2
+    # the stability table is closed-form: no tolerance to set
+    assert run(tmp_path, ["tw", "stability", "--tol", "0"]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -752,7 +733,6 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["response", "--p-iso", "1e308", "--n", "4"],
     ["response", "--n0", "2.5", "--tpar", "1e308", "--n", "4"],
     ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
-    ["tw", "threshold", "--h-lo", "3", "--h-hi", "0.5"],
     ["tw", "run", "--samples", "100000000000"],
     ["fluid", "--ic", "perturb", "--mode", "0", "--periods", "1", "--snapshot", "s.csv"],
     ["fluid", "--grid", "16", "--tpar", "1e300", "--periods", "0.2"],

@@ -294,6 +294,15 @@ def companion_projector(g, p):
     return (np.einsum("ijk,jlk->ilk", L, L) + om2 * np.eye(4)[:, :, None]) / (ga2 + om2)
 
 
+def filter_rate(g, p, protect_modes=0):
+    """The filter's rate per mode of g.k, in 1/omega_p: the companion growth
+    rate plus 2 above the protected band, 0 in it."""
+    k, kf = g.k, g.k_fundamental
+    rate = dispersion.companion_growth_rate(k, p) + 2.0
+    rate[k <= protect_modes * kf + 1e-12 * kf] = 0.0
+    return rate
+
+
 def taylor_exponential(M, terms=80):
     """exp(M) per mode of a (4, 4, K) array by its Taylor series."""
     out = np.zeros_like(M)
@@ -322,7 +331,7 @@ def test_half_step_exponential_matches_taylor_series(hbar, T0_par, filtered):
     reference = taylor_exponential(_linear_operator(g, p) * (0.5 * dt))
     if filtered:
         P = companion_projector(g, p)
-        factor = np.eye(4)[:, :, None] + np.expm1(-0.5 * dt * damping.rates) * P
+        factor = np.eye(4)[:, :, None] + np.expm1(-0.5 * dt * filter_rate(g, p)) * P
         reference = np.einsum("ijk,jlk->ilk", reference, factor)
     err = np.max(np.abs(E - reference), axis=(0, 1)) / np.max(np.abs(reference), axis=(0, 1))
     assert np.max(err) < 1e-13
@@ -331,7 +340,8 @@ def test_half_step_exponential_matches_taylor_series(hbar, T0_par, filtered):
 def classical_rk4_step(state, dt, params, damping):
     """Reference: classical RK4 over rhs - rate P y, P the companion projector, same ODE as step."""
     g = state.grid
-    P = damping.rates * companion_projector(g, params)
+    rate = filter_rate(g, params, damping.protect_modes)
+    P = rate * companion_projector(g, params)
 
     def f(s):
         filtered = np.einsum("ijk,jk->ik", P, np.fft.rfft(s.fields))
@@ -781,22 +791,42 @@ def test_step_rhs_and_auto_dt_take_plasma_units_only():
 # ---------------------------------------------------------------- damping
 
 def test_tailored_damping_protects_low_modes():
+    # the band shows in the half-step exponential: inside it E is bitwise
+    # the unfiltered E, above it the filter changes every mode, the modes
+    # above the 2/3 cut (where E is the identity unfiltered) included
     g = grid(256)
     p = nondimensional(hbar=1.0)
-    d = SpectralDamping.tailored(g, p, protect_modes=2)
-    k = g.k
-    assert np.all(d.rates[k <= 2 * g.k_fundamental] == 0.0)
-    assert np.all(d.rates[k > 2 * g.k_fundamental] > 0.0)
-    # rates dominate the companion growth everywhere outside the window
-    growth = dispersion.companion_growth_rate(k, p)
-    sel = k > 2 * g.k_fundamental
-    assert np.all(d.rates[sel] >= growth[sel])
-    # by default only the mean density is spared, and a negative band would damp it
-    default = SpectralDamping.tailored(g, p)
-    assert default.rates[0] == 0.0
-    assert np.all(default.rates[1:] >= growth[1:] + 2.0 * p.omega_p)
+    dt = 0.3
+    bare = _half_step_exponential(g, p, None, dt)
+    for protect_modes in (0, 2):
+        E = _half_step_exponential(g, p, SpectralDamping.tailored(g, p, protect_modes), dt)
+        band = g.k <= (protect_modes + 0.5) * g.k_fundamental
+        assert np.count_nonzero(band) == protect_modes + 1
+        assert np.array_equal(E[:, :, band], bare[:, :, band])
+        assert np.all(np.any(E[:, :, ~band] != bare[:, :, ~band], axis=(0, 1)))
+    # a negative band would damp the mean density
     with pytest.raises(ConfigError, match="protected band"):
         SpectralDamping.tailored(g, p, protect_modes=-1)
+    with pytest.raises(ConfigError, match="protected band"):
+        SpectralDamping(-1)
+
+
+def test_filter_compares_and_hashes_by_value():
+    g = grid(64)
+    a, b = SpectralDamping.tailored(g, WARM), SpectralDamping.tailored(g, WARM)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == SpectralDamping() != SpectralDamping(2)
+
+
+def test_equal_runs_share_one_half_step_exponential():
+    g = grid(64)
+    state = eigenmode_state(g, WARM, mode=1, amplitude=1e-5)
+    _half_step_exponential.cache_clear()
+    runs = [evolve(state, WARM, t_end=2.0, damping=SpectralDamping.tailored(g, WARM))
+            for _ in range(2)]
+    assert runs[0].n_halvings == 0 and runs[0].n_steps > 1
+    info = _half_step_exponential.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * runs[0].n_steps - 1)
 
 
 # ---------------------------------------------------------------- probes

@@ -178,6 +178,13 @@ def test_grid_weights_are_the_trapezoid_rule_of_its_nodes():
     assert g.weights is g.weights   # built once per grid
 
 
+def test_grids_compare_and_hash_by_identity():
+    # an array field makes a generated == ambiguous and hash undefined
+    a, b = VelocityGrid.uniform(1, 4.0, 16), VelocityGrid.uniform(1, 4.0, 16)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_wrong_shape_distribution():
     g = grid3(n=16)
     with pytest.raises(ConfigError):
