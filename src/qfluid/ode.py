@@ -1,37 +1,52 @@
-"""Adaptive embedded Runge-Kutta integration (Dormand-Prince 5(4)).
+"""Adaptive embedded Runge-Kutta integration (DOP853) with dense output.
 
-Compact single-trajectory driver used by the wave-frame module: the span
-is the array of sample points, and steps are clamped so every sample is
-hit exactly (no dense-output interpolation).  A caller-supplied exception
-class can mark points where the right-hand side ceases to exist, in which
-case the driver backs off.  Every halt (a blocked step that cannot be
-halved further, a step size underflow from error control alone, or the
-cap of ``_MAX_STEPS`` step attempts) returns the partial trajectory with
-a halt reason; none raises.
+Compact single-trajectory driver used by the wave-frame module.  The pair
+is Dormand and Prince's explicit 8th-order method with its 5th- and
+3rd-order error estimators and 7th-order interpolant (Hairer, Norsett and
+Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., sec. II.10;
+the coefficients of Hairer's ``dop853``).  Error control alone sets each
+step: a sample that falls inside an accepted step is read from the
+interpolant, and only the last step is shortened, so that the last sample
+is hit exactly.  The controller is Hairer's: the step grows by at most 6,
+shrinks by at most 3, and does not grow right after a failed attempt.
+Error control runs at ``_TOL_FRACTION`` of the tolerances asked for, so
+that ``rtol`` and ``atol`` state the accuracy of the samples.  The first
+trial step comes from the starting-step algorithm of the same book
+(sec. II.4): the size of f at the start and one explicit-Euler probe of
+its rate of change.
 
-The pair is FSAL (first same as last): the seventh stage is f at the
-accepted point and becomes the first stage of the next step, so every
-step attempt costs six evaluations of f.
+A caller-supplied exception class can mark points where the right-hand
+side ceases to exist, in which case the driver halves the step.  Every
+halt (a blocked step that cannot be halved further, a step size underflow
+from error control alone, or the cap of ``_MAX_STEPS`` step attempts)
+returns the partial trajectory with a halt reason; none raises.
+
+A step attempt evaluates f at 11 new stages and forms the error estimate
+from them.  An accepted step adds f at the new point, which is FSAL
+(first same as last): it becomes the next step's first stage.  An
+accepted step that holds a sample adds the interpolant's 3 stages.  So a
+run with no blocked attempt makes 2 + 12 accepted + 11 rejected + 3 per
+step holding a sample evaluations of f; the 2 are f at the start and the
+starting-step probe.
 
 The stages are computed on Python floats, not numpy arrays: the
 wave-frame system has five components, and at that size each numpy
 operation costs its call overhead, not its arithmetic.  A loop over the
 components is no better: a list comprehension over ``zip(y, k1, ...)``
 spends more than half of each stage on its frame, the zip and the
-per-element unpacking.  So a step attempt is one function whose
-source is written out per component, every tableau coefficient a
-literal, generated by ``_attempt`` from ``_C``, ``_A`` and ``_B4`` once
-per state dimension and compiled with ``exec`` (as
-``collections.namedtuple`` builds its classes; the source holds only
-float literals and the dimension).  The error norm is summed from the
-error weights (5th- minus 4th-order), with no 4th-order solution formed.
-``f`` receives the state as a list of Python floats, is called directly,
-with no wrapper per call, and returns a list of Python floats, so a
-right-hand side written on floats makes no ndarray at all.
+per-element unpacking.  So a step attempt is one function whose source is
+written out per component, every tableau coefficient a literal, generated
+by ``_attempt`` from the tableau once per state dimension and compiled
+with ``exec`` (as ``collections.namedtuple`` builds its classes; the
+source holds only float literals and the dimension).  ``f`` receives the
+state as a list of Python floats, is called directly, with no wrapper per
+call, and returns a list of Python floats, so a right-hand side written on
+floats makes no ndarray at all.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -43,23 +58,112 @@ from .errors import ConfigError
 
 __all__ = ["OdeResult", "integrate_adaptive"]
 
-_C = np.array([0.0, 1/5, 3/10, 4/5, 8/9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1/5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3/40, 9/40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44/45, -56/15, 32/9, 0.0, 0.0, 0.0, 0.0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0.0, 0.0, 0.0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656, 0.0, 0.0],
-    [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84, 0.0],
-])
-_B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40])
-_ORDER = 5.0
+# DOP853 (Hairer, Norsett & Wanner, sec. II.10), with the literals of
+# Hairer's dop853.f.  Stage s, 0-based, is f at x + _C[s] h and
+# y + h sum_j a[s, j] k_j; _A[s] lists its nonzero (j, a[s, j]).  Stages
+# 0-11 make the step, row 12 weights the 8th-order solution, stage 12 is
+# f there (FSAL), and stages 13-15 serve only the interpolant.
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+      0.1, 0.2, 0.777777777777777777777777777778)
+_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+     (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+     (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+     (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)),
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+     (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+     (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+# error weights: the 5th-order estimator, and the 8th-order weights minus
+# _BHH for the 3rd-order one
+_E5 = ((0, 0.1312004499419488073250102996e-1), (5, -0.1225156446376204440720569753e+1),
+       (6, -0.4957589496572501915214079952), (7, 0.1664377182454986536961530415e+1),
+       (8, -0.3503288487499736816886487290), (9, 0.3341791187130174790297318841),
+       (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1))
+_BHH = ((0, 0.244094488188976377952755905512), (8, 0.733846688281611857341361741547),
+        (11, 0.220588235294117647058823529412e-1))
+# the interpolant's 4th to 7th coefficients, over stages 0-15
+_D = (
+    ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
+     (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
+     (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
+     (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
+     (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
+     (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)),
+    ((0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
+     (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
+     (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
+     (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
+     (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
+     (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)),
+    ((0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
+     (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
+     (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
+     (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
+     (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
+     (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)),
+    ((0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
+     (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
+     (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
+     (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
+     (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
+     (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)),
+)
+_ORDER = 8.0           # the step size exponent: h ~ err^(-1/_ORDER)
+_SAFETY = 0.9
+_SHRINK, _GROW = 0.333, 6.0   # Hairer's bounds on the factor h_new / h
+# The error estimators bound one step's local error, not the error of a
+# sample after many steps, which the interpolant also enters.  Measured on
+# wave-frame runs (tol 1e-9 against the same run at 1e-12; xi up to 220,
+# up to 8192 samples): at 1/40 of tol every trajectory was at least as
+# accurate as with the sample-clamped Dormand-Prince 5(4) pair this stepper
+# replaced, run at tol itself; at 1/20 some were up to 1.7 times less so.
+_TOL_FRACTION = 1.0 / 40.0
 _MIN_STEP = 16.0 * sys.float_info.epsilon   # in units of max(|x|, 1)
-# a wave-frame step attempt costs about 20 us, so the cap halts a run after
-# about a minute and a half; it is above the 2**20 samples ``traveling``
-# allows, each of which costs at least one attempt
-_MAX_STEPS = 2**22
+# a wave-frame step attempt costs about 25 us, so the cap halts a run
+# after about half a minute
+_MAX_STEPS = 2**20
 
 
 class _Blocked(Exception):
@@ -67,51 +171,78 @@ class _Blocked(Exception):
     ``calls`` of a step attempt."""
 
 
+def _terms(row, i: int) -> str:
+    """sum_j a_j k_j for component i, over the nonzero (j, a_j) of ``row``."""
+    return " + ".join(f"{a!r} * k{j}_{i}" for j, a in row)
+
+
 @functools.cache
 def _attempt(dim: int):
-    """The step attempt ``attempt(f, x, h, y, k1, atol, rtol, halt_on)`` for
-    a ``dim``-component state: returns (y5, k7, sum of the squared error
-    ratios), raises ``_Blocked`` when f raises one of ``halt_on`` and
-    ``ConfigError`` when f returns other than ``dim`` components.
+    """The step attempt ``attempt(f, x, h, y, k1, atol, rtol, halt_on,
+    thetas)`` for a ``dim``-component state.
+
+    Returns ``(y8, k, err, rows)``.  ``err`` is the error norm; above 1
+    (or nan) the attempt is rejected and the rest is None.  Otherwise
+    ``y8`` is the 8th-order solution at x + h, ``k`` is f there, and
+    ``rows`` holds the interpolant at x + theta h for each theta of
+    ``thetas``, or is None when ``thetas`` is empty and the interpolant's
+    three stages are not computed.  Raises ``_Blocked`` when f raises one
+    of ``halt_on`` and ``ConfigError`` when f returns other than ``dim``
+    components.
 
     Each component's expression is written out with the tableau's float
     literals, in the operation order of a loop over the components, and
-    skips the tableau's two zero weights (a72 and e2).  The source grows
-    linearly with ``dim`` (compiling it takes about 0.4 ms per component)
-    and every function built stays cached, so the stepper suits small
-    systems; no expression in it nests deeper than one stage.
+    skips its zero entries.  The source grows linearly with ``dim`` and
+    every function built stays cached, so the stepper suits small systems;
+    no expression in it nests deeper than the interpolant's seven
+    coefficients.  Component i of stage s is ``k{s}_{i}``, of y ``v{i}``
+    and of y8 ``z{i}``.
     """
-    names = "pqrstuw"    # components of k1 ... k7; v is y and z is y5
-    # weights[j] combines k1 ... kj into stage j + 1; weights[7] is the error
-    weights = [_A[j, :j] for j in range(7)] + [_A[6] - _B4]
-
-    def combination(j, i):
-        return " + ".join(f"{float(c)!r} * {k}{i}" for c, k in zip(weights[j], names) if c)
-
     def unpack(name):
         return ", ".join(f"{name}{i}" for i in range(dim)) + ","
 
-    lines = ["def attempt(f, x, h, y, k1, atol, rtol, halt_on):",
-             f"    {unpack('v')} = y", f"    {unpack('p')} = k1"]
-    for j in range(1, 7):   # stage j + 1 is call j of the attempt
-        if j < 6:
-            arg = "[" + ", ".join(f"v{i} + h * ({combination(j, i)})" for i in range(dim)) + "]"
-        else:
-            lines += [f"    z{i} = v{i} + h * ({combination(6, i)})" for i in range(dim)]
-            lines.append(f"    y5 = [{', '.join(f'z{i}' for i in range(dim))}]")
-            arg = "y5"
-        xj = "x + h" if _C[j] == 1.0 else f"x + {float(_C[j])!r} * h"
-        lines += ["    try:", f"        k = f({xj}, {arg})",
-                  "    except halt_on as exc:", f"        raise _Blocked({j}, exc) from None",
-                  "    try:", f"        {unpack(names[j])} = k",
-                  "    except ValueError:",
-                  "        raise ConfigError(f'f returned {len(k)} components for a "
-                  f"{dim}-component state') from None"]
+    def call(s, arg):   # stage s is call s of the attempt
+        at = "x + h" if _C[s] == 1.0 else f"x + {_C[s]!r} * h"
+        return ["    try:", f"        k = f({at}, {arg})",
+                "    except halt_on as exc:", f"        raise _Blocked({s}, exc) from None",
+                "    try:", f"        {unpack(f'k{s}_')} = k",
+                "    except ValueError:",
+                "        raise ConfigError(f'f returned {len(k)} components for a "
+                f"{dim}-component state') from None"]
+
+    def stage(s):
+        return "[" + ", ".join(f"v{i} + h * ({_terms(_A[s], i)})" for i in range(dim)) + "]"
+
+    lines = ["def attempt(f, x, h, y, k1, atol, rtol, halt_on, thetas):",
+             f"    {unpack('v')} = y", f"    {unpack('k0_')} = k1"]
+    for s in range(1, 12):
+        lines += call(s, stage(s))
+    for i in range(dim):
+        lines += [f"    b{i} = {_terms(_A[12], i)}", f"    z{i} = v{i} + h * b{i}"]
     for i in range(dim):    # one statement per term: no expression nests dim deep
-        lines += [f"    d = h * ({combination(7, i)}) / (atol + rtol * max(abs(v{i}), abs(z{i})))",
-                  "    s = d * d" if i == 0 else "    s += d * d"]
-    lines.append("    return y5, k, s")
-    namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError}
+        lines += [f"    sc = atol + rtol * max(abs(v{i}), abs(z{i}))",
+                  f"    d = ({_terms(_E5, i)}) / sc",
+                  "    s5 = d * d" if i == 0 else "    s5 += d * d",
+                  f"    d = (b{i} - ({_terms(_BHH, i)})) / sc",
+                  "    s3 = d * d" if i == 0 else "    s3 += d * d"]
+    # h s5 / sqrt((s5 + 0.01 s3) dim), Hairer's norm, with no sum that overflows
+    lines += [f"    err = h * math.sqrt(s5 / ((1.0 + 0.01 * s3 / s5) * {dim})) if s5 else 0.0",
+              "    if not err <= 1.0:",
+              "        return None, None, err, None",
+              f"    y8 = [{', '.join(f'z{i}' for i in range(dim))}]"]
+    lines += call(12, "y8")
+    lines += ["    k12 = k", "    if not thetas:", "        return y8, k12, err, None"]
+    for s in range(13, 16):
+        lines += call(s, stage(s))
+    for i in range(dim):    # Hairer's coefficients of the interpolant
+        lines += [f"    F0_{i} = z{i} - v{i}", f"    F1_{i} = h * k0_{i} - F0_{i}",
+                  f"    F2_{i} = 2.0 * F0_{i} - h * (k12_{i} + k0_{i})"]
+        lines += [f"    F{r + 3}_{i} = h * ({_terms(_D[r], i)})" for r in range(4)]
+    horner = ", ".join(f"v{i} + t * (F0_{i} + s * (F1_{i} + t * (F2_{i} + s * (F3_{i} + t * "
+                       f"(F4_{i} + s * (F5_{i} + t * F6_{i}))))))" for i in range(dim))
+    lines += ["    rows = []", "    for t in thetas:", "        s = 1.0 - t",
+              f"        rows.append([{horner}])", "    return y8, k12, err, rows"]
+    namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError, "math": math}
     exec("\n".join(lines), namespace)
     return namespace["attempt"]
 
@@ -130,24 +261,61 @@ class OdeResult:
         return self.halt_reason is None
 
 
+def _rms(a: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(a * a)))
+
+
+def _first_step(f, x: float, y: list, k1: list, span: float, atol: float, rtol: float,
+                halt_on: tuple[type, ...]) -> float:
+    """The first trial step, at most ``span``, by Hairer, Norsett and
+    Wanner's starting-step algorithm (sec. II.4): from the size of y and f
+    at the start, and of f' from one explicit-Euler probe, which is the one
+    call of f made here.  A probe blocked by ``halt_on`` keeps the probe's
+    own step, which the driver then halves."""
+    y0, f0 = np.array(y), np.array(k1)
+    scale = atol + rtol * np.abs(y0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+        if not h <= span:   # also inf / inf
+            h = span
+        try:
+            f1 = f(x + h, (y0 + h * f0).tolist())
+        except halt_on:
+            return h
+        if len(f1) != len(y):
+            raise ConfigError(f"f returned {len(f1)} components for a {len(y)}-component state")
+        d2 = _rms((np.array(f1) - f0) / scale) / h
+        rate = max(d1, d2)
+        h = min(100.0 * h, (0.01 / rate) ** (1.0 / _ORDER) if rate > 1e-15
+                else max(1e-6, 1e-3 * h))
+    floor = 64.0 * _MIN_STEP * max(abs(x), 1.0)
+    if not h >= floor:      # also nan
+        h = floor
+    return min(h, span)
+
+
 def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-12,
                        halt_on: tuple[type, ...] = ()) -> OdeResult:
-    """Integrate y' = f(x, y) from samples[0] to samples[-1], landing on
-    every sample exactly.
+    """Integrate y' = f(x, y) from samples[0] to samples[-1], returning the
+    state at every sample.
 
-    ``f`` gets y as a list of Python floats, which it must not modify,
-    and returns a list of Python floats of the same length.  Exceptions
-    listed in ``halt_on`` raised by ``f`` trigger step halving.  The run
-    halts, returning the trajectory up to there with a halt reason, when
-    such a step cannot be halved further, when error control alone (an
-    error estimate that is not finite included) shrinks the step below
-    the representable limit, or after ``_MAX_STEPS`` step attempts.
+    ``rtol`` and ``atol`` state the accuracy asked of the samples; error
+    control runs at ``_TOL_FRACTION`` of both.  Samples inside a step come
+    from the interpolant, and the last one is hit exactly.  ``f`` gets y
+    as a list of Python floats, which it must not modify, and returns a
+    list of Python floats of the same length.  Exceptions listed in
+    ``halt_on`` raised by ``f`` trigger step halving.  The run halts,
+    returning the trajectory up to there with a halt reason, when such a
+    step cannot be halved further, when error control alone (an error
+    estimate that is not finite included) shrinks the step below the
+    representable limit, or after ``_MAX_STEPS`` step attempts.
     Raises ``ConfigError`` unless ``samples`` holds at least two finite,
     strictly increasing points, 0 < rtol < inf and 0 <= atol < inf, and
     when any call of ``f`` returns another number of components.
     Meant for small systems: the first call for each state dimension
-    compiles a stepper whose code grows with the dimension (about 0.8 s
-    at 2000 components) and keeps it for the life of the process.
+    compiles a stepper whose code grows with the dimension (about 3.4 s
+    at 3000 components) and keeps it for the life of the process.
     """
     samples = np.asarray(samples, dtype=float)
     if not (samples.ndim == 1 and len(samples) >= 2 and np.all(np.isfinite(samples))
@@ -156,84 +324,84 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
         raise ConfigError(f"need 0 < rtol < inf and 0 <= atol < inf, "
                           f"got rtol = {rtol!r}, atol = {atol!r}")
+    rtol, atol = _TOL_FRACTION * rtol, _TOL_FRACTION * atol
     y0 = np.array(y0, dtype=float)
     samples = samples.tolist()
     n_samples = len(samples)
 
     dim = len(y0)
-    xs = [samples[0]]
     # one spare row for the point reached before a halt
     ys = np.empty((n_samples + 1, dim))
     ys[0] = y0
-    x = samples[0]
+    x, end = samples[0], samples[-1]
     y = y0.tolist()
     n_rhs = 1
     try:
         k1 = f(x, y)
     except halt_on as exc:  # singular right at the start
-        return OdeResult(np.array(xs), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
+        return OdeResult(np.array(samples[:1]), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
     if len(k1) != dim:
         raise ConfigError(f"f returned {len(k1)} components for a {dim}-component state")
-    span = samples[-1] - x
-    scale0 = atol + rtol * max(float(np.max(np.abs(y0))), 1e-30)
-    d1 = math.sqrt(float(np.mean((np.array(k1) / scale0) ** 2)))
-    h = 1e-3 / d1 if d1 > 0 else 0.01 * span
-    # floor the guess: a zero initial state must not stall the controller
-    h = min(max(h, 1e-8 * span, 64.0 * _MIN_STEP * max(abs(x), 1.0)), span)
+    h = _first_step(f, x, y, k1, end - x, atol, rtol, halt_on)
+    n_rhs += 1
 
     attempt = _attempt(dim)
-    next_sample = 1
+    next_sample = 1     # the first sample not yet reached
     n_steps = n_rejected = 0
     halt = None
     blocked_by = None   # message of the halt exception we are backing off from
+    failed = False      # the last attempt failed: the next step may not grow
     while next_sample < n_samples:
-        target = samples[next_sample]
-        hit = h >= target - x
-        h_try = target - x if hit else h
+        x_new = x + h
+        if x_new >= end:
+            x_new, h_try = end, end - x
+        else:
+            h_try = h
         if h_try < _MIN_STEP * max(abs(x), 1.0):
             halt = f"step size underflow at x = {x:.9g}" if blocked_by is None else blocked_by
             break
         if n_steps + n_rejected >= _MAX_STEPS:
             halt = f"step limit of {_MAX_STEPS} attempts reached at x = {x:.9g}"
             break
+        inside = bisect.bisect_left(samples, x_new, next_sample)   # samples before x_new
+        thetas = [(s - x) / h_try for s in samples[next_sample:inside]]
         try:
-            y5, k7, sum_sq = attempt(f, x, h_try, y, k1, atol, rtol, halt_on)
+            y8, k12, err, rows = attempt(f, x, h_try, y, k1, atol, rtol, halt_on, thetas)
         except _Blocked as blocked:
             calls, exc = blocked.args
             n_rhs += calls
             blocked_by = str(exc)
+            failed = True
             h = 0.5 * h_try
             if h < _MIN_STEP * max(abs(x), 1.0):
                 halt = blocked_by
                 break
             continue
-        n_rhs += 6
-        # RMS of the 5th- minus 4th-order difference over atol + rtol max(|y|, |y5|)
-        err = math.sqrt(sum_sq / dim)
-        if err <= 1.0:
-            n_steps += 1
-            y = y5
-            k1 = k7   # FSAL: the last stage is f at the new point
-            blocked_by = None
-            if hit:
-                x = target
-                xs.append(target)
-                ys[next_sample] = y
-                next_sample += 1
-            else:
-                x += h_try
-        else:
+        if y8 is None:
+            n_rhs += 11
             n_rejected += 1
-        if err > 0.0:
-            factor = 0.9 * err ** (-1.0 / _ORDER)
-        elif err == 0.0:
-            factor = 5.0
-        else:   # nan: reject and shrink, so a non-finite f ends in step underflow
-            factor = 0.2
-        h = h_try * min(5.0, max(0.2, factor))
+            failed = True
+            # err > 1, or nan: reject and shrink, so a non-finite f ends in step underflow
+            h = h_try * (max(_SHRINK, _SAFETY * err ** (-1.0 / _ORDER)) if err > 1.0
+                         else _SHRINK)
+            continue
+        n_rhs += 15 if thetas else 12
+        n_steps += 1
+        if thetas:
+            ys[next_sample:inside] = rows
+        x, y, k1 = x_new, y8, k12   # FSAL: the last stage is f at the new point
+        next_sample = inside
+        if x == end:
+            ys[next_sample] = y
+            next_sample += 1
+        blocked_by = None
+        factor = min(_GROW, _SAFETY * err ** (-1.0 / _ORDER)) if err > 0.0 else _GROW
+        h = h_try * (min(factor, 1.0) if failed else factor)
+        failed = False
 
-    if x > xs[-1]:
-        xs.append(x)          # last point actually reached before the halt
-        ys[len(xs) - 1] = y
-    return OdeResult(np.array(xs), ys[:len(xs)], halt_reason=halt,
+    reached = samples[:next_sample]
+    if x > reached[-1]:
+        reached.append(x)     # last point actually reached before the halt
+        ys[len(reached) - 1] = y
+    return OdeResult(np.array(reached), ys[:len(reached)], halt_reason=halt,
                      n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)

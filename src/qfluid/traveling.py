@@ -66,9 +66,10 @@ __all__ = [
 
 _DET_RTOL = 1e-12
 _EPS_SONIC = 1e-9   # on |u - v|, in units of |u0|
-# every sample interval costs at least one accepted step (~20 us), so
-# 2**20 samples is already a run of about 20 s; the cap rejects a huge
-# count before its sample arrays are allocated
+# the cap bounds the sample arrays (a Trajectory holds seven float64
+# columns, 56 MiB at the cap) and rejects a huge count before they are
+# allocated; samples inside a step are read from the interpolant, so they
+# do not set the number of steps
 _MAX_SAMPLES = 2**20
 
 
@@ -259,7 +260,12 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
               tol: float = 1e-9, n_samples: int = 2048) -> Trajectory:
     """Integrate the wave-frame system over xi in [initial.xi, xi_max].
 
-    Adaptive embedded RK pair at relative tolerance ``tol``; on a sonic
+    Returns ``n_samples + 1`` equally spaced samples, the first at the
+    launch and the last at xi_max.  ``tol`` is the relative accuracy asked
+    of the samples (the absolute floor is 1e-3 tol max(1, |y(0)|)): the
+    DOP853 pair of ``ode.integrate_adaptive`` runs its error control at the
+    fixed fraction ``ode._TOL_FRACTION`` = 1/40 of both, and reads the
+    samples inside a step from its 7th-order interpolant.  On a sonic
     singularity, a step size underflow (as next to the singular set) or
     the integrator's step limit, the partial trajectory is returned with
     the halt reason (a launch on the sonic point u = v gives one sample,

@@ -94,6 +94,24 @@ def test_classical_limit_fourth_order_coefficient():
     assert 3.9 < slope < 4.1
 
 
+@pytest.mark.parametrize("hbar, tpar, k, bound", [(0.0, 0.1, 0.01, 6.1e-5),
+                                                  (1.0, 0.0, 0.1, 5.1e-5),
+                                                  (0.2, 0.02, 0.05, 3.1e-4)])
+def test_departure_from_the_kinetic_waterbag_relation_is_its_series(hbar, tpar, k, bound):
+    # an oracle from outside the hierarchy: linearised Wigner-Poisson theory
+    # gives a waterbag the quantum Langmuir relation exactly (Haas, Manfredi
+    # & Feix, Phys. Rev. E 62:2763, 2000).  In plasma units the closed
+    # hierarchy departs from it by -9 T'^2 k^4 - (3/2) T' hbar'^2 k^6
+    # - hbar'^4 k^8 / 16, the x^2 term of (1/2)(1 + sqrt(1 + x)) with
+    # x = 12 T' k^2 + hbar'^2 k^4.  The next term makes the relative gap
+    # about x/2: measured 6.0e-5, 5.0e-5 and 3.0e-4, bounded rounded up
+    p = nondimensional(hbar=hbar, T0_par=tpar)
+    assert p.omega_p == 1.0 and p.m == 1.0 and p.vt2_par == tpar
+    gap = float(general_omega_sq(k, p) - quantum_langmuir_omega_sq(k, p))
+    series = -9.0 * tpar**2 * k**4 - 1.5 * tpar * hbar**2 * k**6 - hbar**4 * k**8 / 16.0
+    assert abs(gap - series) <= bound * abs(series)
+
+
 def test_bohm_gross_is_adiabatic_gamma_three():
     p = nondimensional(hbar=0.4, T0_par=1.1)
     ks = np.linspace(0.0, 5.0, 64)

@@ -65,20 +65,47 @@ def test_tolerance_controls_error():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_fsal_costs_six_calls_per_step_attempt():
+def test_fsal_call_count_per_step():
     calls = 0
 
-    def f(x, y):
-        nonlocal calls
-        calls += 1
-        return [y[1], -y[0]]
+    def counted(f):
+        def wrapped(x, y):
+            nonlocal calls
+            calls += 1
+            return f(x, y)
+        return wrapped
 
-    res = integrate_adaptive(f, np.array([1.0, 0.0]), np.array([0.0, 20.0]),
-                             rtol=1e-9, atol=1e-12)
+    # f at the start and the starting-step probe, 11 stages per attempt, and
+    # f at the new point (FSAL) per accepted step; van der Pol's relaxation
+    # makes the controller overshoot
+    res = integrate_adaptive(counted(lambda x, y: [y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0]]),
+                             np.array([2.0, 0.0]), np.array([0.0, 20.0]), rtol=1e-9, atol=1e-12)
     assert res.completed and res.n_steps > 0 and res.n_rejected > 0
-    # one call for the initial step guess, six per accepted or rejected attempt
-    assert calls == 1 + 6 * (res.n_steps + res.n_rejected)
-    assert res.n_rhs == calls
+    assert res.n_rhs == calls == 2 + 12 * res.n_steps + 11 * res.n_rejected
+    # plus the interpolant's 3 stages per step that holds a sample: here
+    # every step, since each is longer than the sample spacing
+    calls = 0
+    res = integrate_adaptive(counted(lambda x, y: [y[1], -y[0]]), np.array([1.0, 1.0]),
+                             np.linspace(0.0, 20.0, 20001), rtol=1e-9, atol=1e-12)
+    assert res.completed
+    assert res.n_rhs == calls == 2 + 15 * res.n_steps + 11 * res.n_rejected
+
+
+def test_first_step_follows_the_scale_of_f_not_the_span(monkeypatch):
+    # a guess from the span alone (1e-8 of it) would put the first attempt's
+    # stages near x = 1e292; the starting-step algorithm sizes it from f
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    seen = []
+
+    def f(x, y):
+        seen.append(x)
+        return [-y[0]]
+
+    res = integrate_adaptive(f, np.array([1.0]), [0.0, 1e300])
+    assert res.halt_reason.startswith("step limit of 5 attempts")
+    # f at the start, the probe, and the first attempt's 11 stages
+    assert max(seen[:13]) <= 1.0
+    assert 0.0 < seen[1] <= 1.0
 
 
 def test_non_finite_rhs_ends_in_step_underflow():
@@ -108,9 +135,11 @@ def test_step_underflow_carries_the_partial_trajectory():
 
     part = integrate_adaptive(f, np.array([1.0]), np.linspace(0.0, 2.0, 9))
     assert part.halt_reason.startswith("step size underflow at x = ")
-    assert np.array_equal(part.x[:4], [0.0, 0.25, 0.5, 0.75]) and 0.75 < part.x[-1] < 1.0
+    # the halt is at the blow-up, on either side of it within the tolerance
+    assert np.array_equal(part.x[:4], [0.0, 0.25, 0.5, 0.75]) and abs(part.x[-1] - 1.0) < 1e-10
     assert part.y[3, 0] == pytest.approx(4.0, rel=1e-8)
-    assert part.n_rhs == calls == 1 + 6 * (part.n_steps + part.n_rejected)
+    assert part.n_rhs == calls
+    assert (calls - 2 - 12 * part.n_steps - 11 * part.n_rejected) % 3 == 0
 
 
 class Boom(RuntimeError):
@@ -202,32 +231,57 @@ def test_value_error_raised_by_f_propagates():
     assert type(info.value) is ValueError
 
 
-def reference_attempt(f, x, h, y, k1, atol, rtol):
-    """One step attempt as a comprehension per stage over zip(y, k1, ...),
-    with the tableau unpacked into scalars, as integrate_adaptive computed it
-    before its stages were written out per component."""
-    c2, c3, c4, c5 = ode._C[1:5].tolist()
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = (ode._A[i, :i].tolist() for i in range(1, 6))
-    a71, _, a73, a74, a75, a76 = ode._A[6, :6].tolist()
-    e1, _, e3, e4, e5, e6, e7 = (ode._A[6] - ode._B4).tolist()
-    k2 = f(x + c2 * h, [v + h * (a21 * p) for v, p in zip(y, k1)])
-    k3 = f(x + c3 * h, [v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)])
-    k4 = f(x + c4 * h, [v + h * (a41 * p + a42 * q + a43 * r)
-                        for v, p, q, r in zip(y, k1, k2, k3)])
-    k5 = f(x + c5 * h, [v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                        for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    k6 = f(x + h, [v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * t)
-                   for v, p, q, r, s, t in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [v + h * (a71 * p + a73 * r + a74 * s + a75 * t + a76 * u)
-          for v, p, r, s, t, u in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(x + h, y5)
-    sum_sq = 0   # left to right from int 0, as sum() adds up to Python 3.11
-    for d in (h * (e1 * p + e3 * r + e4 * s + e5 * t + e6 * u + e7 * w)
-              / (atol + rtol * max(abs(v), abs(v5)))
-              for v, v5, p, r, s, t, u, w in zip(y, y5, k1, k3, k4, k5, k6, k7)):
-        sum_sq += d * d
-    return y5, k7, sum_sq
+def combination(row, ks, i):
+    """sum_j a_j ks[j][i] over the tableau row's nonzero (j, a_j), left to right."""
+    total = None
+    for j, a in row:
+        term = a * ks[j][i]
+        total = term if total is None else total + term
+    return total
+
+
+def reference_attempt(f, x, h, y, k1, atol, rtol, thetas):
+    """One step attempt as loops over the tableau and comprehensions over
+    the components: the arithmetic that ode._attempt writes out."""
+    dim = len(y)
+    ks = [k1]
+
+    def stage(s):
+        return f(x + ode._C[s] * h, [v + h * combination(ode._A[s], ks, i)
+                                     for i, v in enumerate(y)])
+
+    for s in range(1, 12):
+        ks.append(stage(s))
+    b = [combination(ode._A[12], ks, i) for i in range(dim)]
+    y8 = [v + h * bi for v, bi in zip(y, b)]
+    s5 = s3 = 0.0
+    for i in range(dim):
+        sc = atol + rtol * max(abs(y[i]), abs(y8[i]))
+        d5 = combination(ode._E5, ks, i) / sc
+        d3 = (b[i] - combination(ode._BHH, ks, i)) / sc
+        s5 += d5 * d5
+        s3 += d3 * d3
+    err = h * math.sqrt(s5 / ((1.0 + 0.01 * s3 / s5) * dim)) if s5 else 0.0
+    if not err <= 1.0:
+        return None, None, err, None
+    ks.append(f(x + h, y8))
+    if not thetas:
+        return y8, ks[12], err, None
+    for s in range(13, 16):
+        ks.append(stage(s))
+    rows = []
+    for t in thetas:
+        row = []
+        for i in range(dim):
+            F0 = y8[i] - y[i]
+            F1 = h * ks[0][i] - F0
+            F2 = 2.0 * F0 - h * (ks[12][i] + ks[0][i])
+            F3, F4, F5, F6 = (h * combination(d, ks, i) for d in ode._D)
+            s = 1.0 - t
+            row.append(y[i] + t * (F0 + s * (F1 + t * (F2 + s * (F3 + t * (F4 + s * (
+                F5 + t * F6)))))))
+        rows.append(row)
+    return y8, ks[12], err, rows
 
 
 def coupled(x, y):
@@ -235,26 +289,35 @@ def coupled(x, y):
     return [math.sin(x + v) * y[(i + 1) % len(y)] - 0.5 * v for i, v in enumerate(y)]
 
 
+def hexes(value):
+    """Bit patterns of a float, a list of floats or a list of rows; None as is."""
+    if value is None or isinstance(value, float):
+        return value if value is None else value.hex()
+    return [hexes(v) for v in value]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 7])
 def test_attempt_is_bitwise_the_comprehension_arithmetic(dim):
     rng = np.random.default_rng(dim)
     attempt = ode._attempt(dim)
-    for _ in range(50):
-        x, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 0.0)
+    outcomes = set()
+    for _ in range(60):
+        x, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 0.0)
         y, k1 = rng.normal(size=dim).tolist(), rng.normal(size=dim).tolist()
-        atol, rtol = 10.0 ** rng.uniform(-14.0, -6.0), 10.0 ** rng.uniform(-12.0, -3.0)
-        got = attempt(coupled, x, h, y, k1, atol, rtol, ())
-        want = reference_attempt(coupled, x, h, y, k1, atol, rtol)
-        assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
-        assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
-        assert got[2].hex() == want[2].hex()
+        atol, rtol = 10.0 ** rng.uniform(-10.0, -4.0), 10.0 ** rng.uniform(-8.0, -2.0)
+        thetas = rng.uniform(0.0, 1.0, rng.integers(0, 3)).tolist()
+        got = attempt(coupled, x, h, y, k1, atol, rtol, (), thetas)
+        want = reference_attempt(coupled, x, h, y, k1, atol, rtol, thetas)
+        assert [hexes(v) for v in got] == [hexes(v) for v in want]
+        outcomes.add("rejected" if got[0] is None else "rows" if got[3] else "accepted")
+    assert outcomes == {"rejected", "rows", "accepted"}
 
 
-@pytest.mark.parametrize("j", range(1, 7))
+@pytest.mark.parametrize("j", range(1, 16))
 def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
-    def raising_at(call):
-        calls = 0
+    calls = 0
 
+    def raising_at(call):
         def f(x, y):
             nonlocal calls
             calls += 1
@@ -263,14 +326,18 @@ def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
             return [y[1], -y[0]]
         return f
 
+    # calls 1-11 are the stages, 12 f at the new point, 13-15 the interpolant's
     with pytest.raises(ode._Blocked) as info:
-        ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, (Boom,))
+        ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, (Boom,),
+                        [0.5])
     assert info.value.args[0] == j and str(info.value.args[1]) == f"call {j}"
-    # call 1 is the initial k1; call 1 + j is call j of the first attempt
-    res = integrate_adaptive(raising_at(1 + j), np.array([1.0, 0.0]), [0.0, 1.0],
+    # call 1 is the initial k1, call 2 the starting-step probe: call 2 + j
+    # falls in the first attempt, or for j > 12 in the first to hold a sample
+    calls = 0
+    res = integrate_adaptive(raising_at(2 + j), np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 65),
                              halt_on=(Boom,))
     assert res.completed
-    assert res.n_rhs == 1 + j + 6 * (res.n_steps + res.n_rejected)
+    assert res.n_rhs == calls > 2 + j
 
 
 def test_large_system_compiles_and_integrates():
