@@ -29,6 +29,13 @@ run with no blocked attempt makes 2 + 12 accepted + 11 rejected + 3 per
 step holding a sample evaluations of f; the 2 are f at the start and the
 starting-step probe.
 
+The samples themselves are formed in bulk: an accepted step that holds a
+sample returns the interpolant's inputs (h, y, the new y and the stages
+it reads) as one row, and every ``_CHUNK`` such steps, and once more when
+the run ends or halts, ``_interpolate`` forms all their samples with
+numpy.  It repeats the scalar formulas' operations in their order,
+elementwise, so a sample is bitwise the same whichever chunk forms it.
+
 The stages are computed on Python floats, not numpy arrays: the
 wave-frame system has five components, and at that size each numpy
 operation costs its call overhead, not its arithmetic.  A loop over the
@@ -123,33 +130,35 @@ _E5 = ((0, 0.1312004499419488073250102996e-1), (5, -0.12251564463762044407205697
        (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1))
 _BHH = ((0, 0.244094488188976377952755905512), (8, 0.733846688281611857341361741547),
         (11, 0.220588235294117647058823529412e-1))
-# the interpolant's 4th to 7th coefficients, over stages 0-15
-_D = (
-    ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
-     (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
-     (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
-     (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
-     (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
-     (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)),
-    ((0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
-     (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
-     (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
-     (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
-     (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
-     (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)),
-    ((0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
-     (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
-     (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
-     (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
-     (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
-     (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)),
-    ((0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
-     (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
-     (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
-     (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
-     (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
-     (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)),
-)
+# the interpolant's 4th to 7th coefficients: row r weights the stages
+# _DENSE_STAGES, which every row uses
+_DENSE_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_D = np.array([
+    [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
+])
 _ORDER = 8.0           # the step size exponent: h ~ err^(-1/_ORDER)
 _SAFETY = 0.9
 _SHRINK, _GROW = 0.333, 6.0   # Hairer's bounds on the factor h_new / h
@@ -161,9 +170,13 @@ _SHRINK, _GROW = 0.333, 6.0   # Hairer's bounds on the factor h_new / h
 # replaced, run at tol itself; at 1/20 some were up to 1.7 times less so.
 _TOL_FRACTION = 1.0 / 40.0
 _MIN_STEP = 16.0 * sys.float_info.epsilon   # in units of max(|x|, 1)
-# a wave-frame step attempt costs about 25 us, so the cap halts a run
-# after about half a minute
+# a wave-frame step attempt that holds no sample costs about 25-31 us, so
+# the cap halts a run after about half a minute
 _MAX_STEPS = 2**20
+# steps holding a sample whose rows are buffered before their samples are
+# formed: enough to share each numpy call, few enough that the buffer stays
+# small (36 KiB for five components)
+_CHUNK = 64
 
 
 class _Blocked(Exception):
@@ -178,43 +191,43 @@ def _terms(row, i: int) -> str:
 
 @functools.cache
 def _attempt(dim: int):
-    """The step attempt ``attempt(f, x, h, y, k1, atol, rtol, halt_on,
-    thetas)`` for a ``dim``-component state.
+    """The step attempt ``attempt(f, x, h, y, k0, atol, rtol, halt_on,
+    dense)`` for a ``dim``-component state.
 
-    Returns ``(y8, k, err, rows)``.  ``err`` is the error norm; above 1
+    Returns ``(y8, k, err, row)``.  ``err`` is the error norm; above 1
     (or nan) the attempt is rejected and the rest is None.  Otherwise
-    ``y8`` is the 8th-order solution at x + h, ``k`` is f there, and
-    ``rows`` holds the interpolant at x + theta h for each theta of
-    ``thetas``, or is None when ``thetas`` is empty and the interpolant's
-    three stages are not computed.  Raises ``_Blocked`` when f raises one
-    of ``halt_on`` and ``ConfigError`` when f returns other than ``dim``
-    components.
+    ``y8`` is the 8th-order solution at x + h and ``k`` is f there.  When
+    ``dense`` is true the interpolant's three stages are computed too, and
+    ``row`` is the flat list h, y, y8 and the stages ``_DENSE_STAGES``,
+    from which ``_interpolate`` forms the samples; otherwise it is None.
+    Raises ``_Blocked`` when f raises one of ``halt_on`` and
+    ``ConfigError`` when f returns other than ``dim`` components.
 
     Each component's expression is written out with the tableau's float
     literals, in the operation order of a loop over the components, and
     skips its zero entries.  The source grows linearly with ``dim`` and
     every function built stays cached, so the stepper suits small systems;
-    no expression in it nests deeper than the interpolant's seven
-    coefficients.  Component i of stage s is ``k{s}_{i}``, of y ``v{i}``
-    and of y8 ``z{i}``.
+    no expression in it nests deeper than one tableau row's sum, whatever
+    ``dim``.  Stage s is the list ``k{s}`` and its component i
+    ``k{s}_{i}``; component i of y is ``v{i}`` and of y8 ``z{i}``.
     """
     def unpack(name):
         return ", ".join(f"{name}{i}" for i in range(dim)) + ","
 
     def call(s, arg):   # stage s is call s of the attempt
         at = "x + h" if _C[s] == 1.0 else f"x + {_C[s]!r} * h"
-        return ["    try:", f"        k = f({at}, {arg})",
+        return ["    try:", f"        k{s} = f({at}, {arg})",
                 "    except halt_on as exc:", f"        raise _Blocked({s}, exc) from None",
-                "    try:", f"        {unpack(f'k{s}_')} = k",
+                "    try:", f"        {unpack(f'k{s}_')} = k{s}",
                 "    except ValueError:",
-                "        raise ConfigError(f'f returned {len(k)} components for a "
+                f"        raise ConfigError(f'f returned {{len(k{s})}} components for a "
                 f"{dim}-component state') from None"]
 
     def stage(s):
         return "[" + ", ".join(f"v{i} + h * ({_terms(_A[s], i)})" for i in range(dim)) + "]"
 
-    lines = ["def attempt(f, x, h, y, k1, atol, rtol, halt_on, thetas):",
-             f"    {unpack('v')} = y", f"    {unpack('k0_')} = k1"]
+    lines = ["def attempt(f, x, h, y, k0, atol, rtol, halt_on, dense):",
+             f"    {unpack('v')} = y", f"    {unpack('k0_')} = k0"]
     for s in range(1, 12):
         lines += call(s, stage(s))
     for i in range(dim):
@@ -231,20 +244,51 @@ def _attempt(dim: int):
               "        return None, None, err, None",
               f"    y8 = [{', '.join(f'z{i}' for i in range(dim))}]"]
     lines += call(12, "y8")
-    lines += ["    k12 = k", "    if not thetas:", "        return y8, k12, err, None"]
+    lines += ["    if not dense:", "        return y8, k12, err, None"]
     for s in range(13, 16):
         lines += call(s, stage(s))
-    for i in range(dim):    # Hairer's coefficients of the interpolant
-        lines += [f"    F0_{i} = z{i} - v{i}", f"    F1_{i} = h * k0_{i} - F0_{i}",
-                  f"    F2_{i} = 2.0 * F0_{i} - h * (k12_{i} + k0_{i})"]
-        lines += [f"    F{r + 3}_{i} = h * ({_terms(_D[r], i)})" for r in range(4)]
-    horner = ", ".join(f"v{i} + t * (F0_{i} + s * (F1_{i} + t * (F2_{i} + s * (F3_{i} + t * "
-                       f"(F4_{i} + s * (F5_{i} + t * F6_{i}))))))" for i in range(dim))
-    lines += ["    rows = []", "    for t in thetas:", "        s = 1.0 - t",
-              f"        rows.append([{horner}])", "    return y8, k12, err, rows"]
+    stages = ", ".join(f"*k{s}" for s in _DENSE_STAGES)
+    lines += [f"    return y8, k12, err, [h, *y, *y8, {stages}]"]
     namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError, "math": math}
     exec("\n".join(lines), namespace)
     return namespace["attempt"]
+
+
+def _interpolate(steps: np.ndarray, x: np.ndarray, points: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """The interpolant of each step at the sample points it holds.
+
+    Column j of ``steps`` is the row that ``attempt`` returned for step j,
+    ``x[j]`` is the step's start and ``counts[j]`` how many of the
+    consecutive ``points`` it holds.  Hairer's coefficients F0-F6 and the
+    7th-order polynomial in theta = (point - x) / h are formed
+    elementwise, with the operations and order of the scalar formulas, so
+    each sample is bitwise what its step alone gives, whichever steps
+    share the call.  Returns the samples, shape (len(points), dim).
+    """
+    n_stages, n = len(_DENSE_STAGES), steps.shape[1]
+    dim = (len(steps) - 1) // (2 + n_stages)
+    h = steps[0]
+    k = steps[2 * dim + 1:].reshape(n_stages, dim, n)
+    k0, k12 = k[_DENSE_STAGES.index(0)], k[_DENSE_STAGES.index(12)]
+    c = np.empty((8, dim, n))      # y, F0, ..., F6
+    c[0] = steps[1:dim + 1]
+    F0 = np.subtract(steps[dim + 1:2 * dim + 1], c[0], out=c[1])
+    c[2] = h * k0 - F0
+    c[3] = 2.0 * F0 - h * (k12 + k0)
+    total = _D[:, 0, None, None] * k[0]    # F3-F6 over h, summed stage by stage
+    for j in range(1, n_stages):
+        total += _D[:, j, None, None] * k[j]
+    np.multiply(h, total, out=c[4:])
+    step = np.repeat(np.arange(n), counts)
+    c = c[:, :, step]
+    t = (points - x[step]) / h[step]
+    s = 1.0 - t
+    # y + t (F0 + s (F1 + t (F2 + s (F3 + t (F4 + s (F5 + t F6)))))), inside out
+    acc = c[6] + t * c[7]
+    for r, w in ((5, s), (4, t), (3, s), (2, t), (1, s)):
+        acc = c[r] + w * acc
+    return (c[0] + t * acc).T
 
 
 @dataclass
@@ -311,22 +355,25 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     estimate that is not finite included) shrinks the step below the
     representable limit, or after ``_MAX_STEPS`` step attempts.
     Raises ``ConfigError`` unless ``samples`` holds at least two finite,
-    strictly increasing points, 0 < rtol < inf and 0 <= atol < inf, and
-    when any call of ``f`` returns another number of components.
+    strictly increasing points, 0 < rtol < inf and atol < inf with
+    ``_TOL_FRACTION * atol`` > 0 (atol >= 1e-322; at 0 a component that
+    stays 0 has no error scale), and when any call of ``f`` returns
+    another number of components.
     Meant for small systems: the first call for each state dimension
-    compiles a stepper whose code grows with the dimension (about 3.4 s
+    compiles a stepper whose code grows with the dimension (about 2.5 s
     at 3000 components) and keeps it for the life of the process.
     """
     samples = np.asarray(samples, dtype=float)
     if not (samples.ndim == 1 and len(samples) >= 2 and np.all(np.isfinite(samples))
             and np.all(np.diff(samples) > 0)):
         raise ConfigError("need at least two finite, strictly increasing sample points")
-    if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
-        raise ConfigError(f"need 0 < rtol < inf and 0 <= atol < inf, "
+    if not (0.0 < rtol < math.inf and 0.0 < _TOL_FRACTION * atol and atol < math.inf):
+        raise ConfigError(f"need 0 < rtol < inf and atol < inf with {_TOL_FRACTION!r} atol > 0 "
+                          f"(error control runs at that fraction), "
                           f"got rtol = {rtol!r}, atol = {atol!r}")
     rtol, atol = _TOL_FRACTION * rtol, _TOL_FRACTION * atol
     y0 = np.array(y0, dtype=float)
-    samples = samples.tolist()
+    points, samples = samples, samples.tolist()
     n_samples = len(samples)
 
     dim = len(y0)
@@ -346,6 +393,15 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     n_rhs += 1
 
     attempt = _attempt(dim)
+    steps = np.empty((1 + (2 + len(_DENSE_STAGES)) * dim, _CHUNK))
+    held = []           # (x, first sample, end of its samples) of each column of steps
+
+    def form_samples():
+        xs, lo, hi = zip(*held)
+        ys[lo[0]:hi[-1]] = _interpolate(steps[:, :len(held)], np.array(xs),
+                                        points[lo[0]:hi[-1]], np.subtract(hi, lo))
+        held.clear()
+
     next_sample = 1     # the first sample not yet reached
     n_steps = n_rejected = 0
     halt = None
@@ -364,9 +420,9 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
             halt = f"step limit of {_MAX_STEPS} attempts reached at x = {x:.9g}"
             break
         inside = bisect.bisect_left(samples, x_new, next_sample)   # samples before x_new
-        thetas = [(s - x) / h_try for s in samples[next_sample:inside]]
+        dense = inside > next_sample
         try:
-            y8, k12, err, rows = attempt(f, x, h_try, y, k1, atol, rtol, halt_on, thetas)
+            y8, k12, err, row = attempt(f, x, h_try, y, k1, atol, rtol, halt_on, dense)
         except _Blocked as blocked:
             calls, exc = blocked.args
             n_rhs += calls
@@ -385,10 +441,13 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
             h = h_try * (max(_SHRINK, _SAFETY * err ** (-1.0 / _ORDER)) if err > 1.0
                          else _SHRINK)
             continue
-        n_rhs += 15 if thetas else 12
+        n_rhs += 15 if dense else 12
         n_steps += 1
-        if thetas:
-            ys[next_sample:inside] = rows
+        if dense:
+            steps[:, len(held)] = row
+            held.append((x, next_sample, inside))
+            if len(held) == _CHUNK:
+                form_samples()
         x, y, k1 = x_new, y8, k12   # FSAL: the last stage is f at the new point
         next_sample = inside
         if x == end:
@@ -398,6 +457,8 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
         factor = min(_GROW, _SAFETY * err ** (-1.0 / _ORDER)) if err > 0.0 else _GROW
         h = h_try * (min(factor, 1.0) if failed else factor)
         failed = False
+    if held:
+        form_samples()
 
     reached = samples[:next_sample]
     if x > reached[-1]:

@@ -272,7 +272,8 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     of infinite density).  Each rhs evaluation calls the module's
     ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
-    1 <= n_samples <= 2**20 (and, from the integrator, 0 < tol < inf).
+    1 <= n_samples <= 2**20 (and, from the integrator, unless 0 < tol < inf
+    with an absolute floor of at least 1e-322, whose 1/40 is above 0).
     """
     if not initial.xi < xi_max < math.inf:
         raise ConfigError(f"need a finite xi_max > {initial.xi!r}, got {xi_max!r}")

@@ -324,7 +324,7 @@ TW_RUN_OPTIONS = {
     "--density-ratio": ([None, "0.7", "0.95"], ["0", "-1", "1e-300", "nan", "inf", "1e308"]),
     "--p0-scale": ([None, "0", "0.5"], ["-1", "1e200", "nan", "inf", "1e308"]),
     "--xi-max": (["1", "5"], ["0", "-1", "nan", "inf"]),
-    "--tol": ([None, "1e-6", "1e-8"], ["0", "-1", "nan", "inf", "1e308"]),
+    "--tol": ([None, "1e-6", "1e-8"], ["0", "-1", "nan", "inf", "1e308", "1e-320", "5e-324"]),
     "--samples": (["16", "64"], ["0", "-4", "2000000", "nan"]),
 }
 TW_STABILITY_OPTIONS = {
@@ -737,6 +737,8 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["response", "--n0", "2.5", "--tpar", "1e308", "--n", "4"],
     ["response", "--hbar", "1e155", "--kmin", "1e-10", "--kmax", "1e-9", "--n", "4"],
     ["tw", "run", "--samples", "100000000000"],
+    ["tw", "run", "--tol", "1e-320", "--xi-max", "1", "--samples", "4"],
+    ["tw", "run", "--tol", "5e-324", "--xi-max", "1", "--samples", "4"],
     ["fluid", "--ic", "perturb", "--mode", "0", "--periods", "1", "--snapshot", "s.csv"],
     ["fluid", "--grid", "16", "--tpar", "1e300", "--periods", "0.2"],
     ["fluid", "--grid", "16", "--tpar", "1e300", "--amplitude", "1e-30", "--periods", "0.2"],

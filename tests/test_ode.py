@@ -174,6 +174,21 @@ def test_invalid_spans_rejected():
             integrate_adaptive(lambda x, y: [-y[0]], np.array([1.0]), samples)
 
 
+@pytest.mark.parametrize("atol", [0.0, 5e-324, 9e-323, -1.0, math.nan, math.inf])
+def test_atol_whose_working_share_is_not_positive_rejected(atol):
+    # error control runs at ode._TOL_FRACTION of atol; were that 0, a
+    # component that stays 0 over an attempt would divide 0 by 0
+    with pytest.raises(ConfigError, match=r"atol > 0 .*got rtol = 1e-09, atol = "):
+        integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], atol=atol)
+
+
+def test_smallest_atol_whose_working_share_is_positive_integrates():
+    assert ode._TOL_FRACTION * 1e-322 > 0.0
+    res = integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], atol=1e-322)
+    assert res.completed and res.y[-1, 0] == 0.0
+    assert res.y[-1, 1] == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+
 def test_rhs_of_wrong_length_rejected():
     with pytest.raises(ConfigError, match="3 components for a 2-component state"):
         integrate_adaptive(lambda x, y: [0.0] * 3, np.array([1.0, 0.0]), [0.0, 1.0])
@@ -188,6 +203,50 @@ def test_step_limit_halts_with_the_partial_trajectory(monkeypatch):
     assert float(res.halt_reason.rsplit(" ", 1)[1]) == pytest.approx(res.x[-1], rel=1e-8)
     assert 0.0 < res.x[-1] < 25.0
     assert np.array_equal(res.x[:-1], np.linspace(0.0, 100.0, 5)[:len(res.x) - 1])
+
+
+DENSE_SAMPLES = np.linspace(0.0, 400.0, 40001)   # every step of the oscillator holds some
+
+
+def oscillator(x, y):
+    return [y[1], -y[0]]
+
+
+def assert_leading_samples_bitwise(part, full):
+    # the last point of a halted run is where it stopped, not a sample
+    m = len(part.x) - 1
+    assert np.array_equal(part.x[:m], DENSE_SAMPLES[:m])
+    assert part.y[:m].tobytes() == full.y[:m].tobytes()
+    # several chunks were formed in the loop, and a part-filled one at the halt
+    assert part.n_steps > 2 * ode._CHUNK and part.n_steps % ode._CHUNK
+    assert m > part.n_steps
+
+
+def test_step_limit_halt_keeps_the_samples_of_the_full_run(monkeypatch):
+    full = integrate_adaptive(oscillator, [1.0, 0.0], DENSE_SAMPLES)
+    assert full.completed and full.n_rejected == 0 and full.n_steps > 1000
+    monkeypatch.setattr(ode, "_MAX_STEPS", 3 * ode._CHUNK + 8)
+    part = integrate_adaptive(oscillator, [1.0, 0.0], DENSE_SAMPLES)
+    assert part.halt_reason.startswith(f"step limit of {3 * ode._CHUNK + 8} attempts")
+    assert_leading_samples_bitwise(part, full)
+
+
+def test_blocked_halt_keeps_the_samples_of_the_free_run():
+    # every call from the 7th of the 151st attempt on raises: the run can
+    # only halve its step until it underflows
+    calls = 0
+
+    def walled(x, y):
+        nonlocal calls
+        calls += 1
+        if calls > 2 + 15 * 150 + 6:
+            raise Boom("blocked")
+        return oscillator(x, y)
+
+    full = integrate_adaptive(oscillator, [1.0, 0.0], DENSE_SAMPLES)
+    part = integrate_adaptive(walled, [1.0, 0.0], DENSE_SAMPLES, halt_on=(Boom,))
+    assert part.halt_reason == "blocked" and part.n_steps == 150
+    assert_leading_samples_bitwise(part, full)
 
 
 def test_short_return_at_a_middle_stage_rejected():
@@ -240,9 +299,11 @@ def combination(row, ks, i):
     return total
 
 
-def reference_attempt(f, x, h, y, k1, atol, rtol, thetas):
+def reference_attempt(f, x, h, y, k1, atol, rtol, points):
     """One step attempt as loops over the tableau and comprehensions over
-    the components: the arithmetic that ode._attempt writes out."""
+    the components, with the interpolant at each of ``points`` (theta =
+    (point - x) / h): the arithmetic of ode._attempt and ode._interpolate
+    on Python floats."""
     dim = len(y)
     ks = [k1]
 
@@ -265,18 +326,20 @@ def reference_attempt(f, x, h, y, k1, atol, rtol, thetas):
     if not err <= 1.0:
         return None, None, err, None
     ks.append(f(x + h, y8))
-    if not thetas:
+    if not points:
         return y8, ks[12], err, None
     for s in range(13, 16):
         ks.append(stage(s))
     rows = []
-    for t in thetas:
+    for point in points:
+        t = (point - x) / h
         row = []
         for i in range(dim):
             F0 = y8[i] - y[i]
             F1 = h * ks[0][i] - F0
             F2 = 2.0 * F0 - h * (ks[12][i] + ks[0][i])
-            F3, F4, F5, F6 = (h * combination(d, ks, i) for d in ode._D)
+            F3, F4, F5, F6 = (h * combination(list(zip(ode._DENSE_STAGES, d)), ks, i)
+                              for d in ode._D.tolist())
             s = 1.0 - t
             row.append(y[i] + t * (F0 + s * (F1 + t * (F2 + s * (F3 + t * (F4 + s * (
                 F5 + t * F6)))))))
@@ -285,8 +348,10 @@ def reference_attempt(f, x, h, y, k1, atol, rtol, thetas):
 
 
 def coupled(x, y):
-    # nonlinear and mixing every component with the next, for any dimension
-    return [math.sin(x + v) * y[(i + 1) % len(y)] - 0.5 * v for i, v in enumerate(y)]
+    # nonlinear and mixing every component with the next, for any
+    # dimension, and forced, so that f is not small where y is
+    return [math.sin(x + v) * y[(i + 1) % len(y)] - 0.5 * v + math.cos(x + i)
+            for i, v in enumerate(y)]
 
 
 def hexes(value):
@@ -303,14 +368,39 @@ def test_attempt_is_bitwise_the_comprehension_arithmetic(dim):
     outcomes = set()
     for _ in range(60):
         x, h = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 0.0)
-        y, k1 = rng.normal(size=dim).tolist(), rng.normal(size=dim).tolist()
+        # y at most h in size, so that every bit of the interpolant's
+        # coefficients reaches the samples
+        y = (rng.normal(size=dim) * h * 10.0 ** rng.uniform(-3.0, 0.0)).tolist()
+        k1 = rng.normal(size=dim).tolist()
         atol, rtol = 10.0 ** rng.uniform(-10.0, -4.0), 10.0 ** rng.uniform(-8.0, -2.0)
-        thetas = rng.uniform(0.0, 1.0, rng.integers(0, 3)).tolist()
-        got = attempt(coupled, x, h, y, k1, atol, rtol, (), thetas)
-        want = reference_attempt(coupled, x, h, y, k1, atol, rtol, thetas)
-        assert [hexes(v) for v in got] == [hexes(v) for v in want]
-        outcomes.add("rejected" if got[0] is None else "rows" if got[3] else "accepted")
-    assert outcomes == {"rejected", "rows", "accepted"}
+        points = np.sort(x + h * rng.uniform(0.0, 1.0, rng.integers(0, 3)))
+        y8, k12, err, row = attempt(coupled, x, h, y, k1, atol, rtol, (), len(points) > 0)
+        want = reference_attempt(coupled, x, h, y, k1, atol, rtol, points.tolist())
+        if row is not None:
+            # the samples formed from the returned row, as the driver forms them
+            row = ode._interpolate(np.array(row)[:, None], np.array([x]), points,
+                                   np.array([len(points)])).tolist()
+        assert hexes([y8, k12, err, row]) == hexes(list(want))
+        outcomes.add("rejected" if y8 is None else "samples" if row else "accepted")
+    assert outcomes == {"rejected", "samples", "accepted"}
+
+
+def test_interpolant_forms_each_sample_as_its_step_alone():
+    # steps of one chunk share their numpy operations, yet no sample may
+    # depend on which other steps it was formed with
+    rng = np.random.default_rng(7)
+    dim, n = 3, 5
+    steps = rng.normal(size=(1 + 14 * dim, n))
+    steps[0] = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    x = rng.uniform(-2.0, 2.0, n)
+    counts = np.array([2, 1, 3, 1, 4])
+    points = np.concatenate([np.sort(x[j] + steps[0, j] * rng.uniform(0.0, 1.0, c))
+                             for j, c in enumerate(counts)])
+    together = ode._interpolate(steps, x, points, counts)
+    alone = np.concatenate([ode._interpolate(steps[:, j:j + 1], x[j:j + 1], part, [len(part)])
+                            for j, part in enumerate(np.split(points, np.cumsum(counts)[:-1]))])
+    assert together.shape == (len(points), dim)
+    assert together.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("j", range(1, 16))
@@ -329,7 +419,7 @@ def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
     # calls 1-11 are the stages, 12 f at the new point, 13-15 the interpolant's
     with pytest.raises(ode._Blocked) as info:
         ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, (Boom,),
-                        [0.5])
+                        True)
     assert info.value.args[0] == j and str(info.value.args[1]) == f"call {j}"
     # call 1 is the initial k1, call 2 the starting-step probe: call 2 + j
     # falls in the first attempt, or for j > 12 in the first to hold a sample
