@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import shlex
 import sys
 
@@ -43,6 +44,20 @@ def _params_from(args) -> PlasmaParams:
     if args.config:
         return load_params_config(args.config).with_(**flags)
     return preset(args.preset or "nondim", **flags)
+
+
+def _write_all(tables, command: str) -> None:
+    """``write_csv`` each (path, columns, comments) of ``tables``; when one
+    fails, remove those already written: a failed command leaves no file."""
+    written = []
+    try:
+        for path, columns, comments in tables:
+            write_csv(path, columns, command=command, extra_comments=comments)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.unlink(path)
+        raise
 
 
 def _cmd_dispersion(args, command: str) -> None:
@@ -105,16 +120,17 @@ def _cmd_fluid(args, command: str) -> None:
         cols.append((f"{name}_mode_re", run.mode[name].real))
         cols.append((f"{name}_mode_im", run.mode[name].imag))
     cols.append(("mean_n", run.mass))
-    write_csv(args.output, cols, command=command,
-              extra_comments=(f"probe: fourier mode {args.mode}, omega_predicted={omega!r}",
-                              f"steps: taken={run.n_steps}, dt={run.dt!r}, "
-                              f"dt_bound={run.dt_bound}, halvings={run.n_halvings}"))
-    if args.snapshot:
+    tables = [(args.output, cols,
+               (f"probe: fourier mode {args.mode}, omega_predicted={omega!r}",
+                f"steps: taken={run.n_steps}, dt={run.dt!r}, "
+                f"dt_bound={run.dt_bound}, halvings={run.n_halvings}"))]
+    if args.snapshot is not None:
         s = run.final
         phi = fluid1d.solve_poisson(s.n, grid, params)
-        write_csv(args.snapshot, [("x", grid.x), ("n", s.n), ("u", s.u),
-                                  ("p", s.p), ("Q", s.Q), ("phi", phi)],
-                  command=command, extra_comments=(f"snapshot at t={s.t!r}",))
+        tables.append((args.snapshot, [("x", grid.x), ("n", s.n), ("u", s.u),
+                                       ("p", s.p), ("Q", s.Q), ("phi", phi)],
+                       (f"snapshot at t={s.t!r}",)))
+    _write_all(tables, command)
 
 
 def _cmd_tw_run(args, command: str) -> None:
@@ -188,10 +204,9 @@ def _cmd_wigner(args, command: str) -> None:
         wigner.s_grid(wfg, v_bar, x_bar)
     panels = [np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f for wfg in wfgs]
     X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
-    for t_bar, path, f_bar in zip(times, paths, panels):
-        write_csv(path, [("x_bar", X.ravel()), ("v_bar", V.ravel()),
-                         ("f_bar", f_bar.T.ravel())],
-                  command=command, extra_comments=(f"t_bar={t_bar!r}, rows: x outer, v inner",))
+    _write_all(((path, [("x_bar", X.ravel()), ("v_bar", V.ravel()), ("f_bar", f_bar.T.ravel())],
+                 (f"t_bar={t_bar!r}, rows: x outer, v inner",))
+                for t_bar, path, f_bar in zip(times, paths, panels)), command)
 
 
 def _cmd_moments(args, command: str) -> None:
@@ -205,6 +220,8 @@ def _cmd_moments(args, command: str) -> None:
 
 
 def _suffixed(path: str, suffix: str) -> str:
+    if not path:
+        raise ConfigError("the output path is empty")
     if path.endswith(".csv"):
         return path[:-4] + suffix + ".csv"
     return path + suffix

@@ -12,8 +12,9 @@ digits in extended precision and hands every value it cannot round
 safely to Python's exact ``%``; the bytes are those of ``"%.16e" % v``.
 Integer cells are formatted one by one with ``%``.
 Rows are assembled as bytes in chunks of ``_CHUNK_ROWS``, so the text of
-a whole file is never held at once.  Files are replaced atomically
-(write to a temporary name, then rename).
+a whole file is never held at once.  Files are replaced atomically: a
+hidden ``.tmp-<pid>-<n>.csv`` next to the output, made by ``open`` (so the
+umask sets its mode), is renamed onto it.  An ``OSError`` names the output.
 
 ``read_csv`` is the package's one CSV parser (``moments.load_distribution_csv``
 reads through it), so a malformed table raises ``ConfigError`` in one place.
@@ -22,8 +23,8 @@ reads through it), so a malformed table raises ``ConfigError`` in one place.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -49,6 +50,7 @@ _TIE_BAND = 2.0 ** (57 - _NMANT) if _NMANT in (52, 63, 112) else 1.0
 _POW10_MIN = -310
 _EXP_MIN = -324
 _WIDTH = 24  # len(b"-1.2345678901234567e-308")
+_TMP_SERIAL = itertools.count()  # n of .tmp-<pid>-<n>.csv: unique within the process
 
 
 @functools.cache
@@ -135,10 +137,12 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
               command: str | None = None, extra_comments: tuple[str, ...] = ()) -> None:
     """Write named columns atomically; ``command`` goes into the header.
 
-    ``ConfigError`` before any file is created when a header line holds a
-    line break, a column name a comma, or a str cell a NUL, a comma or a
-    line break: ``read_csv`` could not read it.
+    ``ConfigError`` before any file is created when ``path`` is empty, a
+    header line holds a line break, a column name a comma, or a str cell
+    a NUL, a comma or a line break: ``read_csv`` could not read it.
     """
+    if not os.fspath(path):
+        raise ConfigError("the output path is empty")
     names = [name for name, _ in columns]
     header = [COMMAND_PREFIX + command] if command is not None else []
     header.extend(f"# {c}" for c in extra_comments)
@@ -152,10 +156,9 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
     cells = [_cells(name, a) for name, a in zip(names, arrays)]
     width = sum(text.itemsize + 1 for text, _ in cells)  # each cell, then ',' or '\n'
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{next(_TMP_SERIAL)}.csv")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(("\n".join(header) + "\n").encode())
             for lo in range(0, n_rows, _CHUNK_ROWS):
                 rows = slice(lo, lo + _CHUNK_ROWS)
@@ -168,10 +171,11 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
                 table[:, -1] = ord("\n")
                 fh.write(table.tobytes().replace(b"\0", b""))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        if os.path.lexists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def read_csv(path) -> tuple[str | None, dict[str, np.ndarray]]:

@@ -224,7 +224,8 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams) -> np.ndarr
     """Solve d2phi/dx2 = (e/eps0)(n - n0) spectrally, zero-mean gauge.
 
     The k = 0 mode of the source must vanish on a periodic domain, so
-    mean(n) must equal n0 to within 1e-8 (relative).
+    mean(n) must equal n0 to within 1e-8 (relative).  ``ConfigError`` when
+    phi overflows (on a domain so long that k^2 underflows, say).
     """
     mean_n = float(np.mean(n))
     if abs(mean_n - params.n0) > _MEAN_TOL * params.n0:
@@ -232,10 +233,13 @@ def solve_poisson(n: np.ndarray, grid: Grid1D, params: PlasmaParams) -> np.ndarr
             f"Poisson solvability violated: mean(n) = {mean_n:.12g} vs n0 = {params.n0:.12g}")
     k = grid.k
     spec = np.fft.rfft(n) * (params.e / params.eps0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi_spec = -spec / k**2
-    phi_spec[0] = 0.0
-    return np.fft.irfft(phi_spec, n=grid.n_points)
+        phi_spec[0] = 0.0
+        phi = np.fft.irfft(phi_spec, n=grid.n_points)
+    if not np.all(np.isfinite(phi)):
+        raise ConfigError(f"the potential overflows on a domain of length {grid.length!r}")
+    return phi
 
 
 def _plasma_units(params: PlasmaParams,

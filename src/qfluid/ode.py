@@ -9,17 +9,17 @@ step: a sample that falls inside an accepted step is read from the
 interpolant, and only the last step is shortened, so that the last sample
 is hit exactly.  The controller is Hairer's: the step grows by at most 6,
 shrinks by at most 3, and does not grow right after a failed attempt.
-Error control runs at ``_TOL_FRACTION`` of the tolerances asked for, so
-that ``rtol`` and ``atol`` state the accuracy of the samples.  The first
+Error control runs at ``_TOL_FRACTION`` of ``tol`` and of the floor
+1e-3 tol max(1, max|y0|), so that ``tol`` states the samples' accuracy.  The first
 trial step comes from the starting-step algorithm of the same book
 (sec. II.4): the size of f at the start and one explicit-Euler probe of
 its rate of change.
 
-A caller-supplied exception class can mark points where the right-hand
-side ceases to exist, in which case the driver halves the step.  Every
-halt (a blocked step that cannot be halved further, a step size underflow
-from error control alone, or the cap of ``_MAX_STEPS`` step attempts)
-returns the partial trajectory with a halt reason; none raises.
+Where f raises ``SonicSingularityError`` (the wave frame's singular set)
+the driver halves the step.  Every halt (a blocked step that cannot be
+halved further, a step size underflow from error control alone, or the
+cap of ``_MAX_STEPS`` step attempts) returns the partial trajectory with
+a halt reason; none raises.
 
 A step attempt evaluates f at 11 new stages and forms the error estimate
 from them.  An accepted step adds f at the new point, which is FSAL
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SonicSingularityError
 
 __all__ = ["OdeResult", "integrate_adaptive"]
 
@@ -180,8 +180,8 @@ _CHUNK = 64
 
 
 class _Blocked(Exception):
-    """args (calls, exc): f raised ``exc``, one of ``halt_on``, at call
-    ``calls`` of a step attempt."""
+    """args (calls, exc): f raised ``exc``, a ``SonicSingularityError``, at
+    call ``calls`` of a step attempt."""
 
 
 def _terms(row, i: int) -> str:
@@ -191,8 +191,8 @@ def _terms(row, i: int) -> str:
 
 @functools.cache
 def _attempt(dim: int):
-    """The step attempt ``attempt(f, x, h, y, k0, atol, rtol, halt_on,
-    dense)`` for a ``dim``-component state.
+    """The step attempt ``attempt(f, x, h, y, k0, atol, rtol, dense)`` for
+    a ``dim``-component state.
 
     Returns ``(y8, k, err, row)``.  ``err`` is the error norm; above 1
     (or nan) the attempt is rejected and the rest is None.  Otherwise
@@ -200,7 +200,7 @@ def _attempt(dim: int):
     ``dense`` is true the interpolant's three stages are computed too, and
     ``row`` is the flat list h, y, y8 and the stages ``_DENSE_STAGES``,
     from which ``_interpolate`` forms the samples; otherwise it is None.
-    Raises ``_Blocked`` when f raises one of ``halt_on`` and
+    Raises ``_Blocked`` when f raises ``SonicSingularityError`` and
     ``ConfigError`` when f returns other than ``dim`` components.
 
     Each component's expression is written out with the tableau's float
@@ -217,7 +217,8 @@ def _attempt(dim: int):
     def call(s, arg):   # stage s is call s of the attempt
         at = "x + h" if _C[s] == 1.0 else f"x + {_C[s]!r} * h"
         return ["    try:", f"        k{s} = f({at}, {arg})",
-                "    except halt_on as exc:", f"        raise _Blocked({s}, exc) from None",
+                "    except SonicSingularityError as exc:",
+                f"        raise _Blocked({s}, exc) from None",
                 "    try:", f"        {unpack(f'k{s}_')} = k{s}",
                 "    except ValueError:",
                 f"        raise ConfigError(f'f returned {{len(k{s})}} components for a "
@@ -226,7 +227,7 @@ def _attempt(dim: int):
     def stage(s):
         return "[" + ", ".join(f"v{i} + h * ({_terms(_A[s], i)})" for i in range(dim)) + "]"
 
-    lines = ["def attempt(f, x, h, y, k0, atol, rtol, halt_on, dense):",
+    lines = ["def attempt(f, x, h, y, k0, atol, rtol, dense):",
              f"    {unpack('v')} = y", f"    {unpack('k0_')} = k0"]
     for s in range(1, 12):
         lines += call(s, stage(s))
@@ -249,7 +250,8 @@ def _attempt(dim: int):
         lines += call(s, stage(s))
     stages = ", ".join(f"*k{s}" for s in _DENSE_STAGES)
     lines += [f"    return y8, k12, err, [h, *y, *y8, {stages}]"]
-    namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError, "math": math}
+    namespace = {"_Blocked": _Blocked, "ConfigError": ConfigError, "math": math,
+                 "SonicSingularityError": SonicSingularityError}
     exec("\n".join(lines), namespace)
     return namespace["attempt"]
 
@@ -309,13 +311,12 @@ def _rms(a: np.ndarray) -> float:
     return math.sqrt(float(np.mean(a * a)))
 
 
-def _first_step(f, x: float, y: list, k1: list, span: float, atol: float, rtol: float,
-                halt_on: tuple[type, ...]) -> float:
+def _first_step(f, x: float, y: list, k1: list, span: float, atol: float, rtol: float) -> float:
     """The first trial step, at most ``span``, by Hairer, Norsett and
     Wanner's starting-step algorithm (sec. II.4): from the size of y and f
     at the start, and of f' from one explicit-Euler probe, which is the one
-    call of f made here.  A probe blocked by ``halt_on`` keeps the probe's
-    own step, which the driver then halves."""
+    call of f made here.  A probe blocked by ``SonicSingularityError``
+    keeps the probe's own step, which the driver then halves."""
     y0, f0 = np.array(y), np.array(k1)
     scale = atol + rtol * np.abs(y0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -325,7 +326,7 @@ def _first_step(f, x: float, y: list, k1: list, span: float, atol: float, rtol: 
             h = span
         try:
             f1 = f(x + h, (y0 + h * f0).tolist())
-        except halt_on:
+        except SonicSingularityError:
             return h
         if len(f1) != len(y):
             raise ConfigError(f"f returned {len(f1)} components for a {len(y)}-component state")
@@ -339,26 +340,26 @@ def _first_step(f, x: float, y: list, k1: list, span: float, atol: float, rtol: 
     return min(h, span)
 
 
-def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-12,
-                       halt_on: tuple[type, ...] = ()) -> OdeResult:
+def integrate_adaptive(f, y0, samples, *, tol: float = 1e-9) -> OdeResult:
     """Integrate y' = f(x, y) from samples[0] to samples[-1], returning the
     state at every sample.
 
-    ``rtol`` and ``atol`` state the accuracy asked of the samples; error
-    control runs at ``_TOL_FRACTION`` of both.  Samples inside a step come
-    from the interpolant, and the last one is hit exactly.  ``f`` gets y
-    as a list of Python floats, which it must not modify, and returns a
-    list of Python floats of the same length.  Exceptions listed in
-    ``halt_on`` raised by ``f`` trigger step halving.  The run halts,
-    returning the trajectory up to there with a halt reason, when such a
-    step cannot be halved further, when error control alone (an error
-    estimate that is not finite included) shrinks the step below the
-    representable limit, or after ``_MAX_STEPS`` step attempts.
+    ``tol`` is the relative accuracy asked of the samples, with the
+    absolute floor 1e-3 tol max(1, max|y0|); error control runs at
+    ``_TOL_FRACTION`` of both.  Samples inside a step come from the
+    interpolant, and the last one is hit exactly.  ``f`` gets y as a list
+    of Python floats, which it must not modify, and returns a list of
+    Python floats of the same length.  A ``SonicSingularityError`` raised
+    by ``f`` triggers step halving.  The run halts, returning the
+    trajectory up to there with a halt reason, when such a step cannot be
+    halved further, when error control alone (an error estimate that is
+    not finite included) shrinks the step below the representable limit,
+    or after ``_MAX_STEPS`` step attempts.
     Raises ``ConfigError`` unless ``samples`` holds at least two finite,
-    strictly increasing points, 0 < rtol < inf and atol < inf with
-    ``_TOL_FRACTION * atol`` > 0 (atol >= 1e-322; at 0 a component that
-    stays 0 has no error scale), and when any call of ``f`` returns
-    another number of components.
+    strictly increasing points and the working floor is finite and above
+    0 (about tol >= 1e-319 for |y0| <= 1; at 0 a component that stays 0
+    has no error scale), and when any call of ``f`` returns another
+    number of components.
     Meant for small systems: the first call for each state dimension
     compiles a stepper whose code grows with the dimension (about 2.5 s
     at 3000 components) and keeps it for the life of the process.
@@ -367,12 +368,17 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     if not (samples.ndim == 1 and len(samples) >= 2 and np.all(np.isfinite(samples))
             and np.all(np.diff(samples) > 0)):
         raise ConfigError("need at least two finite, strictly increasing sample points")
-    if not (0.0 < rtol < math.inf and 0.0 < _TOL_FRACTION * atol and atol < math.inf):
-        raise ConfigError(f"need 0 < rtol < inf and atol < inf with {_TOL_FRACTION!r} atol > 0 "
-                          f"(error control runs at that fraction), "
-                          f"got rtol = {rtol!r}, atol = {atol!r}")
-    rtol, atol = _TOL_FRACTION * rtol, _TOL_FRACTION * atol
     y0 = np.array(y0, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(y0))))
+    rtol, atol = _TOL_FRACTION * tol, _TOL_FRACTION * (tol * 1e-3 * scale)
+    if not 0.0 < atol < math.inf:
+        # the least tol whose floor is above 0, by bisection until lo and hi are adjacent floats
+        lo, hi = 0.0, 1.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if _TOL_FRACTION * (mid * 1e-3 * scale) > 0.0 else (mid, hi)
+        raise ConfigError(f"need a finite tol >= {hi!r} for this start, got tol = "
+                          f"{tol!r}: error control runs at {_TOL_FRACTION!r} of tol and of its "
+                          f"floor 1e-3 tol max(1, max|y0|), which must stay finite and above 0")
     points, samples = samples, samples.tolist()
     n_samples = len(samples)
 
@@ -385,11 +391,11 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
     n_rhs = 1
     try:
         k1 = f(x, y)
-    except halt_on as exc:  # singular right at the start
+    except SonicSingularityError as exc:  # singular right at the start
         return OdeResult(np.array(samples[:1]), ys[:1], halt_reason=str(exc), n_rhs=n_rhs)
     if len(k1) != dim:
         raise ConfigError(f"f returned {len(k1)} components for a {dim}-component state")
-    h = _first_step(f, x, y, k1, end - x, atol, rtol, halt_on)
+    h = _first_step(f, x, y, k1, end - x, atol, rtol)
     n_rhs += 1
 
     attempt = _attempt(dim)
@@ -422,16 +428,13 @@ def integrate_adaptive(f, y0, samples, *, rtol: float = 1e-9, atol: float = 1e-1
         inside = bisect.bisect_left(samples, x_new, next_sample)   # samples before x_new
         dense = inside > next_sample
         try:
-            y8, k12, err, row = attempt(f, x, h_try, y, k1, atol, rtol, halt_on, dense)
+            y8, k12, err, row = attempt(f, x, h_try, y, k1, atol, rtol, dense)
         except _Blocked as blocked:
             calls, exc = blocked.args
             n_rhs += calls
             blocked_by = str(exc)
             failed = True
-            h = 0.5 * h_try
-            if h < _MIN_STEP * max(abs(x), 1.0):
-                halt = blocked_by
-                break
+            h = 0.5 * h_try     # the loop's underflow test halts with blocked_by
             continue
         if y8 is None:
             n_rhs += 11

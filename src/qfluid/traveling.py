@@ -261,19 +261,16 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     """Integrate the wave-frame system over xi in [initial.xi, xi_max].
 
     Returns ``n_samples + 1`` equally spaced samples, the first at the
-    launch and the last at xi_max.  ``tol`` is the relative accuracy asked
-    of the samples (the absolute floor is 1e-3 tol max(1, |y(0)|)): the
-    DOP853 pair of ``ode.integrate_adaptive`` runs its error control at the
-    fixed fraction ``ode._TOL_FRACTION`` = 1/40 of both, and reads the
-    samples inside a step from its 7th-order interpolant.  On a sonic
+    launch and the last at xi_max, by ``ode.integrate_adaptive``'s DOP853
+    pair at its ``tol``, the accuracy asked of the samples.  On a sonic
     singularity, a step size underflow (as next to the singular set) or
     the integrator's step limit, the partial trajectory is returned with
     the halt reason (a launch on the sonic point u = v gives one sample,
     of infinite density).  Each rhs evaluation calls the module's
     ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
-    1 <= n_samples <= 2**20 (and, from the integrator, unless 0 < tol < inf
-    with an absolute floor of at least 1e-322, whose 1/40 is above 0).
+    1 <= n_samples <= 2**20, and from the integrator for a tol below the
+    least it names (about 1e-319).
     """
     if not initial.xi < xi_max < math.inf:
         raise ConfigError(f"need a finite xi_max > {initial.xi!r}, got {xi_max!r}")
@@ -282,9 +279,7 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
                           f"limit, got {n_samples!r}")
     y0 = initial.vector()
     samples = np.linspace(initial.xi, xi_max, n_samples + 1)
-    atol = tol * 1e-3 * max(1.0, float(np.max(np.abs(y0))))
-    res: OdeResult = integrate_adaptive(lambda xi, y: traveling_rhs(y, cfg), y0, samples,
-                                        rtol=tol, atol=atol, halt_on=(SonicSingularityError,))
+    res: OdeResult = integrate_adaptive(lambda xi, y: traveling_rhs(y, cfg), y0, samples, tol=tol)
     u = res.y[:, 0]
     # traveling_rhs accepted every sample but a launch the run halted at,
     # which may lie on the sonic point u = v: its density is infinite

@@ -1,3 +1,4 @@
+import os
 import string
 from fractions import Fraction
 
@@ -267,3 +268,44 @@ def test_read_csv_rejects_text_that_is_not_utf8(tmp_path):
     path.write_bytes(b"a,b\n1,\xff\n")
     with pytest.raises(ConfigError, match="UTF-8"):
         read_csv(path)
+
+
+def test_written_csv_has_the_mode_open_gives(tmp_path):
+    # the temporary is made by open(), not mkstemp (0600), so the umask sets its mode
+    umask = os.umask(0o022)
+    try:
+        write_csv(tmp_path / "out.csv", [("a", np.zeros(2))])
+        (tmp_path / "plain.csv").open("w").close()
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+
+def test_temporary_is_hidden_next_to_the_output(tmp_path, monkeypatch):
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(csvio.os, "replace", lambda a, b: (renames.append(a), replace(a, b)))
+    (tmp_path / "sub").mkdir()
+    write_csv(tmp_path / "sub" / "out.csv", [("a", np.zeros(2))])
+    [tmp] = renames
+    assert os.path.dirname(tmp) == str(tmp_path / "sub")
+    assert os.path.basename(tmp).startswith(f".tmp-{os.getpid()}-")
+
+
+@pytest.mark.parametrize("name", ["made_dir", "missing/out.csv", "made_dir/"])
+def test_write_failure_names_the_output_and_leaves_no_temporary(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "made_dir").mkdir()
+    with pytest.raises(OSError) as info:
+        write_csv(name, [("a", np.zeros(2))])
+    assert info.value.filename == name and repr(name) in str(info.value)
+    assert [p.name for p in tmp_path.rglob("*")] == ["made_dir"]
+
+
+def test_empty_path_is_refused_before_any_file_is_made(tmp_path, monkeypatch):
+    # dirname(abspath('')) is the parent of the working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    with pytest.raises(ConfigError, match="the output path is empty"):
+        write_csv("", [("a", np.zeros(2))])
+    assert [p.name for p in tmp_path.rglob("*")] == ["cwd"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfluid import moments
+from qfluid import fluid1d, moments
 from qfluid.dispersion import general_omega_sq
 from qfluid.errors import ConfigError
 from qfluid.linear_response import anisotropic_dyad, delta_P
@@ -206,3 +206,21 @@ def test_off_branch_omega_leaves_nonzero_residual():
     residual = (-1j * om * du + 1j * k * dP[2, 2] / (params.m * params.n0)
                 - 1j * k * params.e / params.m)
     assert abs(residual) > 1e-3
+
+
+@pytest.mark.parametrize("hbar, tpar", [(1.0, 0.0), (0.2, 0.02), (0.0, 0.1)])
+def test_eigenmode_pressure_row_is_the_response_to_its_own_potential(hbar, tpar):
+    # an oracle from outside the fluid module: the pressure row that
+    # eigenmode_state builds from the dispersion relation is delta_P's zz
+    # component at the mode's own potential, dphi = -e n1 / (eps0 k^2).
+    # Measured: 2.5e-11 to 6.4e-11, the rounding of n = 1 + 1e-6 cos kx
+    params = nondimensional(hbar=hbar, T0_par=tpar)
+    grid = fluid1d.Grid1D(64, 2.0 * np.pi)
+    P0 = anisotropic_dyad(params.n0, params.T0_perp, params.T0_par, params)
+    for mode in (1, 5, 20):
+        state = fluid1d.eigenmode_state(grid, params, mode, 1e-6)
+        k = mode * grid.k_fundamental
+        n1, p1 = (2.0 * np.fft.rfft(row)[mode] / grid.n_points for row in (state.n, state.p))
+        dphi = -params.e * n1 / (params.eps0 * k * k)
+        want = delta_P(k, general_omega_sq(k, params), 1.0, P0, params)[2, 2] * dphi
+        assert abs(p1 - want) < 1.5e-10 * abs(want), mode

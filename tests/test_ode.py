@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qfluid import ode
-from qfluid.errors import ConfigError
+from qfluid.errors import ConfigError, SonicSingularityError
 from qfluid.ode import integrate_adaptive
 
 
 def test_exponential_decay_accuracy():
     res = integrate_adaptive(lambda x, y: [-y[0]], np.array([1.0]), np.linspace(0.0, 5.0, 513),
-                             rtol=1e-10, atol=1e-14)
+                             tol=1e-11)
     assert res.completed
     assert res.y[-1, 0] == pytest.approx(math.exp(-5.0), rel=1e-8)
 
@@ -23,7 +24,7 @@ def test_f_gets_a_list_of_floats():
         return [y[1], -y[0]]
 
     res = integrate_adaptive(as_list, np.array([1.0, 0.0]), np.linspace(0.0, 3.0, 7),
-                             rtol=1e-9, atol=1e-12)
+                             tol=1e-10)
     assert len(seen) == res.n_rhs > 1
     assert all(type(y) is list and all(type(v) is float for v in y) for y in seen)
     assert res.completed and res.y[-1, 0] == pytest.approx(math.cos(3.0), rel=1e-8)
@@ -32,7 +33,7 @@ def test_f_gets_a_list_of_floats():
 def test_harmonic_oscillator_samples_hit_exactly():
     samples = np.linspace(0.0, 2.0 * math.pi, 17)
     res = integrate_adaptive(lambda x, y: [y[1], -y[0]], np.array([1.0, 0.0]), samples,
-                             rtol=1e-11, atol=1e-13)
+                             tol=1e-11)
     assert np.array_equal(res.x, samples)
     assert np.allclose(res.y[:, 0], np.cos(samples), atol=1e-8)
     assert res.y[-1, 0] == pytest.approx(1.0, abs=1e-9)
@@ -45,7 +46,7 @@ def test_five_dimensional_linear_system_matches_closed_form():
     samples = np.linspace(0.0, 10.0, 41)
     res = integrate_adaptive(
         lambda x, y: [w1 * y[1], -w1 * y[0], w2 * y[3], -w2 * y[2], -lam * y[4]],
-        y0, samples, rtol=1e-13, atol=1e-16)
+        y0, samples, tol=4e-14)
     c1, s1 = np.cos(w1 * samples), np.sin(w1 * samples)
     c2, s2 = np.cos(w2 * samples), np.sin(w2 * samples)
     exact = np.stack([y0[0] * c1 + y0[1] * s1, y0[1] * c1 - y0[0] * s1,
@@ -60,7 +61,7 @@ def test_tolerance_controls_error():
     errs = []
     for tol in (1e-5, 1e-8, 1e-11):
         res = integrate_adaptive(lambda x, y: [y[1], -y[0]], np.array([1.0, 0.0]),
-                                 np.array([0.0, 4.0 * math.pi]), rtol=tol, atol=tol * 1e-3)
+                                 np.array([0.0, 4.0 * math.pi]), tol=tol)
         errs.append(abs(res.y[-1, 0] - 1.0))
     assert errs[0] > errs[1] > errs[2]
 
@@ -79,14 +80,14 @@ def test_fsal_call_count_per_step():
     # f at the new point (FSAL) per accepted step; van der Pol's relaxation
     # makes the controller overshoot
     res = integrate_adaptive(counted(lambda x, y: [y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0]]),
-                             np.array([2.0, 0.0]), np.array([0.0, 20.0]), rtol=1e-9, atol=1e-12)
+                             np.array([2.0, 0.0]), np.array([0.0, 20.0]), tol=1e-10)
     assert res.completed and res.n_steps > 0 and res.n_rejected > 0
     assert res.n_rhs == calls == 2 + 12 * res.n_steps + 11 * res.n_rejected
     # plus the interpolant's 3 stages per step that holds a sample: here
     # every step, since each is longer than the sample spacing
     calls = 0
     res = integrate_adaptive(counted(lambda x, y: [y[1], -y[0]]), np.array([1.0, 1.0]),
-                             np.linspace(0.0, 20.0, 20001), rtol=1e-9, atol=1e-12)
+                             np.linspace(0.0, 20.0, 20001), tol=1e-10)
     assert res.completed
     assert res.n_rhs == calls == 2 + 15 * res.n_steps + 11 * res.n_rejected
 
@@ -142,7 +143,7 @@ def test_step_underflow_carries_the_partial_trajectory():
     assert (calls - 2 - 12 * part.n_steps - 11 * part.n_rejected) % 3 == 0
 
 
-class Boom(RuntimeError):
+class Boom(SonicSingularityError):
     pass
 
 
@@ -159,8 +160,7 @@ def test_halting_exception_returns_partial():
         calls += 1
         return f(x, y)
 
-    res = integrate_adaptive(counted, np.array([0.0]), np.linspace(0, 3, 31), rtol=1e-8,
-                             halt_on=(Boom,))
+    res = integrate_adaptive(counted, np.array([0.0]), np.linspace(0, 3, 31), tol=1e-10)
     assert not res.completed
     assert res.n_rhs == calls   # including the calls that raised
     assert "wall" in res.halt_reason
@@ -176,17 +176,32 @@ def test_invalid_spans_rejected():
 
 @pytest.mark.parametrize("atol", [0.0, 5e-324, 9e-323, -1.0, math.nan, math.inf])
 def test_atol_whose_working_share_is_not_positive_rejected(atol):
-    # error control runs at ode._TOL_FRACTION of atol; were that 0, a
-    # component that stays 0 over an attempt would divide 0 by 0
-    with pytest.raises(ConfigError, match=r"atol > 0 .*got rtol = 1e-09, atol = "):
-        integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], atol=atol)
+    # atol is the absolute floor 1e-3 tol of a start of size 1; error
+    # control runs at ode._TOL_FRACTION of it, and were that 0, a component
+    # that stays 0 over an attempt would divide 0 by 0
+    with pytest.raises(ConfigError, match=r"need a finite tol >= 9\.6343e-320 for this start, "
+                                          r"got tol = .*: error control runs at 0\.025 of tol"):
+        integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], tol=1e3 * atol)
+
+
+def least_tol(y0):
+    with pytest.raises(ConfigError) as info:
+        integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0], tol=0.0)
+    return float(re.search(r"tol >= (\S+) ", str(info.value)).group(1))
 
 
 def test_smallest_atol_whose_working_share_is_positive_integrates():
-    assert ode._TOL_FRACTION * 1e-322 > 0.0
-    res = integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], atol=1e-322)
-    assert res.completed and res.y[-1, 0] == 0.0
-    assert res.y[-1, 1] == pytest.approx(math.exp(-1.0), rel=1e-9)
+    # the refusal names the least tol whose floor's working share is above
+    # 0, for the start at hand: the floor scales with max(1, max|y0|)
+    for y0, least in (([0.0, 1.0], 9.6343e-320), ([0.0, -1e10], 2.47e-321)):
+        assert least_tol(y0) == least
+        assert ode._TOL_FRACTION * (least * 1e-3 * max(1.0, np.max(np.abs(y0)))) > 0.0
+        with pytest.raises(ConfigError, match="need a finite tol"):
+            integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0],
+                               tol=math.nextafter(least, 0.0))
+        # each component's error is 0 over its floor, not 0 / 0
+        res = integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0], tol=least)
+        assert res.completed and res.y[-1].tolist() == y0
 
 
 def test_rhs_of_wrong_length_rejected():
@@ -244,7 +259,7 @@ def test_blocked_halt_keeps_the_samples_of_the_free_run():
         return oscillator(x, y)
 
     full = integrate_adaptive(oscillator, [1.0, 0.0], DENSE_SAMPLES)
-    part = integrate_adaptive(walled, [1.0, 0.0], DENSE_SAMPLES, halt_on=(Boom,))
+    part = integrate_adaptive(walled, [1.0, 0.0], DENSE_SAMPLES)
     assert part.halt_reason == "blocked" and part.n_steps == 150
     assert_leading_samples_bitwise(part, full)
 
@@ -263,7 +278,7 @@ def test_short_return_at_a_middle_stage_rejected():
 
 
 def test_long_return_at_the_fsal_stage_rejected_not_halted_on():
-    # a ConfigError is a ValueError, yet a wrong length is no halt
+    # a wrong length is a ConfigError, raised outside the halving handler
     calls = 0
 
     def f(x, y):
@@ -272,7 +287,7 @@ def test_long_return_at_the_fsal_stage_rejected_not_halted_on():
         return [-y[0], -y[1], 0.0] if calls == 7 else [-y[0], -y[1]]
 
     with pytest.raises(ConfigError, match="f returned 3 components for a 2-component state"):
-        integrate_adaptive(f, np.array([1.0, 2.0]), [0.0, 1.0], halt_on=(ValueError,))
+        integrate_adaptive(f, np.array([1.0, 2.0]), [0.0, 1.0])
 
 
 def test_value_error_raised_by_f_propagates():
@@ -374,7 +389,7 @@ def test_attempt_is_bitwise_the_comprehension_arithmetic(dim):
         k1 = rng.normal(size=dim).tolist()
         atol, rtol = 10.0 ** rng.uniform(-10.0, -4.0), 10.0 ** rng.uniform(-8.0, -2.0)
         points = np.sort(x + h * rng.uniform(0.0, 1.0, rng.integers(0, 3)))
-        y8, k12, err, row = attempt(coupled, x, h, y, k1, atol, rtol, (), len(points) > 0)
+        y8, k12, err, row = attempt(coupled, x, h, y, k1, atol, rtol, len(points) > 0)
         want = reference_attempt(coupled, x, h, y, k1, atol, rtol, points.tolist())
         if row is not None:
             # the samples formed from the returned row, as the driver forms them
@@ -418,14 +433,12 @@ def test_halt_at_call_j_of_an_attempt_counts_j_calls(j):
 
     # calls 1-11 are the stages, 12 f at the new point, 13-15 the interpolant's
     with pytest.raises(ode._Blocked) as info:
-        ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, (Boom,),
-                        True)
+        ode._attempt(2)(raising_at(j), 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-12, 1e-9, True)
     assert info.value.args[0] == j and str(info.value.args[1]) == f"call {j}"
     # call 1 is the initial k1, call 2 the starting-step probe: call 2 + j
     # falls in the first attempt, or for j > 12 in the first to hold a sample
     calls = 0
-    res = integrate_adaptive(raising_at(2 + j), np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 65),
-                             halt_on=(Boom,))
+    res = integrate_adaptive(raising_at(2 + j), np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 65))
     assert res.completed
     assert res.n_rhs == calls > 2 + j
 
