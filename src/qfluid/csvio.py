@@ -13,8 +13,9 @@ safely to Python's exact ``%``; the bytes are those of ``"%.16e" % v``.
 Integer cells are formatted one by one with ``%``.
 Rows are assembled as bytes in chunks of ``_CHUNK_ROWS``, so the text of
 a whole file is never held at once.  Files are replaced atomically: a
-hidden ``.tmp-<pid>-<n>.csv`` next to the output, made by ``open`` (so the
-umask sets its mode), is renamed onto it.  An ``OSError`` names the output.
+hidden ``.tmp-<pid>-<n>.csv`` next to the output, n the least free, made
+by ``open`` (so the umask sets its mode), is renamed onto it.  An
+``OSError`` names the output.
 
 ``read_csv`` is the package's one CSV parser (``moments.load_distribution_csv``
 reads through it), so a malformed table raises ``ConfigError`` in one place.
@@ -50,7 +51,6 @@ _TIE_BAND = 2.0 ** (57 - _NMANT) if _NMANT in (52, 63, 112) else 1.0
 _POW10_MIN = -310
 _EXP_MIN = -324
 _WIDTH = 24  # len(b"-1.2345678901234567e-308")
-_TMP_SERIAL = itertools.count()  # n of .tmp-<pid>-<n>.csv: unique within the process
 
 
 @functools.cache
@@ -156,9 +156,19 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
     cells = [_cells(name, a) for name, a in zip(names, arrays)]
     width = sum(text.itemsize + 1 for text, _ in cells)  # each cell, then ',' or '\n'
 
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{next(_TMP_SERIAL)}.csv")
+    tmp = None      # the temporary, once this call has made it
     try:
-        with open(tmp, "xb") as fh:
+        # the first free n: a name may be taken by another write of this process, by a
+        # temporary a killed process left, or by a process of the same pid (in a container)
+        for n in itertools.count():
+            name = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{n}.csv")
+            try:
+                fh = open(name, "xb")
+            except FileExistsError:
+                continue
+            tmp = name
+            break
+        with fh:
             fh.write(("\n".join(header) + "\n").encode())
             for lo in range(0, n_rows, _CHUNK_ROWS):
                 rows = slice(lo, lo + _CHUNK_ROWS)
@@ -171,10 +181,11 @@ def write_csv(path, columns: list[tuple[str, np.ndarray]],
                 table[:, -1] = ord("\n")
                 fh.write(table.tobytes().replace(b"\0", b""))
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
-        if os.path.lexists(tmp):
+        if tmp is not None:
             os.unlink(tmp)
 
 

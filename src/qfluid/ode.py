@@ -169,6 +169,8 @@ _SHRINK, _GROW = 0.333, 6.0   # Hairer's bounds on the factor h_new / h
 # accurate as with the sample-clamped Dormand-Prince 5(4) pair this stepper
 # replaced, run at tol itself; at 1/20 some were up to 1.7 times less so.
 _TOL_FRACTION = 1.0 / 40.0
+# below it the relative demand is under one ulp and no step can pass
+_LEAST_TOL = sys.float_info.epsilon / _TOL_FRACTION
 _MIN_STEP = 16.0 * sys.float_info.epsilon   # in units of max(|x|, 1)
 # a wave-frame step attempt that holds no sample costs about 25-31 us, so
 # the cap halts a run after about half a minute
@@ -356,10 +358,9 @@ def integrate_adaptive(f, y0, samples, *, tol: float = 1e-9) -> OdeResult:
     not finite included) shrinks the step below the representable limit,
     or after ``_MAX_STEPS`` step attempts.
     Raises ``ConfigError`` unless ``samples`` holds at least two finite,
-    strictly increasing points and the working floor is finite and above
-    0 (about tol >= 1e-319 for |y0| <= 1; at 0 a component that stays 0
-    has no error scale), and when any call of ``f`` returns another
-    number of components.
+    strictly increasing points, y0 is finite, tol >= ``_LEAST_TOL``
+    (40 machine epsilons) and the floor is finite, and when any call of
+    ``f`` returns another number of components.
     Meant for small systems: the first call for each state dimension
     compiles a stepper whose code grows with the dimension (about 2.5 s
     at 3000 components) and keeps it for the life of the process.
@@ -369,16 +370,14 @@ def integrate_adaptive(f, y0, samples, *, tol: float = 1e-9) -> OdeResult:
             and np.all(np.diff(samples) > 0)):
         raise ConfigError("need at least two finite, strictly increasing sample points")
     y0 = np.array(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError("need a finite start y0")
     scale = max(1.0, float(np.max(np.abs(y0))))
     rtol, atol = _TOL_FRACTION * tol, _TOL_FRACTION * (tol * 1e-3 * scale)
-    if not 0.0 < atol < math.inf:
-        # the least tol whose floor is above 0, by bisection until lo and hi are adjacent floats
-        lo, hi = 0.0, 1.0
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (lo, mid) if _TOL_FRACTION * (mid * 1e-3 * scale) > 0.0 else (mid, hi)
-        raise ConfigError(f"need a finite tol >= {hi!r} for this start, got tol = "
-                          f"{tol!r}: error control runs at {_TOL_FRACTION!r} of tol and of its "
-                          f"floor 1e-3 tol max(1, max|y0|), which must stay finite and above 0")
+    if not (tol >= _LEAST_TOL and atol < math.inf):
+        raise ConfigError(f"need tol >= {_LEAST_TOL!r} with a finite floor 1e-3 tol max(1, "
+                          f"max|y0|), got tol = {tol!r}: error control runs at "
+                          f"{_TOL_FRACTION!r} of tol, which must not fall below machine epsilon")
     points, samples = samples, samples.tolist()
     n_samples = len(samples)
 

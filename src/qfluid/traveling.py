@@ -270,7 +270,7 @@ def integrate(initial: TravelingState, cfg: WaveFrameConfig, xi_max: float,
     ``traveling_rhs`` by name.
     Raises ``ConfigError`` unless initial.xi < xi_max < inf and
     1 <= n_samples <= 2**20, and from the integrator for a tol below the
-    least it names (about 1e-319).
+    least it names (40 machine epsilons, about 8.9e-15).
     """
     if not initial.xi < xi_max < math.inf:
         raise ConfigError(f"need a finite xi_max > {initial.xi!r}, got {xi_max!r}")

@@ -269,8 +269,8 @@ def assert_documented_exit(argv):
         assert not [p for p in Path(tmp).rglob("*") if ".tmp" in p.name]
         if "" in paths or any(p.startswith("missing/") for p in paths):
             assert code
-        if paths[0] == "":     # the output is written first
-            assert code in {2, 3}
+        if next(a for a in argv if a.startswith("--output=")) == "--output=":
+            assert code in {2, 3}   # the output is written first
         if code == 4:   # a wigner panel's name extends the output's stem
             assert any(p and p.removesuffix(".csv") in err.getvalue() for p in paths)
         if code:
@@ -678,12 +678,13 @@ def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
     assert "--times 0.1234561 and 0.1234562 would both write w_t0.123456.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
+@pytest.mark.parametrize("tol", ["1e-320", "5e-324", "1e-319", "8.88178419700125e-15"])
 def test_tw_run_tol_below_the_least_is_refused_by_name(tmp_path, capsys, tol):
-    # the absolute floor 1e-3 tol max(1, max|y0|) at 1/40 underflows to 0
+    # error control at 1/40 of tol would ask less than one ulp
     assert run(tmp_path, ["tw", "run", "--tol", tol, "-o", "out.csv"]) == 2
     err = capsys.readouterr().err
-    assert f"need a finite tol >= 6.176e-320 for this start, got tol = {float(tol)!r}" in err
+    assert f"need tol >= 8.881784197001252e-15 with a finite floor 1e-3 tol max(1, max|y0|), " \
+           f"got tol = {float(tol)!r}" in err
     assert "atol" not in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 

@@ -292,6 +292,23 @@ def test_temporary_is_hidden_next_to_the_output(tmp_path, monkeypatch):
     assert os.path.basename(tmp).startswith(f".tmp-{os.getpid()}-")
 
 
+def test_a_taken_temporary_name_is_skipped_and_kept(tmp_path):
+    # a temporary left by a killed process whose pid came round again, or
+    # one of another process with the same pid writing into this directory
+    stale = tmp_path / f".tmp-{os.getpid()}-0.csv"
+    stale.write_bytes(b"stale")
+    write_csv(tmp_path / "out.csv", [("a", np.zeros(2))])
+    assert read_csv(tmp_path / "out.csv")[1]["a"].tolist() == [0.0, 0.0]
+    assert stale.read_bytes() == b"stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.csv"]
+    # a failing write removes its own temporary, not the one it skipped
+    (tmp_path / "made_dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_csv(tmp_path / "made_dir", [("a", np.zeros(2))])
+    assert stale.read_bytes() == b"stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "made_dir", "out.csv"]
+
+
 @pytest.mark.parametrize("name", ["made_dir", "missing/out.csv", "made_dir/"])
 def test_write_failure_names_the_output_and_leaves_no_temporary(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)

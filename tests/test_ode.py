@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -176,32 +177,45 @@ def test_invalid_spans_rejected():
 
 @pytest.mark.parametrize("atol", [0.0, 5e-324, 9e-323, -1.0, math.nan, math.inf])
 def test_atol_whose_working_share_is_not_positive_rejected(atol):
-    # atol is the absolute floor 1e-3 tol of a start of size 1; error
-    # control runs at ode._TOL_FRACTION of it, and were that 0, a component
-    # that stays 0 over an attempt would divide 0 by 0
-    with pytest.raises(ConfigError, match=r"need a finite tol >= 9\.6343e-320 for this start, "
-                                          r"got tol = .*: error control runs at 0\.025 of tol"):
+    # atol is the absolute floor 1e-3 tol of a start of size 1, and each
+    # such tol is below the least: error control runs at ode._TOL_FRACTION
+    # of tol, and were that under one ulp, no step could pass
+    with pytest.raises(ConfigError, match=r"need tol >= 8\.881784197001252e-15 with a finite "
+                                          r"floor .*, got tol = .*: error control runs at 0\.025"):
         integrate_adaptive(lambda x, y: [0.0, -y[1]], [0.0, 1.0], [0.0, 1.0], tol=1e3 * atol)
 
 
 def least_tol(y0):
     with pytest.raises(ConfigError) as info:
-        integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0], tol=0.0)
+        integrate_adaptive(lambda x, y: [0.0, -y[1]], y0, [0.0, 1.0], tol=0.0)
     return float(re.search(r"tol >= (\S+) ", str(info.value)).group(1))
 
 
 def test_smallest_atol_whose_working_share_is_positive_integrates():
-    # the refusal names the least tol whose floor's working share is above
-    # 0, for the start at hand: the floor scales with max(1, max|y0|)
-    for y0, least in (([0.0, 1.0], 9.6343e-320), ([0.0, -1e10], 2.47e-321)):
-        assert least_tol(y0) == least
+    # the refusal names the least tol, 40 machine epsilons whatever the
+    # start; at it the relative demand is one ulp, and the floor is above 0
+    for y0 in ([0.0, 1.0], [0.0, -1e10]):
+        least = least_tol(y0)
+        assert least == ode._LEAST_TOL == 40 * sys.float_info.epsilon
         assert ode._TOL_FRACTION * (least * 1e-3 * max(1.0, np.max(np.abs(y0)))) > 0.0
-        with pytest.raises(ConfigError, match="need a finite tol"):
-            integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0],
+        with pytest.raises(ConfigError, match="need tol >= "):
+            integrate_adaptive(lambda x, y: [0.0, -y[1]], y0, [0.0, 1.0],
                                tol=math.nextafter(least, 0.0))
-        # each component's error is 0 over its floor, not 0 / 0
-        res = integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0], tol=least)
-        assert res.completed and res.y[-1].tolist() == y0
+        # the zero component's error is 0 over its floor, not 0 / 0
+        res = integrate_adaptive(lambda x, y: [0.0, -y[1]], y0, [0.0, 1.0], tol=least)
+        assert res.completed and res.y[-1, 0] == 0.0
+        assert res.y[-1, 1] == pytest.approx(y0[1] * math.exp(-1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("y0", [[math.inf, 1.0], [0.0, -math.inf], [math.nan, 0.0]])
+def test_start_that_is_not_finite_rejected(y0):
+    with pytest.raises(ConfigError, match="need a finite start y0"):
+        integrate_adaptive(lambda x, y: [0.0, 0.0], y0, [0.0, 1.0])
+
+
+def test_tol_whose_floor_overflows_rejected():
+    with pytest.raises(ConfigError, match=r"with a finite floor .*, got tol = 1e\+300"):
+        integrate_adaptive(lambda x, y: [0.0, 0.0], [0.0, 1e20], [0.0, 1.0], tol=1e300)
 
 
 def test_rhs_of_wrong_length_rejected():
