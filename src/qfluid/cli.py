@@ -9,10 +9,12 @@ configuration, 3 numerical failure (singularity, CFL, vacuum), 4 I/O.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import shlex
 import sys
+import tempfile
 
 import numpy as np
 
@@ -47,17 +49,29 @@ def _params_from(args) -> PlasmaParams:
 
 
 def _write_all(tables, command: str) -> None:
-    """``write_csv`` each (path, columns, comments) of ``tables``; when one
-    fails, remove those already written: a failed command leaves no file."""
-    written = []
+    """``write_csv`` each (path, columns, comments) of ``tables`` to a temporary
+    beside its path, and rename them onto their paths once all are written:
+    a failure removes only temporaries.  An ``OSError`` names the path."""
+    staged = []     # (temporary, path), not yet renamed
     try:
         for path, columns, comments in tables:
-            write_csv(path, columns, command=command, extra_comments=comments)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            os.unlink(path)
-        raise
+            if not path:
+                raise ConfigError("the output path is empty")
+            try:
+                if os.path.isdir(path):     # the one way a rename beside it fails
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, tmp = tempfile.mkstemp(".csv", ".tmp-", os.path.dirname(path))
+                os.close(fd)
+                staged.append((tmp, path))
+                write_csv(tmp, columns, command=command, extra_comments=comments)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
 
 
 def _cmd_dispersion(args, command: str) -> None:
@@ -81,11 +95,12 @@ def _cmd_response(args, command: str) -> None:
     ks = dispersion.k_grid(args.kmin, args.kmax, args.n)
     if ks[0] <= 0.0:
         raise ConfigError("response sweep requires --kmin > 0 (k = 0 carries no wave)")
-    P0 = linear_response.anisotropic_dyad(params.n0, params.T0_perp, params.T0_par, params)
-    if args.p_iso is not None:
-        if not 0.0 <= args.p_iso < math.inf:
-            raise ConfigError(f"--p-iso must be finite and non-negative, got {args.p_iso!r}")
+    if args.p_iso is None:
+        P0 = linear_response.anisotropic_dyad(params.n0, params.T0_perp, params.T0_par, params)
+    elif 0.0 <= args.p_iso < math.inf:
         P0 = args.p_iso * np.eye(3)
+    else:
+        raise ConfigError(f"--p-iso must be finite and non-negative, got {args.p_iso!r}")
     om2 = dispersion.evaluate("general", ks, params)
     dP = linear_response.delta_P(ks, om2, args.dphi, P0, params)
     cols = [("k", ks), ("omega_sq", om2)] + [
@@ -108,8 +123,7 @@ def _cmd_fluid(args, command: str) -> None:
     damping = None if args.no_stabilize else fluid1d.SpectralDamping.tailored(grid, params)
     try:
         run = fluid1d.evolve(state, params, t_end, dt=args.dt, damping=damping,
-                             probe_mode=args.mode, sample_every=args.sample_every,
-                             steepening_limit=args.steepening_limit)
+                             probe_mode=args.mode, sample_every=args.sample_every)
     except NumericalError as exc:
         if args.no_stabilize:
             exc.args = (f"{exc}; the stabilising filter is off (--no-stabilize), and without "
@@ -274,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-every", type=int, default=1)
     p.add_argument("--no-stabilize", action="store_true",
                    help="disable the filter on the closure's companion pair")
-    p.add_argument("--steepening-limit", type=float, default=100.0,
-                   help="halt when max|du/dx| exceeds this many omega_p")
     p.add_argument("--snapshot", default=None, help="write final field snapshot CSV")
     p.add_argument("-o", "--output", default="fluid.csv")
     _add_param_options(p)
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--nv", type=int, default=256)
     p.add_argument("--npsi", type=int, default=1024,
-                   help="wavefunction grid size for the transform")
+                   help="points of the sampled packet that sizes the transform's s grid")
     p.add_argument("-o", "--output", default="wigner.csv")
     p.set_defaults(func=_cmd_wigner)
 

@@ -22,7 +22,7 @@ class CFLViolationError(NumericalError):
     """Requested time step exceeds the advective or oscillatory limit.
 
     ``suggested_dt`` is a step that would pass, or None when no step would
-    help (a steepening wave outgrows any fixed step).
+    help (a wave that steepens or grows outgrows any fixed step).
     """
 
     def __init__(self, message: str, suggested_dt: float | None):
@@ -32,10 +32,6 @@ class CFLViolationError(NumericalError):
 
 class VacuumError(NumericalError):
     """Density reached zero or negative values on the grid."""
-
-
-class SteepeningError(NumericalError):
-    """Velocity gradient exceeded the smooth-wave threshold."""
 
 
 class NoOscillationError(NumericalError):

@@ -42,8 +42,10 @@ set no time-step bound: ``auto_dt`` is the smaller of the advective
 bound 0.4 dx / max(|u| + |c - c0|), with c = sqrt(3 p/(m n)), and the
 plasma-period bound 0.4 / omega_p, and ``step`` raises
 ``CFLViolationError`` (CLI exit 3) for a dt above it.  ``evolve`` halves
-an automatic step that a steepening state outgrows, for as long as the
-run stays within its 2**20-step cap.
+an automatic step that the state outgrows, for as long as the run stays
+within its 2**20-step cap.  A breaking wave ends on ``FluidState1D.check``
+(``VacuumError``): a trough empties just after du/dx blows up, as in
+Dawson's cold plasma (Phys. Rev. 113:383, 1959).
 
 State layout: a state is one ``(4, N)`` array, ``FluidState1D.fields``,
 whose rows are (n, u, p, Q); ``rhs`` returns its derivative in the same
@@ -54,8 +56,8 @@ the uniform state and the derivatives, one constant matrix, one rfft.
 Every FFT is batched along the last axis, and a step makes 8: per later
 stage and for the new state one irfft of the stacked spectrum and its
 i k multiple, which returns fields and derivatives together, and per
-stage one rfft of the remainder.  The first stage and the steepening
-check in ``evolve`` read the state's arrays and make no transform.
+stage one rfft of the remainder.  The first stage and the probe record
+in ``evolve`` read the state's arrays and make no transform.
 ``Grid1D.k`` and ``Grid1D.dealias_mask`` are computed once per grid, and
 the kernel's coefficients once per (grid, params)
 (``_remainder_coefficients``).
@@ -64,15 +66,13 @@ One scale check, in ``_plasma_units``, refuses parameters without plasma
 units on a grid: a row scale that is not finite and positive (n0 = 1e200
 squares the pressure scale to inf), an hbar'^2 or 3 T' that is not
 finite, or an omega'^2 that is not finite at the grid's top wavenumber.
-``evolve`` also rejects a run length, time step, sample interval, probe
-mode or steepening limit outside its domain and a run of more than 2**20
-steps, ``mode_frequency`` and the state builders a mode outside [1, the
-last mode the 2/3 rule keeps], the builders a non-finite amplitude or a
-row that overflows, ``SpectralDamping`` a negative protected band and
+``evolve`` also rejects a run length, time step, sample interval or probe
+mode outside its domain and a run of more than 2**20 steps,
+``mode_frequency`` and the state builders a mode outside [1, the last
+mode the 2/3 rule keeps], the builders a non-finite amplitude or a row
+that overflows, ``SpectralDamping`` a negative protected band and
 ``Grid1D`` a length outside (0, inf), all with ``ConfigError`` (CLI exit
-2) before any step.  m = 1e-200 has plasma units (hbar' = 1e100): its mode 1
-oscillates at ~7e49 omega_p, so ``qfluid fluid`` stops on its steepening
-limit (exit 3).
+2) before any step.
 
 Stability note: at every wavenumber the closure has a non-oscillatory
 companion pair +-gamma(k), growing faster with k
@@ -96,7 +96,7 @@ import numpy as np
 
 from . import dispersion
 from .errors import (CFLViolationError, ConfigError, NoOscillationError,
-                     NumericalError, SteepeningError, VacuumError)
+                     NumericalError, VacuumError)
 from .params import PlasmaParams, nondimensional
 
 __all__ = [
@@ -622,8 +622,7 @@ def _step_count(t_end: float, dt: float) -> int | float:
 
 def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
            dt: float | None = None, damping: SpectralDamping | None = None,
-           probe_mode: int = 1, sample_every: int = 1,
-           steepening_limit: float | None = None) -> FluidRun:
+           probe_mode: int = 1, sample_every: int = 1) -> FluidRun:
     """March to t_end recording probe series.
 
     Everything ``evolve`` takes and returns is in the caller's units.  It
@@ -637,13 +636,11 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
 
     ``probe_mode`` selects which Fourier mode's complex coefficient is
     recorded for each field (normalized so a cos profile of amplitude A
-    gives coefficient A).  ``steepening_limit`` (units of omega_p) halts
-    with a diagnostic when max |du/dx| exceeds it; the solver targets
-    smooth regimes only.
+    gives coefficient A).
 
     Without ``dt`` the step is 0.75 ``auto_dt`` at the initial state,
-    rounded down to t_end / n.  A fixed step cannot foresee a steepening
-    wave, so when ``step`` rejects it (``CFLViolationError``, raised
+    rounded down to t_end / n.  A fixed step cannot foresee a wave that
+    steepens, so when ``step`` rejects it (``CFLViolationError``, raised
     before any work) the step is halved and the steps left and the
     sample stride are doubled: the samples stay uniform and the run ends
     at t_end.  The step halves while the run's total, the steps taken
@@ -651,16 +648,15 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     it.  A given ``dt`` is never halved.  Past the cap, or at once for a
     given ``dt``, a rejection after the first step raises
     ``CFLViolationError`` naming t and the growth of max(|u| + |c - c0|)
-    since the start: the wave is steepening or growing, so no step size
+    since the start: the wave is breaking or growing, so no step size
     is suggested.  A given ``dt`` rejected at the first step keeps
     ``step``'s error, with its suggested dt.
 
     Raises ``ConfigError`` unless t_end > 0, dt > 0 (when given),
-    sample_every >= 1, 0 <= probe_mode <= N/2, steepening_limit is None
-    or finite and > 0, the parameters pass the scale check on the state's
-    grid (``_plasma_units``) and the run takes at most 2**20 steps, and
-    ``NumericalError`` (``FluidState1D.check``) for an initial state that
-    is not finite or has n <= 0.
+    sample_every >= 1, 0 <= probe_mode <= N/2, the parameters pass the
+    scale check on the state's grid (``_plasma_units``) and the run takes
+    at most 2**20 steps, and ``NumericalError`` (``FluidState1D.check``)
+    for an initial state that is not finite or has n <= 0.
     """
     g = state.grid
     if not 0.0 < t_end < math.inf:
@@ -672,9 +668,6 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
     if not 0 <= probe_mode <= g.n_points // 2:
         raise ConfigError(f"probe mode must lie in [0, {g.n_points // 2}] "
                           f"on a {g.n_points}-point grid, got {probe_mode!r}")
-    if steepening_limit is not None and not 0.0 < steepening_limit < math.inf:
-        raise ConfigError(
-            f"steepening limit must be positive and finite, got {steepening_limit!r}")
     unit, scales = _plasma_units(params, g)
     wp, rows = scales[1], np.array(scales)[:, None]
     state.check()
@@ -724,7 +717,7 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
                     f"at t = {state.t / wp:.6g}: max(|u| + |c - c0|) grew from "
                     f"{_remainder_speed(initial, unit) * wp:.6g} at t = {initial.t / wp:.6g} "
                     f"to {_remainder_speed(state, unit) * wp:.6g}; "
-                    f"the wave is steepening or growing", suggested_dt=None) from None
+                    f"the wave is breaking or growing", suggested_dt=None) from None
             dt, left, stride, since = 0.5 * dt, 2 * left, 2 * stride, 2 * since
             halvings += 1
             continue
@@ -733,11 +726,6 @@ def evolve(state: FluidState1D, params: PlasmaParams, t_end: float,
                 exc.args = (f"{exc} (t in units of 1/omega_p, omega_p = {wp:.6g})",)
             raise
         left, since, taken = left - 1, since + 1, taken + 1
-        if steepening_limit is not None:
-            if float(np.max(np.abs(state.derivatives[1]))) > steepening_limit:
-                raise SteepeningError(
-                    f"velocity gradient exceeded {steepening_limit} omega_p "
-                    f"at t = {state.t / wp:.6g}; smooth-wave regime left")
         if since == stride or not left:
             record(state)
             since = 0

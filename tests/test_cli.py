@@ -89,6 +89,17 @@ def test_response_sweep_reports_anisotropy(tmp_path):
     assert np.all(cols["dP_xy"] == 0.0)
 
 
+def test_response_p_iso_takes_no_temperature_dyad(tmp_path, capsys):
+    # --p-iso replaces the dyad n kB T, so a T0_perp whose dyad overflows is unused
+    argv = ["response", "--p-iso", "1", "--n0", "10", "--n", "8"]
+    assert run(tmp_path, argv + ["--tperp", "1e308", "-o", "hot.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path, argv + ["-o", "plain.csv"]) == 0
+    # the same table below the "# command:" line
+    hot, plain = ((tmp_path / name).read_text().split("\n", 1)[1] for name in ("hot.csv", "plain.csv"))
+    assert hot == plain
+
+
 def test_fluid_run_writes_probe_and_snapshot(tmp_path):
     code = run(tmp_path, ["fluid", "--grid", "64", "--periods", "1",
                           "--amplitude", "1e-6", "--tpar", "0.05",
@@ -111,23 +122,15 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
     assert code == 3
 
 
-def test_fluid_steepening_failure_names_its_cause(tmp_path, capsys):
-    # the step halves to follow a steepening wave until its velocity gradient
-    # passes the steepening limit, so the message names that cause, not a dt
-    assert run(tmp_path, ["fluid", "--amplitude", "0.1", "-o", "x.csv"]) == 3
-    err = capsys.readouterr().err
-    assert "velocity gradient exceeded 100.0 omega_p" in err and "at t = 11.4" in err
-    assert "suggested dt" not in err
-    assert not list(tmp_path.iterdir())
-
-
 def test_fluid_breaking_wave_exits_3_without_a_step_size(tmp_path, capsys):
-    # a wave this large empties a trough before it steepens past the limit
-    assert run(tmp_path, ["fluid", "--amplitude", "0.5", "-o", "x.csv"]) == 3
-    err = capsys.readouterr().err
-    assert "density reached n <= 0" in err
-    assert "suggested dt" not in err
-    assert not list(tmp_path.iterdir())
+    # the step halves to follow the steepening wave (twice at amplitude 0.1)
+    # until a trough empties; the message names that cause, not a dt
+    for amplitude, t in (("0.1", "11.439"), ("0.5", "0.993208")):
+        assert run(tmp_path, ["fluid", "--amplitude", amplitude, "-o", "x.csv"]) == 3
+        err = capsys.readouterr().err
+        assert f"density reached n <= 0 at t = {t}\n" in err
+        assert "suggested dt" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_fluid_header_reports_its_steps(tmp_path):
@@ -660,16 +663,18 @@ def test_heavy_particle_config_runs_the_fluid(tmp_path, capsys, recwarn):
     assert (tmp_path / "heavy.csv").exists()
 
 
-def test_light_particle_config_exits_3_on_the_steepening_limit(tmp_path, capsys, recwarn):
-    # in plasma units m = 1e-200 is hbar/(m omega_p) = 1e100: the mode
-    # oscillates at ~7e49 omega_p, so its velocity gradient passes the
-    # default --steepening-limit of 100 omega_p at the first step
-    (tmp_path / "light.cfg").write_text("preset = nondim\nm = 1e-200\n")
-    assert run(tmp_path, ["fluid", "--config", "light.cfg", "-o", "light.csv"]) == 3
-    err = capsys.readouterr().err
-    assert "velocity gradient exceeded 100.0 omega_p" in err and "Traceback" not in err
+@pytest.mark.parametrize("key", ["m = 1e-200", "eps0 = 1e200", "hbar = 1e100"],
+                         ids=lambda key: key.replace(" ", ""))
+def test_fast_linear_mode_config_runs_the_fluid(tmp_path, capsys, recwarn, key):
+    # each puts hbar' = hbar/(m omega_p) at 1e100: mode 1 oscillates at
+    # ~7e49 omega_p, so the linear wave's du/dx is ~7e43 omega_p at amplitude
+    # 1e-6, yet it stays smooth and the run completes
+    (tmp_path / "fast.cfg").write_text(f"preset = nondim\n{key}\n")
+    argv = ["fluid", "--config", "fast.cfg", "--periods", "1", "-o", "fast.csv"]
+    assert run(tmp_path, argv) == 0
+    assert capsys.readouterr().err == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    assert not (tmp_path / "light.csv").exists()
+    assert (tmp_path / "fast.csv").exists()
 
 
 def test_wigner_times_that_share_a_file_name_are_both_named(tmp_path, capsys):
@@ -689,20 +694,27 @@ def test_tw_run_tol_below_the_least_is_refused_by_name(tmp_path, capsys, tol):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv, made, named", [
+@pytest.mark.parametrize("argv, made, named, older", [
     (["fluid", "--grid", "64", "--periods", "1", "-o", "f.csv", "--snapshot", "missing/s.csv"],
-     None, "missing/s.csv"),
+     None, "missing/s.csv", "f.csv"),
     (["wigner", "--times", "0,2", "--nx", "8", "--nv", "8", "-o", "wt/w.csv"],
-     "wt/w_t2.csv", "wt/w_t2.csv"),
+     "wt/w_t2.csv", "wt/w_t2.csv", "wt/w_t0.csv"),
 ], ids=["fluid snapshot", "wigner panel"])
-def test_failed_later_write_leaves_no_earlier_output(tmp_path, capsys, argv, made, named):
+def test_failed_later_write_leaves_no_earlier_output(tmp_path, capsys, argv, made, named, older):
+    # every output is written before any is renamed into place, so the
+    # earlier output is neither left behind nor put over an older file
     if made:
         (tmp_path / made).mkdir(parents=True)
-    assert run(tmp_path, argv) == 4
-    err = capsys.readouterr().err
-    assert "i/o error: [Errno" in err and repr(named) in err and ".tmp" not in err
-    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == (
-        ["wt", "wt/w_t2.csv"] if made else [])
+    listing = ["wt", "wt/w_t2.csv"] if made else []
+    for old in (None, b"older bytes\n"):
+        if old:
+            (tmp_path / older).write_bytes(old)
+            listing = sorted(listing + [older])
+        assert run(tmp_path, argv) == 4
+        err = capsys.readouterr().err
+        assert "i/o error: [Errno" in err and repr(named) in err and ".tmp" not in err
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == listing
+    assert (tmp_path / older).read_bytes() == old
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
@@ -711,6 +723,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     # the stability table is closed-form: no tolerance to set
     assert run(tmp_path, ["tw", "stability", "--tol", "0"]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # a breaking wave ends on the vacuum check: no gradient limit to set
+    assert run(tmp_path, ["fluid", "--steepening-limit", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --steepening-limit" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -758,8 +774,6 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["tw", "run", "--tol", "-1"],
     ["tw", "run", "--samples", "0"],
     ["tw", "run", "--samples", "-3"],
-    ["fluid", "--periods", "0.1", "--steepening-limit", "nan"],
-    ["fluid", "--periods", "0.1", "--steepening-limit", "-1"],
     ["fluid", "--length", "inf", "--periods", "0.1"],
     ["fluid", "--length", "1e-300"],
     ["response", "--dphi", "nan"],
