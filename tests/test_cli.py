@@ -122,15 +122,22 @@ def test_fluid_cfl_violation_exits_3(tmp_path):
     assert code == 3
 
 
+def test_fluid_steepening_failure_names_its_cause(tmp_path, capsys):
+    # the step halves twice to follow the steepening wave until a trough
+    # empties, so the message names that cause, not a dt
+    assert run(tmp_path, ["fluid", "--amplitude", "0.1", "-o", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "density reached n <= 0 at t = 11.439\n" in err
+    assert "suggested dt" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fluid_breaking_wave_exits_3_without_a_step_size(tmp_path, capsys):
-    # the step halves to follow the steepening wave (twice at amplitude 0.1)
-    # until a trough empties; the message names that cause, not a dt
-    for amplitude, t in (("0.1", "11.439"), ("0.5", "0.993208")):
-        assert run(tmp_path, ["fluid", "--amplitude", amplitude, "-o", "x.csv"]) == 3
-        err = capsys.readouterr().err
-        assert f"density reached n <= 0 at t = {t}\n" in err
-        assert "suggested dt" not in err
-        assert not list(tmp_path.iterdir())
+    assert run(tmp_path, ["fluid", "--amplitude", "0.5", "-o", "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "density reached n <= 0 at t = 0.993208\n" in err
+    assert "suggested dt" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fluid_header_reports_its_steps(tmp_path):
@@ -723,11 +730,17 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     # the stability table is closed-form: no tolerance to set
     assert run(tmp_path, ["tw", "stability", "--tol", "0"]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
-    # a breaking wave ends on the vacuum check: no gradient limit to set
-    assert run(tmp_path, ["fluid", "--steepening-limit", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments: --steepening-limit" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_deleted_steepening_limit_exits_2_without_traceback(tmp_path, capsys):
+    # a breaking wave ends on the vacuum check: no gradient limit to set
+    for value in ("100", "nan", "-1"):
+        argv = ["fluid", "--periods", "0.1", "--steepening-limit", value, "-o", "out.csv"]
+        assert run(tmp_path, argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --steepening-limit" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_line_break_in_the_command_exits_2_without_a_file(tmp_path, capsys):
