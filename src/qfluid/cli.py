@@ -51,12 +51,20 @@ def _params_from(args) -> PlasmaParams:
 def _write_all(tables, command: str) -> None:
     """``write_csv`` each (path, columns, comments) of ``tables`` to a temporary
     beside its path, and rename them onto their paths once all are written:
-    a failure removes only temporaries.  An ``OSError`` names the path."""
+    a failure removes only temporaries.  ``ConfigError`` before any file is
+    made for an empty path or two paths that are one file; an ``OSError``
+    names the path."""
+    named = {}      # real path -> the path that named it
+    for path, _, _ in tables:
+        if not path:
+            raise ConfigError("the output path is empty")
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"outputs {named[real]} and {path} are one file")
+        named[real] = path
     staged = []     # (temporary, path), not yet renamed
     try:
         for path, columns, comments in tables:
-            if not path:
-                raise ConfigError("the output path is empty")
             try:
                 if os.path.isdir(path):     # the one way a rename beside it fails
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -74,7 +82,7 @@ def _write_all(tables, command: str) -> None:
             os.unlink(tmp)
 
 
-def _cmd_dispersion(args, command: str) -> None:
+def _cmd_dispersion(args) -> list:
     params = _params_from(args)
     ks = dispersion.k_grid(args.kmin, args.kmax, args.n, log_spacing=args.log)
     if args.relation == "all":
@@ -85,10 +93,10 @@ def _cmd_dispersion(args, command: str) -> None:
         om2 = dispersion.evaluate(args.relation, ks, params, args.gamma)
         cols = [("k", ks), ("omega_sq", om2), ("omega", np.sqrt(om2)),
                 ("relation_tag", np.full(len(ks), args.relation))]
-    write_csv(args.output, cols, command=command)
+    return [(args.output, cols, ())]
 
 
-def _cmd_response(args, command: str) -> None:
+def _cmd_response(args) -> list:
     params = _params_from(args)
     if not math.isfinite(args.dphi):
         raise ConfigError(f"--dphi must be finite, got {args.dphi!r}")
@@ -107,10 +115,10 @@ def _cmd_response(args, command: str) -> None:
         (f"dP_{name}", dP[:, i, j]) for name, (i, j) in (
             ("xx", (0, 0)), ("yy", (1, 1)), ("zz", (2, 2)),
             ("xy", (0, 1)), ("xz", (0, 2)), ("yz", (1, 2)))]
-    write_csv(args.output, cols, command=command)
+    return [(args.output, cols, ())]
 
 
-def _cmd_fluid(args, command: str) -> None:
+def _cmd_fluid(args) -> list:
     params = _params_from(args)
     grid = fluid1d.Grid1D(n_points=args.grid, length=args.length)
     omega = fluid1d.mode_frequency(grid, params, args.mode)
@@ -144,10 +152,10 @@ def _cmd_fluid(args, command: str) -> None:
         tables.append((args.snapshot, [("x", grid.x), ("n", s.n), ("u", s.u),
                                        ("p", s.p), ("Q", s.Q), ("phi", phi)],
                        (f"snapshot at t={s.t!r}",)))
-    _write_all(tables, command)
+    return tables
 
 
-def _cmd_tw_run(args, command: str) -> None:
+def _cmd_tw_run(args) -> list:
     cfg = traveling.wave_frame_config(args.H, u0=args.u0, v=args.v)
     start = traveling.reference_oscillation_state(
         cfg, density_ratio=args.density_ratio, p0_scale=args.p0_scale)
@@ -162,10 +170,8 @@ def _cmd_tw_run(args, command: str) -> None:
                 f"energy_flux_drift={energy_drift:.3e}")
     if not traj.completed:
         comments += (f"halted: {traj.halt_reason}",)
-    write_csv(args.output, [("xi", traj.xi), ("n", traj.n), ("u", traj.u),
-                            ("p", traj.p), ("Q", traj.Q), ("phi", traj.phi),
-                            ("E", traj.E)],
-              command=command, extra_comments=comments)
+    return [(args.output, [("xi", traj.xi), ("n", traj.n), ("u", traj.u), ("p", traj.p),
+                           ("Q", traj.Q), ("phi", traj.phi), ("E", traj.E)], comments)]
 
 
 def _float_list(text: str, option: str) -> list[float]:
@@ -176,7 +182,7 @@ def _float_list(text: str, option: str) -> list[float]:
         raise ConfigError(f"{option} expects a comma list of numbers, got {text!r}") from None
 
 
-def _cmd_tw_stability(args, command: str) -> None:
+def _cmd_tw_stability(args) -> list:
     hs = np.array(_float_list(args.H, "--H"))
     cols = {name: [] for name in ["H", "max_real", "classification"]
             + [f"eig{i}_{part}" for i in range(5) for part in ("re", "im")]}
@@ -190,10 +196,10 @@ def _cmd_tw_stability(args, command: str) -> None:
         for i in range(5):
             cols[f"eig{i}_re"].append(eigs[i].real)
             cols[f"eig{i}_im"].append(eigs[i].imag)
-    write_csv(args.output, [(k, np.array(v)) for k, v in cols.items()], command=command)
+    return [(args.output, [(k, np.array(v)) for k, v in cols.items()], ())]
 
 
-def _cmd_wigner(args, command: str) -> None:
+def _cmd_wigner(args) -> list:
     times = _float_list(args.times, "--times")
     paths = [args.output] if len(times) == 1 else [
         _suffixed(args.output, f"_t{t_bar:g}") for t_bar in times]
@@ -211,26 +217,23 @@ def _cmd_wigner(args, command: str) -> None:
     v_bar = np.linspace(-args.v_max, args.v_max, args.nv)
     # the wigner module works in hbar = m = 1; with sigma = 1 too, x = x_bar,
     # v = v_bar, t = t_bar and f_bar = pi f
-    wfgs = [wigner.evolve_free_gaussian(
-        1.0, t_bar, max(args.x_max + 2.0, 8.0 * math.sqrt(1.0 + t_bar * t_bar)),
-        n_points=args.npsi) for t_bar in times]
+    wfgs = [wigner.evolve_free_gaussian(1.0, t_bar) for t_bar in times]
     for wfg in wfgs:   # every panel is checked before one is computed or written
         wigner.s_grid(wfg, v_bar, x_bar)
     panels = [np.pi * wigner.wigner_transform(wfg, v=v_bar, x=x_bar).f for wfg in wfgs]
     X, V = np.meshgrid(x_bar, v_bar, indexing="ij")
-    _write_all(((path, [("x_bar", X.ravel()), ("v_bar", V.ravel()), ("f_bar", f_bar.T.ravel())],
-                 (f"t_bar={t_bar!r}, rows: x outer, v inner",))
-                for t_bar, path, f_bar in zip(times, paths, panels)), command)
+    return [(path, [("x_bar", X.ravel()), ("v_bar", V.ravel()), ("f_bar", f_bar.T.ravel())],
+             (f"t_bar={t_bar!r}, rows: x outer, v inner",))
+            for t_bar, path, f_bar in zip(times, paths, panels)]
 
 
-def _cmd_moments(args, command: str) -> None:
+def _cmd_moments(args) -> list:
     params = _params_from(args)
     f, grid = moments.load_distribution_csv(args.input)
     mset = moments.compute_moments(f, grid, mass=params.m)
     items = sorted(mset.to_dict().items())
-    write_csv(args.output, [("component", np.array([k for k, _ in items])),
-                            ("value", np.array([str(v) for _, v in items]))],
-              command=command)
+    return [(args.output, [("component", np.array([k for k, _ in items])),
+                           ("value", np.array([str(v) for _, v in items]))], ())]
 
 
 def _suffixed(path: str, suffix: str) -> str:
@@ -324,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", type=float, default=4.0)
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--nv", type=int, default=256)
-    p.add_argument("--npsi", type=int, default=1024,
-                   help="points of the sampled packet that sizes the transform's s grid")
     p.add_argument("-o", "--output", default="wigner.csv")
     p.set_defaults(func=_cmd_wigner)
 
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     command = "qfluid " + shlex.join(list(argv))
     try:
-        args.func(args, command)
+        _write_all(args.func(args), command)
         return 0
     except ConfigError as exc:
         print(f"qfluid: configuration error: {exc}", file=sys.stderr)

@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
-_BOUNDARY_DECAY = 1e-10
 # ceiling on the transform's workspace: the psi lattice, the real and
 # imaginary parts of the folded G, their products E and O with the phase
 # tables of the distinct speeds, and the three len(v) x len(x) arrays alive
@@ -151,34 +150,23 @@ class WavefunctionGrid:
         return float(self.x[1] - self.x[0])
 
 
-def evolve_free_gaussian(sigma: float, t: float, x_max: float,
-                         n_points: int = 256) -> WavefunctionGrid:
-    """Exactly evolved Gaussian packet on a symmetric grid [-x_max, x_max].
+def evolve_free_gaussian(sigma: float, t: float) -> WavefunctionGrid:
+    """Exactly evolved Gaussian packet at 1024 points on [-8 w, 8 w].
 
-    The grid must be wide enough that the boundary amplitude is below
-    1e-10 of the peak at the requested time, and fine enough that its step
-    is at most the packet width sigma sqrt(1 + t_bar^2); the packet
-    standard deviation grows like sigma sqrt(1 + t_bar^2) / sqrt(2).
+    w = sigma sqrt(1 + t_bar^2) is the packet width, |psi| ~ exp(-x^2 / (2 w^2)):
+    at the edges |psi| is e^-32 ~ 1.3e-14 of its peak, below the 1e-13 that
+    sizes the transform's s grid, and the step 16 w / 1023 resolves the packet.
     """
     if not 0.0 <= t < math.inf:
         raise ConfigError(f"time must be finite and non-negative, got {t!r}")
-    if n_points < 2:
-        raise ConfigError(f"wavefunction grid needs at least 2 points, got {n_points}")
-    if not (0.0 < sigma < math.inf and 0.0 < x_max and x_max * x_max < math.inf):
-        raise ConfigError(f"sigma and x_max must be finite and positive, with x_max**2 "
-                          f"finite, got sigma = {sigma!r}, x_max = {x_max!r}")
-    # |psi| ~ exp(-x^2 / (2 width^2)); checked before psi is evaluated
-    width = sigma * math.hypot(1.0, t / sigma**2)
-    dx = 2.0 * x_max / (n_points - 1)
-    if dx > width:
-        raise ConfigError(f"grid step {dx:.3g} exceeds the packet width {width:.3g} "
-                          f"at t = {t:g}: use more points or a smaller x_max")
-    edge = math.exp(-0.5 * (x_max / width) * (x_max / width))  # |psi(+-x_max)| / |psi(0)|
-    if edge > _BOUNDARY_DECAY:
-        raise ConfigError(
-            f"grid too narrow for t = {t:g}: boundary amplitude {edge:.2e} "
-            f"of peak exceeds {_BOUNDARY_DECAY:g}")
-    return WavefunctionGrid(x=np.linspace(-x_max, x_max, n_points),
+    if not (0.0 < sigma and 0.0 < sigma * sigma < math.inf):
+        raise ConfigError(f"sigma must be positive, with sigma**2 non-zero and finite, "
+                          f"got {sigma!r}")
+    half_width = 8.0 * sigma * math.hypot(1.0, t / sigma**2)
+    if not half_width * half_width < math.inf:
+        raise ConfigError(f"the packet's half-width 8 w = {half_width:.4g} at t = {t:g} "
+                          f"overflows when squared")
+    return WavefunctionGrid(x=np.linspace(-half_width, half_width, 1024),
                             amplitude_fn=lambda xx: gaussian_packet(xx, t, sigma))
 
 

@@ -233,7 +233,7 @@ OUTPUT_OPTIONS = {"--output": (["out.csv"], ["made_dir", "", "missing/out.csv"])
 # fail cleanly: 0, negatives, nan, inf, 1e308, tiny and huge scales, a step
 # too small to finish and the filter off); True is a bare flag
 FLUID_OPTIONS = {
-    "--grid": (["8", "16", "32"], ["0", "-8", "7", "nan", "1e308"]),
+    "--grid": (["8", "16", "32"], ["0", "-8", "7", "nan", "1e308", "4000000000"]),
     "--periods": (["0.2", "1"], ["0", "-1", "nan", "inf", "1e308"]),
     "--tpar": ([None, "0", "0.01", "0.1"], ["-1", "nan", "inf", "1e308"]),
     "--hbar": ([None, "0", "0.3", "1"], ["-0.5", "nan", "inf", "1e308"]),
@@ -305,7 +305,6 @@ WIGNER_OPTIONS = {
     "--v-max": ([None, "0.5", "4"], ["0", "-1", "nan", "inf", "1e308"]),
     "--nx": (["1", "4", "16"], ["0", "-3", "nan", "1e308"]),
     "--nv": (["1", "4", "16"], ["0", "-3", "nan", "1e308"]),
-    "--npsi": (["64", "128"], ["0", "1", "-4", "16", "nan", "1e308"]),
 }
 
 
@@ -470,13 +469,24 @@ def test_tw_stability_far_above_the_boundary(tmp_path, capsys):
 
 
 def test_wigner_panels(tmp_path):
-    code = run(tmp_path, ["wigner", "--times", "0,2", "--nx", "32", "--nv", "32",
-                          "--npsi", "512", "-o", "wig.csv"])
+    code = run(tmp_path, ["wigner", "--times", "0,2", "--nx", "32", "--nv", "32", "-o", "wig.csv"])
     assert code == 0
     for t in (0, 2):
         _, cols = read_csv(tmp_path / f"wig_t{t}.csv")
         expected = analytic_wigner(cols["x_bar"], cols["v_bar"], float(t))
         assert np.max(np.abs(cols["f_bar"] - expected)) < 1e-8
+
+
+def test_wide_wigner_range_matches_the_closed_form(tmp_path):
+    # the packet's grid follows its width, not the output range, so a range
+    # far wider than the packet needs no wider or finer packet grid
+    code = run(tmp_path, ["wigner", "--x-max", "400", "--times", "0,6", "--nx", "64",
+                          "--nv", "64", "-o", "wide.csv"])
+    assert code == 0
+    for t in (0, 6):
+        _, cols = read_csv(tmp_path / f"wide_t{t}.csv")
+        expected = analytic_wigner(cols["x_bar"], cols["v_bar"], float(t))
+        assert np.max(np.abs(cols["f_bar"] - expected)) < 1e-13
 
 
 def test_moments_subcommand(tmp_path):
@@ -724,12 +734,32 @@ def test_failed_later_write_leaves_no_earlier_output(tmp_path, capsys, argv, mad
     assert (tmp_path / older).read_bytes() == old
 
 
+@pytest.mark.parametrize("argv, older", [
+    (["-o", "f.csv", "--snapshot", "./f.csv"], "f.csv"),
+    (["-o", "f.csv", "--snapshot", "f.csv"], "f.csv"),
+    (["--snapshot", "fluid.csv"], "fluid.csv"),
+], ids=["snapshot ./f.csv", "snapshot f.csv", "snapshot beside the default output"])
+def test_outputs_that_are_one_file_exit_2(tmp_path, capsys, argv, older):
+    # the probe series and the snapshot would be renamed onto one file in
+    # turn, and the series lost: refused before any file is made
+    (tmp_path / older).write_bytes(b"older bytes\n")
+    assert run(tmp_path, ["fluid", "--grid", "16", "--periods", "0.2", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: outputs" in err and "are one file" in err
+    assert argv[-1] in err and older in err
+    assert [p.name for p in tmp_path.iterdir()] == [older]
+    assert (tmp_path / older).read_bytes() == b"older bytes\n"
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run(tmp_path, ["dispersion", "--relation", "wrong"]) == 2
     assert run(tmp_path, ["no-such-command"]) == 2
     # the stability table is closed-form: no tolerance to set
     assert run(tmp_path, ["tw", "stability", "--tol", "0"]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # the packet sizes its own sample grid: no point count to set
+    assert run(tmp_path, ["wigner", "--npsi", "1024"]) == 2
+    assert "unrecognized arguments: --npsi" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -779,7 +809,6 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["wigner", "--times", "0,x"],
     ["wigner", "--times", "nan"],
     ["wigner", "--nv", "0"],
-    ["wigner", "--npsi", "0"],
     ["wigner", "--nx", "0"],
     ["wigner", "--x-max", "-1"],
     ["wigner", "--v-max", "0"],
@@ -799,7 +828,6 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["wigner", "--x-max", "1e308", "--nx", "8", "--nv", "8"],
     ["wigner", "--v-max", "1e308", "--nx", "8", "--nv", "8"],
     ["wigner", "--x-max", "1e160", "--nx", "4", "--nv", "4"],
-    ["wigner", "--npsi", "16", "--nx", "4", "--nv", "4"],
     ["wigner", "--times", "1.3e154", "--nx", "4", "--nv", "4"],
     ["wigner", "--times", "0.1234561,0.1234562", "--nx", "4", "--nv", "4"],
     ["wigner", "--times", "2,2", "--nx", "4", "--nv", "4"],
@@ -831,6 +859,7 @@ def test_wigner_checks_every_panel_before_it_computes_one(tmp_path, capsys, monk
     ["tw", "run", "--tol", "1e-320", "--xi-max", "1", "--samples", "4"],
     ["tw", "run", "--tol", "5e-324", "--xi-max", "1", "--samples", "4"],
     ["fluid", "--ic", "perturb", "--mode", "0", "--periods", "1", "--snapshot", "s.csv"],
+    ["fluid", "--grid", "4000000000"],
     ["fluid", "--grid", "16", "--tpar", "1e300", "--periods", "0.2"],
     ["fluid", "--grid", "16", "--tpar", "1e300", "--amplitude", "1e-30", "--periods", "0.2"],
 ], ids=" ".join)

@@ -859,6 +859,16 @@ def test_grid_and_state_validation():
                 build()
 
 
+def test_grid_size_is_capped_before_any_array_is_made():
+    # a run holds ~848 bytes per point; the cap refuses a size whose arrays
+    # could not be allocated, and no test makes a grid that large
+    g = Grid1D(2**18, 1.0)
+    assert "k" not in vars(g)   # the wavenumbers are made on first use only
+    for n in (2**18 + 2, 4_000_000_000):
+        with pytest.raises(ConfigError, match=f"at most the 262144-point limit, got {n}$"):
+            Grid1D(n, 1.0)
+
+
 def test_grid_rejects_non_finite_length():
     for length in (math.inf, math.nan, 0.0):
         with pytest.raises(ConfigError, match="domain length"):

@@ -329,8 +329,7 @@ def test_wigner_packet_has_gaussian_heat_flux_and_fourth_moment():
     # truncation of the v grid at |v| = 4 sets the R error
     vgrid = VelocityGrid.uniform(1, 4.0, 256)
     for t, q_bound, r_bound in ((0.0, 2e-15, 1e-5), (2.0, 1e-8, 2e-8)):
-        half_width = max(14.0, 8.0 * np.sqrt(1.0 + t**2))
-        wfg = wigner.evolve_free_gaussian(1.0, t, half_width, n_points=1024)
+        wfg = wigner.evolve_free_gaussian(1.0, t)
         xs = np.linspace(-3.0, 3.0, 13) * np.sqrt((1.0 + t**2) / 2.0)
         table = wigner.wigner_transform(wfg, v=vgrid.axes[0], x=xs)
         for j in range(len(xs)):

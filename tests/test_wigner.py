@@ -43,7 +43,7 @@ def test_packet_initial_shape_and_norm():
     assert np.allclose(psi, expected, atol=1e-15)
     assert np.max(np.abs(psi.imag)) == 0.0
     for t in (0.0, 2.0, 6.0):
-        wfg = evolve_free_gaussian(1.0, t, x_max=60.0, n_points=2048)
+        wfg = evolve_free_gaussian(1.0, t)
         norm = np.sum(np.abs(wfg.psi) ** 2) * wfg.dx
         assert norm == pytest.approx(1.0, abs=1e-10)
 
@@ -51,23 +51,32 @@ def test_packet_initial_shape_and_norm():
 def test_packet_variance_growth():
     sigma = 1.3
     for t in (0.0, 1.0, 4.0):
-        wfg = evolve_free_gaussian(sigma, t, x_max=80.0, n_points=4096)
+        wfg = WavefunctionGrid(np.linspace(-80.0, 80.0, 4096),
+                               lambda xx: gaussian_packet(xx, t, sigma))
         dens = np.abs(wfg.psi) ** 2
         var = np.sum(wfg.x**2 * dens) * wfg.dx
         t_bar = t / sigma**2
         assert var == pytest.approx(0.5 * sigma**2 * (1.0 + t_bar**2), rel=1e-10)
 
 
-def test_narrow_grid_rejected():
-    with pytest.raises(ConfigError, match="too narrow"):
-        evolve_free_gaussian(1.0, 6.0, x_max=12.0)
+def test_packet_sizes_its_own_grid():
+    # 1024 points on [-8 w, 8 w], w = sigma sqrt(1 + t_bar^2): the edge
+    # amplitude e^-32 is below the 1e-13 that sizes the s grid, at any
+    # sigma and t, and the step 16 w / 1023 resolves the packet
+    for sigma, t in ((1.0, 0.0), (1.3, 4.0), (0.5, 1e6), (3.0, 1e-3)):
+        wfg = evolve_free_gaussian(sigma, t)
+        half_width = 8.0 * sigma * math.hypot(1.0, t / sigma**2)
+        assert wfg.x.size == 1024 and wfg.x[0] == -half_width and wfg.x[-1] == half_width
+        amp = np.abs(wfg.psi)
+        assert 1e-14 < max(amp[0], amp[-1]) / np.max(amp) < 1e-13
+        assert np.sum(amp**2) * wfg.dx == pytest.approx(1.0, abs=1e-13)   # measured 2.0e-14
 
 
 def test_transform_matches_closed_form():
     x = np.linspace(-12, 12, 128)
     v = np.linspace(-4, 4, 128)
     for t in (0.0, 2.0):
-        wfg = evolve_free_gaussian(1.0, t, x_max=50.0, n_points=1024)
+        wfg = evolve_free_gaussian(1.0, t)
         table = wigner_transform(wfg, v=v, x=x)
         f_bar = np.pi * table.f  # sigma = 1: x_bar = x, v_bar = v
         expected = analytic_wigner(x[None, :], v[:, None], t)
@@ -78,7 +87,7 @@ def test_position_marginal_matches_density():
     x = np.linspace(-10, 10, 160)
     v = np.linspace(-4, 4, 256)
     for t in (0.0, 2.0):
-        wfg = evolve_free_gaussian(1.0, t, x_max=50.0, n_points=1024)
+        wfg = evolve_free_gaussian(1.0, t)
         table = wigner_transform(wfg, v=v, x=x)
         marginal = np.trapezoid(table.f, v, axis=0)
         dens = np.abs(gaussian_packet(x, t)) ** 2
@@ -89,7 +98,7 @@ def test_velocity_marginal_time_independent():
     v = np.linspace(-4, 4, 200)
     margs = []
     for t in (0.0, 4.0):
-        wfg = evolve_free_gaussian(1.0, t, x_max=60.0, n_points=1024)
+        wfg = evolve_free_gaussian(1.0, t)
         x = np.linspace(-45, 45, 1200)  # wide: the density spreads
         table = wigner_transform(wfg, v=v, x=x)
         margs.append(np.trapezoid(table.f, x, axis=1))
@@ -135,9 +144,7 @@ def test_boosted_packet_at_t6_matches_dense_reference():
     def boosted(xx):
         return np.exp(1j * k0 * xx) * gaussian_packet(xx - k0 * t, t)
 
-    half_width = 8.0 * math.sqrt(1.0 + t**2)   # the CLI's grid rule
-    x_grid = k0 * t + np.linspace(-half_width, half_width, 1024)
-    wfg = WavefunctionGrid(x=x_grid, amplitude_fn=boosted)
+    wfg = WavefunctionGrid(x=k0 * t + evolve_free_gaussian(1.0, t).x, amplitude_fn=boosted)
     v = np.linspace(k0 - 4.0, k0 + 4.0, 64)
     x = k0 * t + np.linspace(-12.0, 12.0, 41)
     table = wigner_transform(wfg, v=v, x=x)
@@ -153,7 +160,7 @@ def test_packet_resolved_to_nyquist_keeps_nodes_below_grid_step(monkeypatch):
     # up to the grid's Nyquist wavenumber, so the bandwidth rule must not
     # coarsen the s nodes beyond the grid step.  |v| <= 2 keeps the kernel's
     # own 0.8 / |v| bound above the grid step
-    wfg = evolve_free_gaussian(0.5, 0.0, x_max=4.0, n_points=27)
+    wfg = WavefunctionGrid(np.linspace(-4.0, 4.0, 27), lambda xx: gaussian_packet(xx, 0.0, 0.5))
     spectrum = np.abs(np.fft.fft(wfg.psi))
     assert np.max(spectrum[13:15]) > 1e-13 * np.max(spectrum)
     v = np.linspace(-2.0, 2.0, 33)
@@ -175,7 +182,7 @@ def test_default_panels_match_the_closed_form():
     x = np.linspace(-12.0, 12.0, 256)
     v = np.linspace(-4.0, 4.0, 256)
     for t in (0.0, 2.0, 4.0, 6.0):
-        wfg = evolve_free_gaussian(1.0, t, max(14.0, 8.0 * math.sqrt(1.0 + t * t)), n_points=1024)
+        wfg = evolve_free_gaussian(1.0, t)
         assert not wigner.s_grid(wfg, v, x)[6]   # psi on the lattice
         f_bar = np.pi * wigner_transform(wfg, v=v, x=x).f
         assert np.max(np.abs(f_bar - analytic_wigner(x[None, :], v[:, None], t))) < 3e-15
@@ -191,7 +198,7 @@ def test_closely_spaced_positions_take_psi_at_the_nodes():
         calls.append(xx.size)
         return gaussian_packet(xx, 2.0)
 
-    wfg = WavefunctionGrid(x=evolve_free_gaussian(1.0, 2.0, 30.0).x, amplitude_fn=packet)
+    wfg = WavefunctionGrid(x=evolve_free_gaussian(1.0, 2.0).x, amplitude_fn=packet)
     v, x = np.linspace(-3.0, 3.0, 33), np.linspace(0.0, 1e-6, 3)
     _, _, p, q, _, n_s, direct, _, _ = wigner.s_grid(wfg, v, x)
     assert direct and 2 * q + 2 * p * n_s > 1e8
@@ -203,7 +210,7 @@ def test_closely_spaced_positions_take_psi_at_the_nodes():
 def test_real_packet_is_mirror_symmetric_in_v():
     # psi real at t = 0, so Im G = 0 and f(x, v) = f(x, -v) exactly on an
     # exactly symmetric velocity grid
-    wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=1024)
+    wfg = evolve_free_gaussian(1.0, 0.0)
     v = 4.0 / 127.5 * (np.arange(256) - 127.5)
     assert (v == -v[::-1]).all()
     f = wigner_transform(wfg, v=v, x=np.linspace(-12.0, 12.0, 256)).f
@@ -229,7 +236,7 @@ def test_permuted_velocities_give_the_permuted_rows():
 
 
 def test_degenerate_transform_input_rejected():
-    wfg = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=256)
+    wfg = evolve_free_gaussian(1.0, 0.0)
     with pytest.raises(ConfigError, match="velocity"):
         wigner_transform(wfg, v=np.array([]), x=wfg.x)
     with pytest.raises(ConfigError, match="position"):
@@ -244,14 +251,13 @@ def test_degenerate_transform_input_rejected():
             wigner_transform(wfg, v=np.ones(1), x=xx)
     for t in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite and non-negative"):
-            evolve_free_gaussian(1.0, t, x_max=14.0)
-    for n in (0, 1):
-        with pytest.raises(ConfigError, match="at least 2 points"):
-            evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=n)
-    with pytest.raises(ConfigError, match="exceeds the packet width"):
-        evolve_free_gaussian(0.5, 0.0, x_max=4.0, n_points=9)
-    with pytest.raises(ConfigError, match=r"x_max\*\*2 finite"):
-        evolve_free_gaussian(1.0, 1e160, x_max=1e160, n_points=2**20)
+            evolve_free_gaussian(1.0, t)
+    for sigma in (0.0, -1.0, 1e-170, 1e155, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="sigma must be positive"):
+            evolve_free_gaussian(sigma, 1.0)
+    for sigma, t in ((1.0, 1.3e154), (1e-100, 1e55)):   # (8 w)^2 overflows
+        with pytest.raises(ConfigError, match="overflows when squared"):
+            evolve_free_gaussian(sigma, t)
 
 
 def test_wavefunction_grid_validation():
@@ -264,7 +270,7 @@ def test_wavefunction_grid_validation():
         WavefunctionGrid(x=xs, amplitude_fn=lambda xx: gaussian_packet(xx, 0.0))
     # a fine linspace: its steps differ by the rounding of |x| <= 14, which
     # is above 1e-12 of the step from about 8000 points on
-    fine = evolve_free_gaussian(1.0, 0.0, x_max=14.0, n_points=20000)
+    fine = WavefunctionGrid(np.linspace(-14.0, 14.0, 20000), lambda xx: gaussian_packet(xx, 0.0))
     assert np.ptp(np.diff(fine.x)) > 1e-12 * fine.dx
 
 
@@ -272,7 +278,7 @@ def test_wavefunction_grid_samples_its_amplitude_once(monkeypatch):
     evaluations = []
     monkeypatch.setattr(wigner, "gaussian_packet",
                         lambda *a: evaluations.append(a) or gaussian_packet(*a))
-    evolve_free_gaussian(1.0, 2.0, x_max=30.0)
+    evolve_free_gaussian(1.0, 2.0)
     assert len(evaluations) == 1
     x = np.linspace(-12, 12, 256)
     calls = []
@@ -308,9 +314,9 @@ def test_numerical_shear_transport():
     t = 4.0
     v = np.linspace(-4, 4, 48)
     x = np.linspace(-10, 10, 96)
-    wfg_t = evolve_free_gaussian(1.0, t, x_max=60.0, n_points=1024)
+    wfg_t = evolve_free_gaussian(1.0, t)
     table_t = wigner_transform(wfg_t, v=v, x=x)
-    wfg_0 = evolve_free_gaussian(1.0, 0.0, x_max=60.0, n_points=1024)
+    wfg_0 = evolve_free_gaussian(1.0, 0.0)
     worst = 0.0
     for iv, vv in enumerate(v):
         sheared = wigner_transform(wfg_0, v=np.array([vv]), x=x - vv * t)
@@ -321,7 +327,7 @@ def test_numerical_shear_transport():
 def test_moments_of_tabulated_wigner_match_packet():
     # cross-module light check at t = 0 (full version in the acceptance suite)
     vgrid = moments.VelocityGrid.uniform(1, 4.0, 256)
-    wfg = evolve_free_gaussian(1.0, 0.0, x_max=50.0, n_points=1024)
+    wfg = evolve_free_gaussian(1.0, 0.0)
     for xq in (0.0, 0.7):
         table = wigner_transform(wfg, v=vgrid.axes[0], x=np.array([xq]))
         ms = moments.compute_moments(table.f[:, 0], vgrid)
@@ -338,7 +344,7 @@ def test_pressure_of_the_pure_packet_is_the_madelung_pressure():
     # relative at t = 2, where the bulk velocity x t / (1 + t^2) is not 0.
     t = 2.0
     vgrid = moments.VelocityGrid.uniform(1, 6.0, 512)
-    wfg = evolve_free_gaussian(1.0, t, x_max=30.0, n_points=1024)
+    wfg = evolve_free_gaussian(1.0, t)
     x = np.linspace(-3.5, 2.5, 7)
     table = wigner_transform(wfg, v=vgrid.axes[0], x=x)
     for j, xq in enumerate(x):
